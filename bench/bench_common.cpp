@@ -5,7 +5,6 @@
 #include <iostream>
 #include <string>
 
-#include "baseline/staircase.hpp"
 #include "util/error.hpp"
 #include "util/memtrack.hpp"
 #include "util/telemetry.hpp"
@@ -220,10 +219,13 @@ std::vector<suite_run> run_suite_vs_baseline(
   // and staircase synthesis serially, so threads are not multiplied.
   core::synthesis_options per_circuit = options;
   per_circuit.parallel = {};
+  // The prior-work flow: per-output ROBDDs under the all-VH labeling.
+  core::synthesis_options staircase;
+  staircase.labeler = "staircase";
   return parallel_map(parallel, suite.size(), [&](std::size_t i) {
-    return suite_run{&suite[i],
-                     core::synthesize_network(suite[i].net, per_circuit),
-                     baseline::staircase_synthesize_network(suite[i].net)};
+    return suite_run{
+        &suite[i], core::synthesize_network(suite[i].net, per_circuit),
+        core::synthesize_separate_robdds(suite[i].net, staircase)};
   });
 }
 

@@ -6,7 +6,6 @@
 // delay -56%).
 #include <iostream>
 
-#include "baseline/staircase.hpp"
 #include "bench_common.hpp"
 
 int main(int argc, char** argv) {

@@ -7,7 +7,6 @@
 // labeling is NP-hard while the staircase is linear).
 #include <iostream>
 
-#include "baseline/staircase.hpp"
 #include "bench_common.hpp"
 #include "util/metrics.hpp"
 

@@ -3,12 +3,11 @@
 #include <algorithm>
 #include <cctype>
 #include <fstream>
-#include <mutex>
 #include <optional>
 #include <sstream>
 #include <utility>
 
-#include "api/dispatch.hpp"
+#include "api/run.hpp"
 #include "core/compact.hpp"
 #include "core/partition.hpp"
 #include "core/pipeline.hpp"
@@ -19,10 +18,10 @@
 #include "frontend/verilog.hpp"
 #include "util/error.hpp"
 #include "util/flight_recorder.hpp"
+#include "util/stopwatch.hpp"
 #include "util/telemetry.hpp"
 #include "util/watchdog.hpp"
 #include "verify/analyzer.hpp"
-#include "verify/pass.hpp"
 #include "xbar/evaluate.hpp"
 #include "xbar/partitioned.hpp"
 #include "xbar/serialize.hpp"
@@ -112,69 +111,6 @@ auto translated(F&& f) -> decltype(f()) {
               "' (expected none, sift, or exhaustive)");
 }
 
-[[nodiscard]] diagnostic_v1 to_diagnostic(const verify::diagnostic& d) {
-  diagnostic_v1 out;
-  out.check = d.check_id;
-  out.severity = verify::severity_name(d.level);
-  out.message = d.message;
-  out.fix = d.fix;
-  for (const verify::entity& e : d.anchors)
-    out.anchors.push_back(verify::to_string(e));
-  return out;
-}
-
-[[nodiscard]] lint_outcome to_lint_outcome(const verify::report& r) {
-  lint_outcome out;
-  out.checks_run = r.checks_run();
-  out.errors = r.error_count();
-  out.warnings = r.warning_count();
-  out.notes = r.note_count();
-  for (const verify::diagnostic& d : r.diagnostics())
-    out.diagnostics.push_back(to_diagnostic(d));
-  return out;
-}
-
-/// Shared tail of both lint() overloads: install the optional electrical /
-/// criticality engines on the artifact bundle, analyze, and lift the engine
-/// summaries into the versioned outcome.
-[[nodiscard]] lint_outcome run_lint(verify::artifacts& artifacts,
-                                    const lint_options_v1& options) {
-  verify::analyzer_options analyzer_options;
-  analyzer_options.equivalence = options.equivalence;
-
-  verify::electrical_options electrical;
-  if (options.electrical) {
-    if (options.margin_threshold <= 0.0)
-      throw error("margin_threshold must be positive");
-    electrical.margin_threshold = options.margin_threshold;
-    artifacts.electrical = &electrical;
-  }
-  verify::criticality_options criticality;
-  if (options.criticality) {
-    if (options.criticality_limit < 0)
-      throw error("criticality_limit must be >= 0 (0 = exhaustive)");
-    criticality.max_faults = options.criticality_limit;
-    artifacts.criticality = &criticality;
-  }
-  verify::analysis_cache cache;
-  artifacts.cache = &cache;
-
-  lint_outcome out = to_lint_outcome(verify::analyze(artifacts,
-                                                     analyzer_options));
-  if (cache.electrical.has_value()) {
-    out.electrical_ran = true;
-    out.electrically_safe = cache.electrical->safe;
-    out.min_margin_ratio = cache.electrical->min_margin_ratio;
-  }
-  if (cache.criticality.has_value()) {
-    out.criticality_ran = true;
-    out.junctions_analyzed = cache.criticality->junction_count;
-    out.critical_junctions = cache.criticality->critical_count;
-    out.criticality_truncated = cache.criticality->truncated;
-  }
-  return out;
-}
-
 /// Translate the versioned plain-struct knobs into the internal options.
 [[nodiscard]] core::synthesis_options to_core_options(
     const synthesis_options_v1& options) {
@@ -206,27 +142,6 @@ auto translated(F&& f) -> decltype(f()) {
   core.memory_limit_bytes = options.memory_limit_bytes;
   core.deadline_seconds = options.deadline_seconds;
   return core;
-}
-
-[[nodiscard]] synthesis_stats_v1 to_stats(const core::synthesis_stats& s) {
-  synthesis_stats_v1 out;
-  out.graph_nodes = s.graph_nodes;
-  out.vh_count = s.vh_count;
-  out.rows = s.rows;
-  out.columns = s.columns;
-  out.semiperimeter = s.semiperimeter;
-  out.max_dimension = s.max_dimension;
-  out.area = s.area;
-  out.power_proxy = s.power_proxy;
-  out.delay_steps = s.delay_steps;
-  out.optimal = s.optimal;
-  out.relative_gap = s.relative_gap;
-  out.synthesis_seconds = s.synthesis_seconds;
-  out.arrays = s.arrays;
-  out.cut_edges = s.cut_edges;
-  out.bridge_connections = s.bridges;
-  out.total_semiperimeter = s.semiperimeter;
-  return out;
 }
 
 }  // namespace
@@ -333,164 +248,193 @@ bool design::evaluate_output(const std::vector<bool>& assignment,
 }
 
 // ---------------------------------------------------------------------------
-// synthesize
+// run functions
+
+verify::artifacts run_result::artifacts() const {
+  verify::artifacts a;
+  if (pipeline) {
+    a = verify::make_artifacts(*pipeline);
+  } else if (mapped.internals().partitioned) {
+    a.partitioned = &*mapped.internals().partitioned;
+  } else {
+    a.design = &mapped.internals().mapped;
+  }
+  a.spec = &spec->manager;
+  a.spec_roots = &spec->built.roots;
+  a.spec_names = &spec->built.names;
+  a.variable_count = spec->net.input_count();
+  return a;
+}
 
 namespace {
 
-synthesis_outcome synthesize_impl(const netlist_source& source,
-                                  const synthesis_options_v1& options,
-                                  const dispatch_caches& caches) {
-  return translated([&]() -> synthesis_outcome {
-    if (options.partition && options.separate_robdds)
-      throw error(
-          "partition and separate_robdds are mutually exclusive (the "
-          "separate-ROBDD flow already composes one block per output)");
-    core::synthesis_options core = to_core_options(options);
-    // A service injects its process-wide caches here; null members keep the
-    // core's private per-call caching.
-    core.cache = caches.label;
-    core.partition_memo = caches.partition;
+/// Store a partitioned core design in the handle. Single-array designs
+/// (including degenerate partitions) live in `mapped` so their
+/// serialization stays byte-identical to version 1.
+void adopt(design& d, xbar::partitioned_design partitioned) {
+  if (partitioned.array_count() == 1 && partitioned.connections().empty())
+    d.internals().mapped = std::move(partitioned.fragment(0));
+  else
+    d.internals().partitioned = std::move(partitioned);
+}
 
-    frontend::network net = load_network(source);
-    if (options.minimize_network) net = frontend::minimize_network(net);
+/// Express device literals in declared-input numbering so evaluate()
+/// assignments read naturally (level l tested input variable_order[l]).
+void remap(design& d, const std::vector<int>& variable_order) {
+  bool identity = true;
+  for (std::size_t l = 0; l < variable_order.size(); ++l)
+    if (variable_order[l] != static_cast<int>(l)) identity = false;
+  if (identity) return;
+  design::impl& i = d.internals();
+  if (i.partitioned)
+    i.partitioned = xbar::remap_variables(*i.partitioned, variable_order);
+  else
+    i.mapped = xbar::remap_variables(i.mapped, variable_order);
+}
 
-    // The separate-ROBDD flow builds per-output BDDs internally under the
-    // declaration order; a permuted order would desynchronize validation.
-    frontend::order_effort order = parse_order(options.variable_order);
-    if (options.separate_robdds) order = frontend::order_effort::none;
-    const std::vector<int> variable_order =
-        frontend::optimize_order(net, order);
-    bdd::manager m(net.input_count());
-    const frontend::sbdd built = frontend::build_sbdd(net, m, variable_order);
+/// Run the analyzer over `result` with the switches of `options`, keeping
+/// the engine results in result.analysis.
+void analyze(run_result& result, const lint_options_v1& options) {
+  verify::artifacts artifacts = result.artifacts();
+  verify::electrical_options electrical;
+  if (options.electrical) {
+    if (options.margin_threshold <= 0.0)
+      throw error("margin_threshold must be positive");
+    electrical.margin_threshold = options.margin_threshold;
+    artifacts.electrical = &electrical;
+  }
+  verify::criticality_options criticality;
+  if (options.criticality) {
+    if (options.criticality_limit < 0)
+      throw error("criticality_limit must be >= 0 (0 = exhaustive)");
+    criticality.max_faults = options.criticality_limit;
+    artifacts.criticality = &criticality;
+  }
+  artifacts.cache = &result.analysis;
+  verify::analyzer_options analyzer_options;
+  analyzer_options.equivalence = options.equivalence;
+  result.verification = verify::analyze(artifacts, analyzer_options);
+}
 
-    // The sink must outlive synthesis; one JSON object per pipeline stage.
-    std::ofstream trace_file;
-    std::optional<json_lines_sink> trace_sink;
-    if (!options.trace_json_path.empty()) {
-      trace_file.open(options.trace_json_path);
-      if (!trace_file)
-        throw compact::error("cannot write " + options.trace_json_path);
-      trace_sink.emplace(trace_file);
-      core.telemetry = &*trace_sink;
-    }
-    if (options.verify) {
-      // The pass body lives in the verify library; installing explicitly
-      // keeps this working even if no other verify symbol is referenced.
-      // once: installation writes a global slot, and a service fans
-      // concurrent requests out across threads.
-      static std::once_flag installed;
-      std::call_once(installed, [] { verify::install_pipeline_pass(); });
-      core.verify_design = true;
-    }
+/// The one synthesis run behind both ops: parse, build the SBDD, run the
+/// shape the options select, then the shared tail (validate, analyze with
+/// the switches of `analysis` unless it is null, remap).
+run_result synthesize_run(const netlist_source& source,
+                          const synthesis_options_v1& options,
+                          const lint_options_v1* analysis,
+                          const run_caches& caches) {
+  if (options.partition && options.separate_robdds)
+    throw error(
+        "partition and separate_robdds are mutually exclusive (the "
+        "separate-ROBDD flow already composes one block per output)");
+  core::synthesis_options core = to_core_options(options);
+  // A service injects its process-wide caches here; null members keep the
+  // core's private per-call caching.
+  core.cache = caches.label;
+  core.partition_memo = caches.partition;
 
-    // Multi-array flow: partition the SBDD under the budgets, synthesize
-    // every fragment, stitch via bridges. A plan of one fragment falls back
-    // to the canonical pipeline, so the design matches an unpartitioned run.
-    if (options.partition) {
-      core::partitioned_synthesis_result result =
-          core::synthesize_partitioned(m, built.roots, built.names, core);
+  frontend::network net = load_network(source);
+  if (options.minimize_network) net = frontend::minimize_network(net);
+  // The separate-ROBDD flow builds per-output BDDs internally under the
+  // declaration order; a permuted order would desynchronize the spec.
+  frontend::order_effort order = parse_order(options.variable_order);
+  if (options.separate_robdds) order = frontend::order_effort::none;
+  const std::vector<int> variable_order = frontend::optimize_order(net, order);
+  run_result result;
+  result.spec = std::make_unique<spec_bdd>(std::move(net));
+  spec_bdd& spec = *result.spec;
+  spec.built = frontend::build_sbdd(spec.net, spec.manager, variable_order);
 
-      synthesis_outcome outcome;
-      outcome.stats = to_stats(result.stats);
-      if (result.verification.has_value()) {
-        const verify::report& r = *result.verification;
-        outcome.verification.ran = true;
-        outcome.verification.passed = r.clean();
-        outcome.verification.detail =
-            std::to_string(r.error_count()) + " error(s), " +
-            std::to_string(r.warning_count()) + " warning(s), " +
-            std::to_string(r.note_count()) + " note(s); " +
-            std::to_string(r.checks_run().size()) + " checks run";
-        for (const verify::diagnostic& d : r.diagnostics())
-          outcome.diagnostics.push_back(to_diagnostic(d));
-      }
-      if (options.validate) {
-        xbar::validation_options validation_options;
-        validation_options.parallel = core.parallel;
-        const xbar::validation_report report = xbar::validate_against_bdd(
-            result.design, m, built.roots, built.names, net.input_count(),
-            validation_options);
-        outcome.validation.ran = true;
-        outcome.validation.passed = report.valid;
-        outcome.validation.detail =
-            report.valid
-                ? std::to_string(report.checked_assignments) +
-                      " assignments (" +
-                      (report.exhaustive ? "exhaustive" : "sampled") + ")"
-                : report.first_failure;
-      }
-      if (!variable_order.empty()) {
-        bool identity = true;
-        for (std::size_t l = 0; l < variable_order.size(); ++l)
-          if (variable_order[l] != static_cast<int>(l)) identity = false;
-        if (!identity)
-          result.design = xbar::remap_variables(result.design, variable_order);
-      }
-      if (result.design.array_count() == 1 &&
-          result.design.connections().empty())
-        outcome.mapped.internals().mapped =
-            std::move(result.design.fragment(0));
-      else
-        outcome.mapped.internals().partitioned = std::move(result.design);
-      outcome.mapped.internals().variable_names = input_names(net);
-      return outcome;
-    }
+  // The sink must outlive the run; one JSON object per stage.
+  std::ofstream trace_file;
+  std::optional<json_lines_sink> trace_sink;
+  if (!options.trace_json_path.empty()) {
+    trace_file.open(options.trace_json_path);
+    if (!trace_file)
+      throw compact::error("cannot write " + options.trace_json_path);
+    trace_sink.emplace(trace_file);
+    core.telemetry = &*trace_sink;
+  }
 
-    // The manager is owned by this call and only `built.roots` is read
-    // afterwards (validation, remapping), so the GC entry point is safe:
-    // stage-boundary sweeps free the SBDD build's intermediates.
-    core::synthesis_result result =
-        options.separate_robdds
-            ? core::synthesize_separate_robdds(net, core)
-            : core::synthesize_gc(m, built.roots, built.names, core);
+  const resource_limit_scope watchdog(
+      {core.memory_limit_bytes, core.deadline_seconds});
+  const stopwatch clock;
+  // Every shape collects garbage at its stage boundaries: the run owns the
+  // manager, and only spec.built's roots are read afterwards. The shapes
+  // without a pipeline context of their own run the tail over `tail`.
+  core::synthesis_context tail;
+  tail.manager = &spec.manager;
+  tail.telemetry = core.telemetry;
+  if (options.partition) {
+    // Split the SBDD under the budgets, synthesize every fragment, stitch
+    // via bridges. A plan of one fragment falls back to the canonical
+    // pipeline, so the design matches an unpartitioned run.
+    core::partitioned_synthesis_result r = core::synthesize_partitioned(
+        spec.manager, spec.built.roots, spec.built.names, core);
+    tail.stats = std::move(r.stats);
+    adopt(result.mapped, std::move(r.design));
+  } else if (options.separate_robdds) {
+    core::synthesis_result r = core::synthesize_separate_robdds(spec.net, core);
+    tail.stats = std::move(r.stats);
+    result.mapped.internals().mapped = std::move(r.design);
+  } else {
+    result.pipeline = std::make_unique<core::synthesis_context>();
+    core::synthesis_context& ctx = *result.pipeline;
+    ctx.manager = &spec.manager;
+    ctx.gc_manager = &spec.manager;
+    ctx.roots = &spec.built.roots;
+    ctx.names = &spec.built.names;
+    ctx.options = core;
+    ctx.telemetry = core.telemetry;
+    ctx.cache = core.cache;
+    core::run_synthesis_pipeline(ctx);
+    // The context keeps its own copy for the analyzer's mapping checks.
+    result.mapped.internals().mapped = ctx.mapped->design;
+  }
 
-    synthesis_outcome outcome;
-    outcome.stats = to_stats(result.stats);
-
-    if (result.verification.has_value()) {
-      const verify::report& r = *result.verification;
-      outcome.verification.ran = true;
-      outcome.verification.passed = r.clean();
-      outcome.verification.detail =
-          std::to_string(r.error_count()) + " error(s), " +
-          std::to_string(r.warning_count()) + " warning(s), " +
-          std::to_string(r.note_count()) + " note(s); " +
-          std::to_string(r.checks_run().size()) + " checks run";
-      for (const verify::diagnostic& d : r.diagnostics())
-        outcome.diagnostics.push_back(to_diagnostic(d));
-    }
-
-    if (options.validate) {
+  // The shared tail runs as pipeline stages, so --trace-json and the stage
+  // timings show it.
+  core::synthesis_context& ctx = result.pipeline ? *result.pipeline : tail;
+  core::pipeline checks;
+  if (options.validate)
+    checks.add_pass("validate", [&](core::synthesis_context& c) {
       // Validation runs in BDD-variable space (the space the design was
       // synthesized in), before any remapping.
       xbar::validation_options validation_options;
       validation_options.parallel = core.parallel;
-      const xbar::validation_report report = xbar::validate_against_bdd(
-          result.design, m, built.roots, built.names, net.input_count(),
-          validation_options);
-      outcome.validation.ran = true;
-      outcome.validation.passed = report.valid;
-      outcome.validation.detail =
-          report.valid
-              ? std::to_string(report.checked_assignments) + " assignments (" +
-                    (report.exhaustive ? "exhaustive" : "sampled") + ")"
-              : report.first_failure;
-    }
+      const design::impl& d = result.mapped.internals();
+      result.validation =
+          d.partitioned
+              ? xbar::validate_against_bdd(*d.partitioned, spec.manager,
+                                           spec.built.roots, spec.built.names,
+                                           spec.net.input_count(),
+                                           validation_options)
+              : xbar::validate_against_bdd(d.mapped, spec.manager,
+                                           spec.built.roots, spec.built.names,
+                                           spec.net.input_count(),
+                                           validation_options);
+      c.attribute("verdict", result.validation->valid ? "pass" : "fail");
+      c.metric("checked_assignments",
+               static_cast<double>(result.validation->checked_assignments));
+      c.metric("exhaustive", result.validation->exhaustive ? 1.0 : 0.0);
+    });
+  if (analysis != nullptr)
+    checks.add_pass("verify", [&](core::synthesis_context& c) {
+      analyze(result, *analysis);
+      const verify::report& r = *result.verification;
+      c.attribute("verdict", r.clean() ? "clean" : "dirty");
+      c.metric("errors", static_cast<double>(r.error_count()));
+      c.metric("warnings", static_cast<double>(r.warning_count()));
+      c.metric("notes", static_cast<double>(r.note_count()));
+      c.metric("checks_run", static_cast<double>(r.checks_run().size()));
+    });
+  checks.run(ctx);
+  result.stats = std::move(ctx.stats);
+  result.stats.synthesis_seconds = clock.seconds();
 
-    // Express device literals in declared-input numbering so evaluate()
-    // assignments read naturally (level l tested input variable_order[l]).
-    if (!options.separate_robdds && !variable_order.empty()) {
-      bool identity = true;
-      for (std::size_t l = 0; l < variable_order.size(); ++l)
-        if (variable_order[l] != static_cast<int>(l)) identity = false;
-      if (!identity)
-        result.design = xbar::remap_variables(result.design, variable_order);
-    }
-
-    outcome.mapped.internals().mapped = std::move(result.design);
-    outcome.mapped.internals().variable_names = input_names(net);
-    return outcome;
-  });
+  remap(result.mapped, variable_order);
+  result.mapped.internals().variable_names = input_names(spec.net);
+  return result;
 }
 
 /// Fold a request-level deadline into the synthesis knobs: the solver's
@@ -512,18 +456,18 @@ synthesis_options_v1 with_deadline(synthesis_options_v1 options,
 
 }  // namespace
 
-synthesis_outcome dispatch_synthesize(const request_v1& request,
-                                      const dispatch_caches& caches) {
+run_result run_synthesize(const request_v1& request, const run_caches& caches) {
   const synthesis_options_v1 options =
       with_deadline(request.synthesis, request.deadline_seconds);
   // Arm the flight recorder before any work so the postmortem captures the
-  // whole run; dump on any failure, then let the exception propagate (the
-  // translated() wrapper inside synthesize_impl has already mapped it into
-  // the api:: hierarchy).
+  // whole run; dump on any failure, then let the exception propagate.
   if (!options.flight_record_path.empty())
     compact::set_flight_record_path(options.flight_record_path);
   try {
-    return synthesize_impl(request.source, options, caches);
+    return translated([&] {
+      return synthesize_run(request.source, options,
+                            options.verify ? &request.lint : nullptr, caches);
+    });
   } catch (const std::exception& e) {
     if (!options.flight_record_path.empty())
       compact::dump_flight_postmortem(std::string("api.synthesize failed: ") +
@@ -532,149 +476,33 @@ synthesis_outcome dispatch_synthesize(const request_v1& request,
   }
 }
 
-// The deprecated v4 entry points are thin shims that construct a request_v1
-// and dispatch it — one execution path for old and new callers. Their
-// definitions reference their own deprecated declarations, hence the pragma.
-#if defined(__GNUC__) || defined(__clang__)
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-#endif
-synthesis_outcome synthesize(const netlist_source& source,
-                             const synthesis_options_v1& options) {
-  request_v1 request;
-  request.op = "synthesize";
-  request.source = source;
-  request.synthesis = options;
-  return dispatch_synthesize(request, {});
-}
-#if defined(__GNUC__) || defined(__clang__)
-#pragma GCC diagnostic pop
-#endif
-
-// ---------------------------------------------------------------------------
-// lint
-
-bool lint_outcome::clean(const std::string& fail_on) const {
-  const std::optional<verify::severity> floor =
-      verify::parse_severity(fail_on);
-  if (!floor)
-    throw error("unknown fail_on severity '" + fail_on +
-                "' (expected note, warning, or error)");
-  switch (*floor) {
-    case verify::severity::note:
-      return notes + warnings + errors == 0;
-    case verify::severity::warning:
-      return warnings + errors == 0;
-    case verify::severity::error:
-      return errors == 0;
-  }
-  return errors == 0;
-}
-
-namespace {
-
-/// Lint a netlist end-to-end: synthesize it through the pipeline and keep
-/// every intermediate stage for the checks (labeling, mapping, structural,
-/// equivalence).
-lint_outcome lint_source_impl(const netlist_source& source,
-                              const lint_options_v1& options,
-                              const dispatch_caches& caches) {
-  return translated([&]() -> lint_outcome {
-    synthesis_options_v1 synth;
-    synth.labeler = options.labeler;
-    synth.gamma = options.gamma;
-    synth.time_limit_seconds = options.time_limit_seconds;
-    synth.threads = options.threads;
-    core::synthesis_options core = to_core_options(synth);
-    core.cache = caches.label;
-    core.partition_memo = caches.partition;
-
-    const frontend::network net = load_network(source);
-    bdd::manager m(net.input_count());
-    const frontend::sbdd built = frontend::build_sbdd(net, m);
-
-    core::synthesis_context ctx;
-    ctx.manager = &m;
-    ctx.roots = &built.roots;
-    ctx.names = &built.names;
-    ctx.options = core;
-    ctx.cache = core.cache;
-    const core::pipeline pipeline = core::make_synthesis_pipeline(ctx.options);
-    pipeline.run(ctx);
-
-    verify::artifacts artifacts = verify::make_artifacts(ctx);
-    artifacts.spec = &m;
-    artifacts.spec_roots = &built.roots;
-    artifacts.spec_names = &built.names;
-    artifacts.variable_count = net.input_count();
-
-    return run_lint(artifacts, options);
-  });
-}
-
-/// Lint an existing design against the netlist it claims to implement.
-lint_outcome lint_design_impl(const design& d, const netlist_source& source,
-                              const lint_options_v1& options) {
-  return translated([&]() -> lint_outcome {
-    const frontend::network net = load_network(source);
-    bdd::manager m(net.input_count());
-    const frontend::sbdd built = frontend::build_sbdd(net, m);
-
-    verify::artifacts artifacts;
-    if (d.internals().partitioned)
-      artifacts.partitioned = &*d.internals().partitioned;
-    else
-      artifacts.design = &d.internals().mapped;
-    artifacts.spec = &m;
-    artifacts.spec_roots = &built.roots;
-    artifacts.spec_names = &built.names;
-    artifacts.variable_count = net.input_count();
-
-    return run_lint(artifacts, options);
-  });
-}
-
-}  // namespace
-
-lint_outcome dispatch_lint(const request_v1& request,
-                           const dispatch_caches& caches) {
-  lint_options_v1 options = request.lint;
-  // Request deadlines cap the solver budget and arm the abort watchdog for
-  // the duration of the dispatch (the lint pipeline has no scope of its
-  // own; outermost-wins semantics make this safe under nesting).
-  std::optional<resource_limit_scope> watchdog;
-  if (request.deadline_seconds > 0.0) {
-    options.time_limit_seconds =
-        std::min(options.time_limit_seconds, request.deadline_seconds);
+run_result run_lint(const request_v1& request, const run_caches& caches) {
+  const lint_options_v1& options = request.lint;
+  return translated([&] {
+    if (request.design_text.empty()) {
+      // Lint a netlist: synthesize it and analyze every intermediate
+      // artifact (labeling, mapping, structural, equivalence).
+      synthesis_options_v1 synth;
+      synth.labeler = options.labeler;
+      synth.gamma = options.gamma;
+      synth.time_limit_seconds = options.time_limit_seconds;
+      synth.threads = options.threads;
+      return synthesize_run(request.source,
+                            with_deadline(synth, request.deadline_seconds),
+                            &options, caches);
+    }
+    // Lint an existing design against the netlist it claims to implement.
     resource_limits limits;
     limits.deadline_seconds = request.deadline_seconds;
-    watchdog.emplace(limits);
-  }
-  if (!request.design_text.empty())
-    return lint_design_impl(design::from_text(request.design_text),
-                            request.source, options);
-  return lint_source_impl(request.source, options, caches);
+    const resource_limit_scope watchdog(limits);
+    run_result result;
+    result.mapped = design::from_text(request.design_text);
+    result.spec = std::make_unique<spec_bdd>(load_network(request.source));
+    result.spec->built =
+        frontend::build_sbdd(result.spec->net, result.spec->manager);
+    analyze(result, options);
+    return result;
+  });
 }
-
-#if defined(__GNUC__) || defined(__clang__)
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-#endif
-lint_outcome lint(const netlist_source& source,
-                  const lint_options_v1& options) {
-  request_v1 request;
-  request.op = "lint";
-  request.source = source;
-  request.lint = options;
-  return dispatch_lint(request, {});
-}
-
-lint_outcome lint(const design& d, const netlist_source& source,
-                  const lint_options_v1& options) {
-  return lint_design_impl(d, source, options);
-}
-#if defined(__GNUC__) || defined(__clang__)
-#pragma GCC diagnostic pop
-#endif
 
 }  // namespace compact::api

@@ -20,7 +20,7 @@
 // versions without notice (see DESIGN.md). New integrations should include
 // only this header and link compact::all.
 //
-// Quickstart (facade v5 — every operation is a request):
+// Quickstart (every operation is a request):
 //
 //   compact::api::request_v1 req;
 //   req.id = "r1";
@@ -59,14 +59,18 @@
 /// and the resource_limit_error exception.
 /// Version 4 added electrical & fault-criticality static analysis: the
 /// `electrical` / `margin_threshold` / `criticality` / `criticality_limit`
-/// lint options and the margin / criticality summary fields of
-/// lint_outcome.
+/// lint options and the margin / criticality lint summary fields.
 /// Version 5 redesigned the entry points around request_v1 / response_v1
 /// (op = synthesize | lint | evaluate, structured error_code_v1 taxonomy,
 /// JSON-lines serialization), added the `service` handle with shared
 /// bounded-memory caches, and deprecated the loose synthesize()/lint()
 /// functions in favor of thin shims over handle().
-#define COMPACT_API_VERSION 5
+/// Version 6 removed those shims together with synthesis_outcome and
+/// lint_outcome: handle() / service::handle() are the only entry points.
+/// request_v1::lint's analyzer switches now also configure
+/// synthesis_options_v1::verify, and "staircase" (the prior-work baseline)
+/// joined the built-in labelers.
+#define COMPACT_API_VERSION 6
 
 namespace compact::api {
 
@@ -131,8 +135,9 @@ struct netlist_source {
 /// paper's headline configuration (weighted MIP, gamma = 0.5).
 struct synthesis_options_v1 {
   /// Labeling strategy: "oct" (Method 1, minimal semiperimeter), "mip"
-  /// (Method 2, weighted objective), or any name registered with the
-  /// labeler registry.
+  /// (Method 2, weighted objective), "staircase" (the prior-work baseline:
+  /// every node on a wordline and a bitline), or any name registered with
+  /// the labeler registry.
   std::string labeler = "mip";
   /// Weight of the semiperimeter vs. the max dimension in Method 2's
   /// objective gamma*S + (1-gamma)*D. Must lie in [0, 1].
@@ -147,13 +152,13 @@ struct synthesis_options_v1 {
   int threads = 1;
   /// Hard crossbar budgets; 0 = unbounded. Every labeler honors them: the
   /// "mip" labeler enforces them inside the solver, and the map stage
-  /// re-checks the mapped design for all labelers — synthesize() throws
-  /// infeasible_error naming the overflow dimension when no design fits
-  /// (unless `partition` below is set).
+  /// re-checks the mapped design for all labelers — the request fails with
+  /// error_code_v1::infeasible naming the overflow dimension when no design
+  /// fits (unless `partition` below is set).
   int max_rows = 0;
   int max_columns = 0;
   /// Split designs that exceed the budgets across multiple crossbar arrays
-  /// joined by bridge connections instead of failing. The outcome's design
+  /// joined by bridge connections instead of failing. The response's design
   /// then reports array_count() > 1 and serializes in the multi-array
   /// `xbar 2` format; without budgets (or when one array suffices) the
   /// design is identical to an unpartitioned run's. Incompatible with
@@ -172,10 +177,11 @@ struct synthesis_options_v1 {
   /// only to A/B the reductions.
   bool kernelize = true;
   /// Check the design against the source BDDs (exhaustive or sampled) and
-  /// record the verdict in synthesis_outcome::validation.
+  /// record the verdict in response_v1::validation.
   bool validate = false;
-  /// Run the static analyzer as a pipeline pass and record its diagnostics
-  /// in synthesis_outcome::diagnostics / verification.
+  /// Run the static analyzer over the design and record its verdict in
+  /// response_v1::verification / diagnostics. The analyzer switches
+  /// (equivalence, electrical, criticality) come from request_v1::lint.
   bool verify = false;
   /// When non-empty, write per-stage telemetry as JSON lines to this path.
   std::string trace_json_path;
@@ -192,9 +198,8 @@ struct synthesis_options_v1 {
   /// resource_limit_error (kind deadline). Appended in version 3.
   double deadline_seconds = 0.0;
   /// When non-empty, enable the failure flight recorder and, if synthesis
-  /// throws, write a postmortem JSON artifact (recent events, memory
-  /// accounts, metrics, active spans) to this path before the exception
-  /// propagates. Appended in version 3.
+  /// fails, write a postmortem JSON artifact (recent events, memory
+  /// accounts, metrics, active spans) to this path. Appended in version 3.
   std::string flight_record_path;
 };
 
@@ -250,7 +255,7 @@ class design {
 };
 
 // ---------------------------------------------------------------------------
-// Outcomes
+// Results
 
 /// Size and quality measures of a synthesized design (Table 4 columns).
 struct synthesis_stats_v1 {
@@ -293,33 +298,12 @@ struct diagnostic_v1 {
   std::vector<std::string> anchors;
 };
 
-struct synthesis_outcome {
-  design mapped;
-  synthesis_stats_v1 stats;
-  /// Digital validity check (options.validate).
-  check_result_v1 validation;
-  /// Static-analyzer verdict (options.verify); findings in `diagnostics`.
-  check_result_v1 verification;
-  std::vector<diagnostic_v1> diagnostics;
-};
-
-/// Parse + BDD-build + synthesis in one call. Throws parse_error on bad
-/// input, infeasible_error when budgets admit no design, error otherwise.
-///
-/// Deprecated in v5: a thin shim that constructs a request_v1 (op =
-/// "synthesize") and dispatches it; exceptions and the returned outcome are
-/// unchanged. Migrate to handle() / service::handle(), which add the
-/// structured error taxonomy, deadlines, and shared caches — see
-/// docs/serving.md for the v4 -> v5 migration table.
-[[deprecated(
-    "construct a request_v1 (op = \"synthesize\") and call "
-    "compact::api::handle(); see docs/serving.md")]] [[nodiscard]]
-synthesis_outcome synthesize(const netlist_source& source,
-                             const synthesis_options_v1& options = {});
-
 // ---------------------------------------------------------------------------
 // Lint
 
+/// Analyzer knobs. A lint request reads all of them; a synthesize request
+/// with synthesis_options_v1::verify set reads the analyzer switches
+/// (equivalence, electrical, criticality and their parameters).
 struct lint_options_v1 {
   /// Synthesis knobs used when linting a netlist (the full pipeline runs so
   /// labeling / mapping / equivalence checks all apply).
@@ -350,56 +334,8 @@ struct lint_options_v1 {
   int criticality_limit = 0;
 };
 
-struct lint_outcome {
-  std::vector<diagnostic_v1> diagnostics;
-  std::vector<std::string> checks_run;
-  std::size_t errors = 0;
-  std::size_t warnings = 0;
-  std::size_t notes = 0;
-  /// Electrical summary (meaningful when options.electrical was set and
-  /// `electrical_ran` is true): the smallest static margin ratio across
-  /// sensed outputs and whether every output met the threshold. Appended
-  /// in version 4.
-  bool electrical_ran = false;
-  bool electrically_safe = false;
-  double min_margin_ratio = 0.0;
-  /// Fault-criticality summary (meaningful when options.criticality was
-  /// set and `criticality_ran` is true). `critical_junctions` counts
-  /// single-point-of-failure devices; `criticality_truncated` reports a
-  /// fault budget cut the sweep short. Appended in version 4.
-  bool criticality_ran = false;
-  int junctions_analyzed = 0;
-  int critical_junctions = 0;
-  bool criticality_truncated = false;
-  /// True when no diagnostic at or above `fail_on` severity was reported.
-  /// fail_on is "note", "warning" (default), or "error".
-  [[nodiscard]] bool clean(const std::string& fail_on = "warning") const;
-};
-
-/// Synthesize `source` and run every applicable static check on the
-/// intermediate artifacts (never simulating a single input vector).
-///
-/// Deprecated in v5: a shim over a request_v1 with op = "lint"; migrate to
-/// handle() / service::handle() (see docs/serving.md).
-[[deprecated(
-    "construct a request_v1 (op = \"lint\") and call compact::api::handle(); "
-    "see docs/serving.md")]] [[nodiscard]]
-lint_outcome lint(const netlist_source& source,
-                  const lint_options_v1& options = {});
-
-/// Check an existing design against the netlist it claims to implement
-/// (structural checks + symbolic equivalence).
-///
-/// Deprecated in v5: set request_v1::design_text alongside the source in an
-/// op = "lint" request instead (see docs/serving.md).
-[[deprecated(
-    "construct a request_v1 (op = \"lint\", design_text set) and call "
-    "compact::api::handle(); see docs/serving.md")]] [[nodiscard]]
-lint_outcome lint(const design& d, const netlist_source& source,
-                  const lint_options_v1& options = {});
-
 // ---------------------------------------------------------------------------
-// Facade v5 — requests and responses
+// Requests and responses
 //
 // Every operation the library offers is expressible as one request_v1 value:
 // the CLI, the compact-serve daemon, and out-of-tree embedders all speak
@@ -480,8 +416,13 @@ struct response_v1 {
   check_result_v1 validation;
   check_result_v1 verification;
   std::vector<diagnostic_v1> diagnostics;
-  /// Lint summary (when lint_ran); mirrors lint_outcome including the
-  /// electrical / criticality engine summaries.
+  /// Lint summary (when lint_ran): the verdict against request_v1::fail_on,
+  /// diagnostic counts, and the electrical / criticality engine summaries
+  /// (meaningful when electrical_ran / criticality_ran). The electrical
+  /// summary is the smallest static margin ratio across sensed outputs and
+  /// whether every output met the threshold; `critical_junctions` counts
+  /// single-point-of-failure devices and `criticality_truncated` reports a
+  /// fault budget that cut the sweep short.
   bool lint_ran = false;
   bool lint_clean = false;
   std::uint64_t lint_errors = 0;
@@ -514,7 +455,7 @@ struct response_v1 {
 /// `parse` rather than guessing).
 [[nodiscard]] request_v1 request_from_json(const std::string& text);
 /// Parse one JSON response line. Lenient: unknown fields are ignored, so a
-/// v5 client keeps working against servers that append response fields.
+/// client keeps working against servers that append response fields.
 [[nodiscard]] response_v1 response_from_json(const std::string& text);
 
 /// Cache counters exposed through service_stats_v1.

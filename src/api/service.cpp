@@ -1,8 +1,9 @@
-// Facade v5 request execution: the service handle, the one-shot handle(),
-// and the structured error-code taxonomy. The service owns the process-wide
-// labeling / partition caches (bounded via util/bounded_memo) and maps every
-// exception the dispatch layer can throw into a response code — handle()
-// never throws, so a batch of requests degrades per-request.
+// Request execution: the service handle, the one-shot handle(), and the
+// structured error-code taxonomy. The service owns the process-wide
+// labeling / partition caches (bounded via util/bounded_memo), packages the
+// run functions' results (api/run) into responses, and maps every exception
+// they can throw into a response code — handle() never throws, so a batch
+// of requests degrades per-request.
 #include <atomic>
 #include <cstdint>
 #include <exception>
@@ -10,10 +11,11 @@
 #include <utility>
 
 #include "api/compact_api.hpp"
-#include "api/dispatch.hpp"
+#include "api/run.hpp"
 #include "core/label_cache.hpp"
 #include "core/partition.hpp"
 #include "util/stopwatch.hpp"
+#include "verify/diagnostics.hpp"
 
 namespace compact::api {
 
@@ -61,8 +63,8 @@ struct service::impl {
   std::atomic<std::uint64_t> failed{0};
   std::atomic<std::uint64_t> designs{0};
 
-  [[nodiscard]] dispatch_caches caches() {
-    dispatch_caches c;
+  [[nodiscard]] run_caches caches() {
+    run_caches c;
     if (options.share_label_cache) c.label = &label_cache;
     if (options.share_partition_cache) c.partition = &partition_cache;
     return c;
@@ -84,38 +86,63 @@ template <typename Counters>
   return out;
 }
 
+[[nodiscard]] diagnostic_v1 to_diagnostic(const verify::diagnostic& d) {
+  diagnostic_v1 out;
+  out.check = d.check_id;
+  out.severity = verify::severity_name(d.level);
+  out.message = d.message;
+  out.fix = d.fix;
+  for (const verify::entity& e : d.anchors)
+    out.anchors.push_back(verify::to_string(e));
+  return out;
+}
+
 /// Execute the request body (everything between admission and accounting),
 /// filling the op-specific response sections. Throws the facade hierarchy;
 /// the caller maps exceptions to codes.
-void execute(const dispatch_caches& caches, const request_v1& request,
+void execute(const run_caches& caches, const request_v1& request,
              response_v1& resp) {
   if (request.op == "synthesize") {
-    synthesis_outcome out = dispatch_synthesize(request, caches);
+    const run_result out = run_synthesize(request, caches);
     resp.design_text = out.mapped.to_text();
     resp.output_names = out.mapped.output_names();
     resp.has_stats = true;
-    resp.stats = out.stats;
-    resp.validation = out.validation;
-    resp.verification = out.verification;
-    resp.diagnostics = std::move(out.diagnostics);
+    resp.stats = to_stats(out.stats);
+    if (out.validation) resp.validation = to_check_result(*out.validation);
+    if (out.verification) {
+      resp.verification = to_check_result(*out.verification);
+      for (const verify::diagnostic& d : out.verification->diagnostics())
+        resp.diagnostics.push_back(to_diagnostic(d));
+    }
     resp.code = error_code_v1::none;
     return;
   }
   if (request.op == "lint") {
-    lint_outcome out = dispatch_lint(request, caches);
+    const std::optional<verify::severity> fail_on =
+        verify::parse_severity(request.fail_on);
+    if (!fail_on)
+      throw error("unknown fail_on severity '" + request.fail_on +
+                  "' (expected note, warning, or error)");
+    const run_result out = run_lint(request, caches);
+    const verify::report& report = *out.verification;
     resp.lint_ran = true;
-    resp.lint_clean = out.clean(request.fail_on);
-    resp.lint_errors = out.errors;
-    resp.lint_warnings = out.warnings;
-    resp.lint_notes = out.notes;
-    resp.electrical_ran = out.electrical_ran;
-    resp.electrically_safe = out.electrically_safe;
-    resp.min_margin_ratio = out.min_margin_ratio;
-    resp.criticality_ran = out.criticality_ran;
-    resp.junctions_analyzed = out.junctions_analyzed;
-    resp.critical_junctions = out.critical_junctions;
-    resp.criticality_truncated = out.criticality_truncated;
-    resp.diagnostics = std::move(out.diagnostics);
+    resp.lint_clean = report.clean(*fail_on);
+    resp.lint_errors = report.error_count();
+    resp.lint_warnings = report.warning_count();
+    resp.lint_notes = report.note_count();
+    if (const auto& e = out.analysis.electrical) {
+      resp.electrical_ran = true;
+      resp.electrically_safe = e->safe;
+      resp.min_margin_ratio = e->min_margin_ratio;
+    }
+    if (const auto& c = out.analysis.criticality) {
+      resp.criticality_ran = true;
+      resp.junctions_analyzed = c->junction_count;
+      resp.critical_junctions = c->critical_count;
+      resp.criticality_truncated = c->truncated;
+    }
+    for (const verify::diagnostic& d : report.diagnostics())
+      resp.diagnostics.push_back(to_diagnostic(d));
     resp.code = error_code_v1::none;
     return;
   }
@@ -142,6 +169,49 @@ void execute(const dispatch_caches& caches, const request_v1& request,
 }
 
 }  // namespace
+
+synthesis_stats_v1 to_stats(const core::synthesis_stats& s) {
+  synthesis_stats_v1 out;
+  out.graph_nodes = s.graph_nodes;
+  out.vh_count = s.vh_count;
+  out.rows = s.rows;
+  out.columns = s.columns;
+  out.semiperimeter = s.semiperimeter;
+  out.max_dimension = s.max_dimension;
+  out.area = s.area;
+  out.power_proxy = s.power_proxy;
+  out.delay_steps = s.delay_steps;
+  out.optimal = s.optimal;
+  out.relative_gap = s.relative_gap;
+  out.synthesis_seconds = s.synthesis_seconds;
+  out.arrays = s.arrays;
+  out.cut_edges = s.cut_edges;
+  out.bridge_connections = s.bridges;
+  out.total_semiperimeter = s.semiperimeter;
+  return out;
+}
+
+check_result_v1 to_check_result(const xbar::validation_report& r) {
+  check_result_v1 out;
+  out.ran = true;
+  out.passed = r.valid;
+  out.detail = r.valid ? std::to_string(r.checked_assignments) +
+                             " assignments (" +
+                             (r.exhaustive ? "exhaustive" : "sampled") + ")"
+                       : r.first_failure;
+  return out;
+}
+
+check_result_v1 to_check_result(const verify::report& r) {
+  check_result_v1 out;
+  out.ran = true;
+  out.passed = r.clean();
+  out.detail = std::to_string(r.error_count()) + " error(s), " +
+               std::to_string(r.warning_count()) + " warning(s), " +
+               std::to_string(r.note_count()) + " note(s); " +
+               std::to_string(r.checks_run().size()) + " checks run";
+  return out;
+}
 
 service::service(const service_options_v1& options)
     : impl_(std::make_unique<impl>()) {

@@ -19,6 +19,26 @@ resource_limits limits_of(const synthesis_options& options) {
   return limits;
 }
 
+/// Run the canonical pipeline over a fresh context and package the result.
+/// `gc` is the manager's mutable alias when the flow owns it (null keeps
+/// the caller's handles safe from stage-boundary sweeps).
+synthesis_result run_pipeline(const bdd::manager& m, bdd::manager* gc,
+                              const std::vector<bdd::node_handle>& roots,
+                              const std::vector<std::string>& names,
+                              const synthesis_options& options) {
+  synthesis_context ctx;
+  ctx.manager = &m;
+  ctx.gc_manager = gc;
+  ctx.roots = &roots;
+  ctx.names = &names;
+  ctx.options = options;
+  ctx.telemetry = options.telemetry;
+  ctx.cache = options.cache;
+  run_synthesis_pipeline(ctx);
+  return {std::move(ctx.mapped->design), std::move(ctx.labels),
+          std::move(ctx.stats)};
+}
+
 }  // namespace
 
 double synthesis_stats::stage_time(const std::string& stage) const {
@@ -31,37 +51,14 @@ synthesis_result synthesize(const bdd::manager& m,
                             const std::vector<bdd::node_handle>& roots,
                             const std::vector<std::string>& names,
                             const synthesis_options& options) {
-  stopwatch clock;
-  const resource_limit_scope watchdog(limits_of(options));
-  synthesis_context ctx;
-  ctx.manager = &m;
-  ctx.roots = &roots;
-  ctx.names = &names;
-  ctx.options = options;
-  ctx.telemetry = options.telemetry;
-  ctx.cache = options.cache;
-  synthesis_result result = run_synthesis_pipeline(ctx);
-  result.stats.synthesis_seconds = clock.seconds();
-  return result;
+  return run_pipeline(m, nullptr, roots, names, options);
 }
 
 synthesis_result synthesize_gc(bdd::manager& m,
                                const std::vector<bdd::node_handle>& roots,
                                const std::vector<std::string>& names,
                                const synthesis_options& options) {
-  stopwatch clock;
-  const resource_limit_scope watchdog(limits_of(options));
-  synthesis_context ctx;
-  ctx.manager = &m;
-  ctx.gc_manager = &m;
-  ctx.roots = &roots;
-  ctx.names = &names;
-  ctx.options = options;
-  ctx.telemetry = options.telemetry;
-  ctx.cache = options.cache;
-  synthesis_result result = run_synthesis_pipeline(ctx);
-  result.stats.synthesis_seconds = clock.seconds();
-  return result;
+  return run_pipeline(m, &m, roots, names, options);
 }
 
 synthesis_result synthesize_network(const frontend::network& net,
@@ -84,10 +81,8 @@ synthesis_result synthesize_separate_robdds(const frontend::network& net,
   // Duplicate per-output subgraphs (common in decoders and replicated
   // logic) are labeled once: every per-output pipeline consults this cache.
   labeling_cache local_cache;
-  labeling_cache* cache = options.cache != nullptr
-                              ? options.cache
-                              : (options.use_labeling_cache ? &local_cache
-                                                            : nullptr);
+  labeling_cache* cache =
+      options.cache != nullptr ? options.cache : &local_cache;
 
   // Per-output synthesis. The time budget is split across outputs so the
   // total remains comparable to the SBDD flow's. Outputs fan out across
@@ -100,7 +95,6 @@ synthesis_result synthesize_separate_robdds(const frontend::network& net,
       0.5, options.time_limit_seconds / static_cast<double>(output_count));
   per_output.parallel = {};
   per_output.cache = cache;
-  per_output.validate_design = false;  // the composed design is what counts
 
   stopwatch outputs_clock;
   const std::vector<synthesis_result> parts = parallel_map(
@@ -140,7 +134,7 @@ synthesis_result synthesize_separate_robdds(const frontend::network& net,
   xbar::crossbar composed = compose_diagonal(blocks, options.parallel);
   const double compose_seconds = compose_clock.seconds();
 
-  synthesis_result result{std::move(composed), {}, {}, {}, {}};
+  synthesis_result result{std::move(composed), {}, {}};
   result.stats.graph_nodes = total_nodes;
   result.stats.graph_edges = total_edges;
   result.stats.vh_count = total_vh;
@@ -155,11 +149,9 @@ synthesis_result synthesize_separate_robdds(const frontend::network& net,
   result.stats.relative_gap = worst_gap;
   result.stats.stage_seconds.push_back({"synthesize_outputs", outputs_seconds});
   result.stats.stage_seconds.push_back({"compose", compose_seconds});
-  if (cache != nullptr) {
-    const labeling_cache::counters counters = cache->stats();
-    result.stats.cache_hits = counters.hits;
-    result.stats.cache_misses = counters.misses;
-  }
+  const labeling_cache::counters counters = cache->stats();
+  result.stats.cache_hits = counters.hits;
+  result.stats.cache_misses = counters.misses;
   result.stats.synthesis_seconds = clock.seconds();
 
   if (options.telemetry != nullptr) {

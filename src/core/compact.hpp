@@ -31,9 +31,7 @@
 #include "frontend/network.hpp"
 #include "util/telemetry.hpp"
 #include "util/thread_pool.hpp"
-#include "verify/diagnostics.hpp"
 #include "xbar/crossbar.hpp"
-#include "xbar/validate.hpp"
 
 namespace compact::core {
 
@@ -82,31 +80,15 @@ struct synthesis_options {
   /// for any thread count (modulo the wall-clock solver time limits, which
   /// are timing-dependent even serially).
   parallel_options parallel;
-  /// Run bdd::manager mark-and-sweep at every pipeline stage boundary,
-  /// keeping only the synthesis roots (plus externally protected handles)
-  /// alive. Only takes effect for flows that own their manager — the
-  /// network entry points below and anyone who wires
-  /// synthesis_context::gc_manager — because sweeping a caller-provided
-  /// manager could invalidate handles the caller still holds. Designs are
-  /// bit-identical with GC on or off; collection only frees the build's
-  /// intermediate nodes (peak-memory control on large SBDDs).
-  bool gc_at_stage_boundaries = true;
   /// Labeling memoization cache shared across synthesize() calls (gamma
-  /// sweeps, benchmark re-runs). Non-owning; may be null. Thread-safe.
+  /// sweeps, benchmark re-runs). Non-owning; may be null. Thread-safe. The
+  /// separate-ROBDD and partitioned flows fall back to a run-local cache
+  /// when it is null, so repeated subgraphs are labeled once per run.
   labeling_cache* cache = nullptr;
-  /// When true (default) synthesize_separate_robdds memoizes per-output
-  /// labelings in a run-local cache even when `cache` is null, so repeated
-  /// per-output subgraphs are labeled once. Labelers are deterministic, so
-  /// designs are bit-identical with the cache on or off.
-  bool use_labeling_cache = true;
   /// Sink for per-stage telemetry events (see core/pipeline for the event
   /// schema). Non-owning; may be null. Must be thread-safe when the
   /// separate-ROBDD flow fans out.
   telemetry_sink* telemetry = nullptr;
-  /// Append a validate pass to the pipeline: check the mapped design
-  /// against the source BDD (exhaustive or sampled, see xbar/validate) and
-  /// record the verdict in synthesis_result::validation.
-  bool validate_design = false;
   /// Hard byte budget for the run, enforced by the ambient resource
   /// watchdog (util/watchdog) against the memtrack process-live total and
   /// sampled at pipeline stage boundaries, branch-and-bound rounds and BDD
@@ -121,21 +103,6 @@ struct synthesis_options {
   /// time_limit_seconds (a solver heuristic budget that degrades answer
   /// quality gracefully), the deadline is a hard failure.
   double deadline_seconds = 0.0;
-  /// Append the static analyzer (src/verify) as a verify pass after map:
-  /// structural + labeling checks and symbolic equivalence against the
-  /// source BDD, never simulating an input vector. The report lands in
-  /// synthesis_result::verification. Requires the compact_verify library
-  /// to be linked (it installs the pass; tools and tests link it via
-  /// compact::all).
-  bool verify_design = false;
-  /// With verify_design: also run the ELCxxx electrical-integrity family
-  /// (static ON/OFF sensing-margin bounds over the conduction graph). Off
-  /// by default so the verify pass stays purely structural/symbolic.
-  bool verify_electrical = false;
-  /// Minimum acceptable static margin ratio (best-case OFF resistance over
-  /// worst-case ON resistance) before ELC001 fires. Only read when
-  /// verify_electrical is set.
-  double verify_margin_threshold = 10.0;
 };
 
 /// Wall time of one named pipeline stage.
@@ -180,12 +147,6 @@ struct synthesis_result {
   xbar::crossbar design;
   labeling labels;
   synthesis_stats stats;
-  /// Verdict of the optional validate pass (synthesis_options::
-  /// validate_design); nullopt when the pass did not run.
-  std::optional<xbar::validation_report> validation;
-  /// Diagnostics of the optional verify pass (synthesis_options::
-  /// verify_design); nullopt when the pass did not run.
-  std::optional<verify::report> verification;
 };
 
 /// Map the shared BDD rooted at `roots` (named `names`) onto one crossbar.
@@ -197,10 +158,10 @@ struct synthesis_result {
     const synthesis_options& options = {});
 
 /// synthesize() for callers that cede the manager's contents to the flow:
-/// when options.gc_at_stage_boundaries holds, mark-and-sweep runs at every
-/// pipeline stage boundary with `roots` (plus protected handles) as the
-/// live set. Handles in `roots` stay valid; any other handle the caller
-/// holds may be swept. Designs are bit-identical to the const overload's.
+/// mark-and-sweep runs at every pipeline stage boundary with `roots` (plus
+/// protected handles) as the live set, freeing the build's intermediate
+/// nodes. Handles in `roots` stay valid; any other handle the caller holds
+/// may be swept. Designs are bit-identical to the const overload's.
 [[nodiscard]] synthesis_result synthesize_gc(
     bdd::manager& m, const std::vector<bdd::node_handle>& roots,
     const std::vector<std::string>& names,
@@ -215,7 +176,7 @@ struct synthesis_result {
 /// shared input wordline. Stats are those of the composed design; the
 /// per-output node counts are summed (Table III's "merged ROBDDs" column).
 /// Duplicate per-output subgraphs are labeled once through the labeling
-/// cache (see synthesis_options::use_labeling_cache).
+/// cache (options.cache, or a run-local one when it is null).
 [[nodiscard]] synthesis_result synthesize_separate_robdds(
     const frontend::network& net, const synthesis_options& options = {});
 

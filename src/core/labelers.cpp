@@ -1,4 +1,4 @@
-// Labeler registry and the built-in "oct" / "mip" labeler adapters.
+// Labeler registry and the built-in "oct" / "mip" / "staircase" labelers.
 #include "core/labelers.hpp"
 
 #include <algorithm>
@@ -102,6 +102,30 @@ class mip_labeler final : public labeler {
   }
 };
 
+/// The prior-work flow-based mapping [16] as a labeler. Its inductive
+/// staircase constructions map every BDD node to both a wordline and a
+/// bitline joined by an always-on device, which trivially satisfies the
+/// crossbar connection constraints at semiperimeter 2n: exactly the all-VH
+/// labeling. Run under separate ROBDDs it is the whole prior-work recipe
+/// (one ROBDD per output, staircase-mapped, composed along the diagonal).
+class staircase_labeler final : public labeler {
+ public:
+  [[nodiscard]] std::string name() const override { return "staircase"; }
+
+  [[nodiscard]] std::string cache_salt(
+      const labeler_request&) const override {
+    return "all-vh";  // no request field changes the labeling
+  }
+
+  [[nodiscard]] labeler_result label(
+      const bdd_graph& graph, const labeler_request&) const override {
+    labeler_result result;
+    result.l = all_vh_labeling(graph.g.node_count());
+    result.optimal = true;  // a fixed construction, nothing to optimize
+    return result;
+  }
+};
+
 struct registry {
   std::mutex mutex;
   std::unordered_map<std::string, std::unique_ptr<labeler>> labelers;
@@ -114,6 +138,7 @@ registry& global_registry() {
     auto* r = new registry;
     r->labelers.emplace("oct", std::make_unique<oct_labeler>());
     r->labelers.emplace("mip", std::make_unique<mip_labeler>());
+    r->labelers.emplace("staircase", std::make_unique<staircase_labeler>());
     return r;
   }();
   return *instance;

@@ -14,7 +14,9 @@
 //
 // Both are also exposed as `labeler` implementations registered under "oct"
 // and "mip" in a process-wide registry, which is how the synthesis pipeline
-// (core/pipeline) dispatches the label stage. A third labeling strategy is
+// (core/pipeline) dispatches the label stage. The registry also holds
+// "staircase", the prior-work baseline [16]: the all-VH labeling (every
+// node on a wordline and a bitline, S = 2n). Another labeling strategy is
 // one register_labeler() call — no edits to the pipeline or to compact.cpp.
 #pragma once
 
@@ -161,9 +163,9 @@ class labeler {
 void register_labeler(std::unique_ptr<labeler> implementation);
 
 /// Look up a registered labeler; throws compact::error (listing the
-/// registered names) when `name` is unknown. The built-in "oct" and "mip"
-/// labelers are registered on first use. The returned reference stays valid
-/// for the process lifetime unless the name is re-registered.
+/// registered names) when `name` is unknown. The built-in "oct", "mip" and
+/// "staircase" labelers are registered on first use. The returned reference
+/// stays valid for the process lifetime unless the name is re-registered.
 [[nodiscard]] const labeler& find_labeler(const std::string& name);
 
 /// Names currently registered, sorted.

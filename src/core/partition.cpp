@@ -166,11 +166,6 @@ void refine_boundaries(const bdd_graph& graph, std::vector<int>& fragment_of,
   }
 }
 
-partition_verify_fn& partition_verify_slot() {
-  static partition_verify_fn slot;
-  return slot;
-}
-
 }  // namespace
 
 label_cache_key make_partition_cache_key(const bdd_graph& graph,
@@ -350,14 +345,6 @@ std::vector<fragment_graph> build_fragment_graphs(const bdd_graph& graph,
   return fragments;
 }
 
-void set_partition_verify(partition_verify_fn fn) {
-  partition_verify_slot() = std::move(fn);
-}
-
-bool partition_verify_installed() {
-  return partition_verify_slot() != nullptr;
-}
-
 partitioned_synthesis_result synthesize_partitioned(
     bdd::manager& m, const std::vector<bdd::node_handle>& roots,
     const std::vector<std::string>& names, const synthesis_options& options) {
@@ -368,7 +355,7 @@ partitioned_synthesis_result synthesize_partitioned(
 
   stopwatch graph_clock;
   const bdd_graph graph = build_bdd_graph(m, roots, names);
-  if (options.gc_at_stage_boundaries) m.collect_garbage(roots);
+  m.collect_garbage(roots);
   const double graph_seconds = graph_clock.seconds();
 
   partition_options plan_options;
@@ -400,8 +387,6 @@ partitioned_synthesis_result synthesize_partitioned(
     result.fragment_labels.push_back(std::move(inner.labels));
     result.stats = std::move(inner.stats);
     result.stats.arrays = 1;
-    result.verification = std::move(inner.verification);
-    result.validation = std::move(inner.validation);
     result.design = xbar::wrap_single(std::move(inner.design));
     result.stats.synthesis_seconds = clock.seconds();
     return result;
@@ -417,17 +402,13 @@ partitioned_synthesis_result synthesize_partitioned(
   // level multiplies threads and designs stay thread-count-invariant.
   labeling_cache local_cache;
   labeling_cache* cache =
-      options.cache != nullptr
-          ? options.cache
-          : (options.use_labeling_cache ? &local_cache : nullptr);
+      options.cache != nullptr ? options.cache : &local_cache;
   synthesis_options per_fragment = options;
   per_fragment.max_rows.reset();
   per_fragment.max_columns.reset();
   per_fragment.partition = true;
   per_fragment.parallel = {};
   per_fragment.cache = cache;
-  per_fragment.validate_design = false;
-  per_fragment.verify_design = false;
   per_fragment.time_limit_seconds =
       std::max(0.5, options.time_limit_seconds / static_cast<double>(k));
 
@@ -447,8 +428,7 @@ partitioned_synthesis_result synthesize_partitioned(
         ctx.graph = fragments[i].graph;
         ctx.stats.graph_nodes = ctx.graph.g.node_count();
         ctx.stats.graph_edges = ctx.graph.g.edge_count();
-        const pipeline p = make_label_map_pipeline(per_fragment);
-        p.run(ctx);
+        make_label_map_pipeline().run(ctx);
         check(ctx.mapped.has_value(),
               "partition: fragment pipeline produced no design");
         return fragment_outcome{std::move(ctx.labels), std::move(*ctx.mapped),
@@ -531,33 +511,12 @@ partitioned_synthesis_result synthesize_partitioned(
   stats.area = result.design.total_area();
   stats.power_proxy = result.design.active_device_count();
   stats.delay_steps = result.design.delay_steps();
-  if (cache != nullptr) {
-    const labeling_cache::counters counters = cache->stats();
-    stats.cache_hits = counters.hits;
-    stats.cache_misses = counters.misses;
-  }
+  const labeling_cache::counters counters = cache->stats();
+  stats.cache_hits = counters.hits;
+  stats.cache_misses = counters.misses;
   stats.stage_seconds.push_back({"build_graph", graph_seconds});
   stats.stage_seconds.push_back({"partition", plan_seconds});
   stats.stage_seconds.push_back({"fragments", fragments_seconds});
-
-  if (options.verify_design) {
-    check(partition_verify_installed(),
-          "partition: options.verify_design is set but no stitched verify "
-          "pass is installed; link the verify library (compact::all) or call "
-          "verify::install_pipeline_pass() first");
-    stopwatch verify_clock;
-    result.verification = partition_verify_slot()(result.design, m, roots,
-                                                  names, options);
-    stats.stage_seconds.push_back({"verify", verify_clock.seconds()});
-  }
-  if (options.validate_design) {
-    xbar::validation_options validate_options;
-    validate_options.parallel = options.parallel;
-    stopwatch validate_clock;
-    result.validation = xbar::validate_against_bdd(
-        result.design, m, roots, names, m.variable_count(), validate_options);
-    stats.stage_seconds.push_back({"validate", validate_clock.seconds()});
-  }
 
   stats.synthesis_seconds = clock.seconds();
   return result;

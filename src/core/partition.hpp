@@ -25,7 +25,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <string>
 #include <unordered_map>
@@ -139,10 +138,6 @@ struct partitioned_synthesis_result {
   /// semiperimeter/area/power are totals, arrays/cut_edges/bridges count the
   /// partition itself.
   synthesis_stats stats;
-  /// Stitched verification report (options.verify_design).
-  std::optional<verify::report> verification;
-  /// Stitched validation verdict (options.validate_design).
-  std::optional<xbar::validation_report> validation;
 };
 
 /// Build the SBDD graph of `roots`, partition it under options.max_rows /
@@ -159,15 +154,5 @@ struct partitioned_synthesis_result {
 /// Convenience: build the SBDD of `net` (identity order) and partition-map.
 [[nodiscard]] partitioned_synthesis_result synthesize_partitioned_network(
     const frontend::network& net, const synthesis_options& options = {});
-
-/// The stitched-verification body is installed by the verify library (see
-/// verify/pass.hpp), mirroring the single-array verify pass slot, so core
-/// stays free of a dependency on the analyzer.
-using partition_verify_fn = std::function<verify::report(
-    const xbar::partitioned_design& design, const bdd::manager& spec,
-    const std::vector<bdd::node_handle>& roots,
-    const std::vector<std::string>& names, const synthesis_options& options)>;
-void set_partition_verify(partition_verify_fn fn);
-[[nodiscard]] bool partition_verify_installed();
 
 }  // namespace compact::core

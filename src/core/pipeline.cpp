@@ -136,35 +136,7 @@ void run_map(synthesis_context& ctx) {
   ctx.metric("delay_steps", design.delay_steps());
 }
 
-void run_validate(synthesis_context& ctx) {
-  // Validation runs against the full root list: constant outputs are part
-  // of the design's contract too.
-  xbar::validation_options options;
-  options.parallel = ctx.options.parallel;
-  check(ctx.mapped.has_value(), "pipeline: validate needs a mapped design");
-  ctx.validation =
-      xbar::validate_against_bdd(ctx.mapped->design, *ctx.manager, *ctx.roots,
-                                 *ctx.names, ctx.manager->variable_count(),
-                                 options);
-  ctx.attribute("verdict", ctx.validation->valid ? "pass" : "fail");
-  ctx.metric("checked_assignments",
-             static_cast<double>(ctx.validation->checked_assignments));
-  ctx.metric("exhaustive", ctx.validation->exhaustive ? 1.0 : 0.0);
-}
-
-// The verify pass body lives in the verify library (verify/pass.cpp) and is
-// installed at startup by whoever links it; a plain function pointer slot
-// keeps core free of a dependency on the analyzer.
-verify_pass_fn& verify_pass_slot() {
-  static verify_pass_fn slot;
-  return slot;
-}
-
 }  // namespace
-
-void set_verify_pass(verify_pass_fn fn) { verify_pass_slot() = std::move(fn); }
-
-bool verify_pass_installed() { return verify_pass_slot() != nullptr; }
 
 pipeline& pipeline::add_pass(std::string name, pass_fn run) {
   check(!name.empty(), "pipeline: pass needs a name");
@@ -204,18 +176,16 @@ void pipeline::run(synthesis_context& ctx) const {
                     p.name + " done in " + std::to_string(event.seconds) + "s");
     // Stage boundaries sample the ambient resource watchdog. A hard breach
     // throws resource_limit_error out of the run; soft memory pressure
-    // sheds load first — force a sweep even when stage-boundary GC is off
-    // and evict the memoization caches (pure time/space trades: designs
-    // never depend on cache contents or collection points).
+    // sheds load first by evicting the memoization caches (a pure
+    // time/space trade: designs never depend on cache contents).
     const bool shed = resource_checkpoint("pipeline.stage_boundary") ==
                       resource_pressure::soft_memory;
     // Stage boundaries are the engine's collection points: between passes
     // the live set is exactly the synthesis roots, so everything else the
     // build left behind (intermediate ite results) can be swept. Designs
-    // are bit-identical with GC on or off — later passes only read the
-    // roots' DAGs, which the sweep provably keeps.
-    if ((ctx.options.gc_at_stage_boundaries || shed) &&
-        ctx.gc_manager != nullptr && ctx.roots != nullptr)
+    // are bit-identical with or without the sweep — later passes only read
+    // the roots' DAGs, which the sweep provably keeps.
+    if (ctx.gc_manager != nullptr && ctx.roots != nullptr)
       ctx.gc_manager->collect_garbage(*ctx.roots);
     if (shed) {
       if (ctx.cache != nullptr) ctx.cache->clear();
@@ -237,41 +207,31 @@ std::string resolve_labeler_name(const synthesis_options& options) {
                                                                   : "mip";
 }
 
-pipeline make_label_map_pipeline(const synthesis_options&) {
+pipeline make_label_map_pipeline() {
   // Per-fragment synthesis (core/partition): the fragment graph is already
-  // installed in the context, and verification/validation run stitched over
-  // the whole partitioned design, not per fragment.
+  // installed in the context.
   pipeline p;
   p.add_pass("label", run_label);
   p.add_pass("map", run_map);
   return p;
 }
 
-pipeline make_synthesis_pipeline(const synthesis_options& options) {
+pipeline make_synthesis_pipeline() {
   pipeline p;
   p.add_pass("build_graph", run_build_graph);
   p.add_pass("label", run_label);
   p.add_pass("map", run_map);
-  if (options.verify_design) {
-    check(verify_pass_installed(),
-          "pipeline: options.verify_design is set but no verify pass is "
-          "installed; link the verify library (compact::all) or call "
-          "verify::install_pipeline_pass() first");
-    p.add_pass("verify", verify_pass_slot());
-  }
-  if (options.validate_design) p.add_pass("validate", run_validate);
   return p;
 }
 
-synthesis_result run_synthesis_pipeline(synthesis_context& ctx) {
-  const pipeline p = make_synthesis_pipeline(ctx.options);
-  p.run(ctx);
+void run_synthesis_pipeline(synthesis_context& ctx) {
+  const stopwatch clock;
+  const resource_limit_scope watchdog(
+      {ctx.options.memory_limit_bytes, ctx.options.deadline_seconds});
+  make_synthesis_pipeline().run(ctx);
   check(ctx.mapped.has_value(),
         "pipeline: run finished without a mapped design");
-  synthesis_result result{std::move(ctx.mapped->design), std::move(ctx.labels),
-                          std::move(ctx.stats), std::move(ctx.validation),
-                          std::move(ctx.verification)};
-  return result;
+  ctx.stats.synthesis_seconds = clock.seconds();
 }
 
 }  // namespace compact::core

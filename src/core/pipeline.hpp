@@ -4,7 +4,7 @@
 // list of named passes, each a function over one shared `synthesis_context`.
 // The canonical pipeline is
 //
-//   build_graph -> label -> map [-> validate]
+//   build_graph -> label -> map
 //
 // and `synthesize()` (core/compact) is now just "run the canonical pipeline".
 // Reifying the stages buys three things the monolithic function could not
@@ -35,7 +35,6 @@
 #include "core/label_cache.hpp"
 #include "core/mapping.hpp"
 #include "util/telemetry.hpp"
-#include "xbar/validate.hpp"
 
 namespace compact::core {
 
@@ -49,11 +48,10 @@ struct synthesis_context {
   const std::vector<bdd::node_handle>* roots = nullptr;
   const std::vector<std::string>* names = nullptr;
   /// Mutable alias of `manager`, set only by flows that own the manager
-  /// (synthesize_network, the separate-ROBDD per-output workers). When set
-  /// and options.gc_at_stage_boundaries holds, the pipeline runs
-  /// mark-and-sweep after every pass with `roots` as the live set. Leave
-  /// null for caller-provided managers — a sweep would invalidate handles
-  /// the caller still holds outside `roots`.
+  /// (synthesize_gc and its callers, the api facade). When set, the
+  /// pipeline runs mark-and-sweep after every pass with `roots` as the live
+  /// set. Leave null for caller-provided managers — a sweep would
+  /// invalidate handles the caller still holds outside `roots`.
   bdd::manager* gc_manager = nullptr;
   synthesis_options options;
 
@@ -67,9 +65,7 @@ struct synthesis_context {
   bool label_optimal = false;
   double label_gap = 0.0;
   bool label_cache_hit = false;
-  std::optional<mapping_result> mapped;               // map
-  std::optional<xbar::validation_report> validation;  // validate
-  std::optional<verify::report> verification;         // verify
+  std::optional<mapping_result> mapped;  // map
   synthesis_stats stats;
 
   /// The event for the currently running pass; passes attach their metrics
@@ -110,25 +106,17 @@ class pipeline {
 /// options.labeler wins, otherwise the method enum maps to "oct" / "mip".
 [[nodiscard]] std::string resolve_labeler_name(const synthesis_options& options);
 
-/// Build the canonical pipeline for `options`: build_graph -> label -> map,
-/// plus verify when options.verify_design and validate when
-/// options.validate_design.
-[[nodiscard]] pipeline make_synthesis_pipeline(const synthesis_options& options);
+/// The canonical pipeline: build_graph -> label -> map.
+[[nodiscard]] pipeline make_synthesis_pipeline();
 
 /// label -> map only, for contexts whose graph is installed directly (the
 /// per-fragment runs of core/partition).
-[[nodiscard]] pipeline make_label_map_pipeline(const synthesis_options& options);
+[[nodiscard]] pipeline make_label_map_pipeline();
 
-/// The verify pass body is installed by the verify library (see
-/// verify/pass.hpp) rather than linked directly, so core does not depend on
-/// the analyzer it feeds. make_synthesis_pipeline throws when
-/// options.verify_design is set and no pass is installed.
-using verify_pass_fn = std::function<void(synthesis_context&)>;
-void set_verify_pass(verify_pass_fn fn);
-[[nodiscard]] bool verify_pass_installed();
-
-/// Run the canonical pipeline over an initialized context and package the
-/// result. The context's options/telemetry/cache fields must already be set.
-[[nodiscard]] synthesis_result run_synthesis_pipeline(synthesis_context& ctx);
+/// Run the canonical pipeline over an initialized context (inputs, options,
+/// telemetry and cache set) under the options' resource watchdog. Every
+/// stage artifact stays in `ctx`; ctx.stats.synthesis_seconds covers the
+/// whole run.
+void run_synthesis_pipeline(synthesis_context& ctx);
 
 }  // namespace compact::core

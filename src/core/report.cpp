@@ -9,9 +9,8 @@
 namespace compact::core {
 
 void write_report(const report_inputs& inputs, std::ostream& os) {
-  check(inputs.result != nullptr, "write_report: result is required");
-  const synthesis_result& r = *inputs.result;
-  const synthesis_stats& s = r.stats;
+  check(inputs.stats != nullptr, "write_report: stats are required");
+  const synthesis_stats& s = *inputs.stats;
 
   os << "# COMPACT synthesis report";
   if (!inputs.circuit_name.empty()) os << " — " << inputs.circuit_name;
@@ -39,9 +38,9 @@ void write_report(const report_inputs& inputs, std::ostream& os) {
                        3)
        << " |\n";
   }
-  if (!r.labels.label_of.empty()) {
+  if (inputs.labels != nullptr && !inputs.labels->label_of.empty()) {
     std::array<int, 3> counts{0, 0, 0};
-    for (vh_label label : r.labels.label_of)
+    for (vh_label label : inputs.labels->label_of)
       ++counts[static_cast<std::size_t>(label)];
     os << "| label histogram (V / H / VH) | " << counts[0] << " / "
        << counts[1] << " / " << counts[2] << " |\n";

@@ -16,7 +16,8 @@ namespace compact::core {
 
 struct report_inputs {
   std::string circuit_name;
-  const synthesis_result* result = nullptr;          // required
+  const synthesis_stats* stats = nullptr;               // required
+  const labeling* labels = nullptr;                     // optional
   const xbar::validation_report* validation = nullptr;  // optional
 };
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "core/pipeline.hpp"
 #include "util/error.hpp"
 #include "util/metrics.hpp"
 #include "util/trace.hpp"
@@ -95,6 +96,21 @@ report analyze(const artifacts& a, const analyzer_options& options) {
         .counter("verify.diagnostics")
         .add(static_cast<std::uint64_t>(out.diagnostics().size()));
   return out;
+}
+
+artifacts make_artifacts(const core::synthesis_context& ctx) {
+  artifacts a;
+  if (ctx.mapped.has_value()) {
+    a.design = &ctx.mapped->design;
+    a.mapping = &*ctx.mapped;
+  }
+  a.graph = &ctx.graph;
+  a.labels = &ctx.labels;
+  a.spec = ctx.manager;
+  a.spec_roots = ctx.roots;
+  a.spec_names = ctx.names;
+  if (ctx.manager != nullptr) a.variable_count = ctx.manager->variable_count();
+  return a;
 }
 
 std::vector<sarif_rule> registry_rules() {

@@ -8,6 +8,10 @@
 #include "verify/checks.hpp"
 #include "verify/diagnostics.hpp"
 
+namespace compact::core {
+struct synthesis_context;
+}  // namespace compact::core
+
 namespace compact::verify {
 
 struct analyzer_options {
@@ -24,6 +28,11 @@ struct analyzer_options {
 /// span and the `verify.checks_run` / `verify.diagnostics` metrics.
 [[nodiscard]] report analyze(const artifacts& a,
                              const analyzer_options& options = {});
+
+/// Non-owning view of a synthesis context's artifacts (graph, labels,
+/// mapping, design and the spec BDD). The context must outlive the returned
+/// struct.
+[[nodiscard]] artifacts make_artifacts(const core::synthesis_context& ctx);
 
 /// SARIF rule table for the full registry, for write_sarif.
 [[nodiscard]] std::vector<sarif_rule> registry_rules();

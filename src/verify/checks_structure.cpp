@@ -33,12 +33,15 @@ bool row_is_port(const xbar::crossbar& x, int r) {
 }
 
 // XBR001 — a wordline with no devices at all can never carry flow; if it is
-// not even a port it is dead area.
+// not even a port it is dead area. A design whose outputs are all constant
+// has no output ports and keeps only its bare input wordline: nothing flows
+// because nothing is sensed, so that row is not a defect.
 void check_dead_rows(const artifacts& a, report& out) {
   const xbar::crossbar& x = *a.design;
   for (int r = 0; r < x.rows(); ++r) {
     const int devices = devices_in_row(x, r);
     if (devices > 0) continue;
+    if (x.outputs().empty() && r == x.input_row()) continue;
     const bool port = row_is_port(x, r);
     diagnostic d;
     d.check_id = "XBR001";

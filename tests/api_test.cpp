@@ -1,8 +1,11 @@
-// The stable public facade (api/compact_api.hpp): the v5 request/response
+// The stable public facade (api/compact_api.hpp): the request/response
 // schema, the opaque design handle, serialization round trips, and the
 // structured error taxonomy — everything an embedding application can reach.
-// The deprecated v4 shims keep one compatibility test at the bottom.
 #include <gtest/gtest.h>
+
+#include <filesystem>
+#include <fstream>
+#include <string>
 
 #include "api/compact_api.hpp"
 
@@ -97,6 +100,54 @@ TEST(ApiTest, ValidateAndVerifyReportClean) {
   EXPECT_TRUE(out.validation.passed) << out.validation.detail;
   EXPECT_TRUE(out.verification.ran);
   EXPECT_TRUE(out.verification.passed) << out.verification.detail;
+}
+
+TEST(ApiTest, VerifyReportsOnEveryShape) {
+  // The analyzer runs once per synthesize request, whatever the shape: the
+  // single SBDD, the composed separate-ROBDD design, and a stitched
+  // multi-array design.
+  api::request_v1 request = majority_request();
+  request.source.text =
+      ".model dec2\n.inputs a b\n.outputs y0 y1 y2 y3\n"
+      ".names a b y0\n00 1\n.names a b y1\n01 1\n"
+      ".names a b y2\n10 1\n.names a b y3\n11 1\n.end\n";
+  request.synthesis.labeler = "oct";
+  request.synthesis.verify = true;
+  api::request_v1 separate = request;
+  separate.synthesis.separate_robdds = true;
+  api::request_v1 partitioned = request;
+  partitioned.synthesis.partition = true;
+  partitioned.synthesis.max_rows = 3;
+  partitioned.synthesis.max_columns = 3;
+  for (const api::request_v1& r : {request, separate, partitioned}) {
+    const api::response_v1 out = api::handle(r);
+    ASSERT_TRUE(out.ok) << out.error_message;
+    EXPECT_TRUE(out.verification.ran);
+    EXPECT_TRUE(out.verification.passed) << out.verification.detail;
+  }
+  EXPECT_GE(api::handle(partitioned).stats.arrays, 2);
+}
+
+TEST(ApiTest, TraceJsonShowsValidateAndVerifyStages) {
+  const std::filesystem::path trace =
+      std::filesystem::temp_directory_path() / "compact_api_test_trace.jsonl";
+  api::request_v1 request = majority_request();
+  request.synthesis.labeler = "oct";
+  request.synthesis.validate = true;
+  request.synthesis.verify = true;
+  request.synthesis.trace_json_path = trace.string();
+  const api::response_v1 out = api::handle(request);
+  ASSERT_TRUE(out.ok) << out.error_message;
+
+  std::ifstream in(trace);
+  std::string stages;
+  for (std::string line; std::getline(in, line);)
+    stages += line.substr(0, line.find(',')) + "\n";
+  std::filesystem::remove(trace);
+  for (const char* stage : {"build_graph", "label", "map", "validate", "verify"})
+    EXPECT_NE(stages.find(std::string("{\"stage\":\"") + stage + "\""),
+              std::string::npos)
+        << stage << " missing from:\n" << stages;
 }
 
 TEST(ApiTest, SeparateRobddsAndThreadsMatchSharedResultsContract) {
@@ -287,52 +338,5 @@ TEST(ApiTest, EvaluateOpSensesTheDesign) {
   request.assignment = "1x0";
   EXPECT_EQ(api::handle(request).code, api::error_code_v1::invalid_request);
 }
-
-// --- deprecated v4 shims ---------------------------------------------------
-// The loose entry points stay callable (they build a request_v1 internally);
-// out-of-tree code migrating at its own pace relies on identical behavior,
-// including the exception contract. This block is the only sanctioned use.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-
-TEST(ApiTest, DeprecatedSynthesizeShimStillWorks) {
-  api::synthesis_options_v1 options;
-  options.labeler = "oct";
-  const api::synthesis_outcome out =
-      api::synthesize(majority_source(), options);
-  EXPECT_GT(out.stats.rows, 0);
-  EXPECT_EQ(out.mapped.evaluate_output({true, true, false}, "f"), true);
-
-  // The shim's result must be byte-identical to the v5 path.
-  api::request_v1 request = majority_request();
-  request.synthesis.labeler = "oct";
-  const api::response_v1 v5 = api::handle(request);
-  ASSERT_TRUE(v5.ok) << v5.error_message;
-  EXPECT_EQ(out.mapped.to_text(), v5.design_text);
-}
-
-TEST(ApiTest, DeprecatedShimsKeepTheExceptionContract) {
-  api::synthesis_options_v1 bad_gamma;
-  bad_gamma.gamma = 1.5;
-  EXPECT_THROW((void)api::synthesize(majority_source(), bad_gamma),
-               api::error);
-
-  api::netlist_source source;
-  source.text = ".model broken\n.inputs a\n.outputs f\n.names a f\nZZ 1\n";
-  EXPECT_THROW((void)api::synthesize(source), api::parse_error);
-
-  api::synthesis_options_v1 infeasible;
-  infeasible.labeler = "mip";
-  infeasible.max_rows = 1;
-  infeasible.time_limit_seconds = 5.0;
-  EXPECT_THROW((void)api::synthesize(majority_source(), infeasible),
-               api::infeasible_error);
-
-  const api::lint_outcome lint = api::lint(majority_source());
-  EXPECT_EQ(lint.errors, 0u);
-  EXPECT_TRUE(lint.clean("warning"));
-}
-
-#pragma GCC diagnostic pop
 
 }  // namespace

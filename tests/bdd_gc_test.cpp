@@ -13,6 +13,7 @@
 #include "bdd/manager.hpp"
 #include "bdd/transfer.hpp"
 #include "core/compact.hpp"
+#include "core/compose.hpp"
 #include "frontend/benchgen.hpp"
 #include "frontend/to_bdd.hpp"
 #include "util/metrics.hpp"
@@ -218,48 +219,44 @@ TEST(BddGcTest, PublishMetricsObservesDepthWatermarkOncePerInterval) {
 
 TEST(BddGcTest, StageBoundaryGcKeepsDesignsByteIdentical) {
   const frontend::network net = frontend::make_comparator(4);
-
-  const auto sbdd_run = [&net](bool gc, int threads) {
-    core::synthesis_options options;
-    options.method = core::labeling_method::minimal_semiperimeter;
-    options.gc_at_stage_boundaries = gc;
-    options.parallel.threads = threads;
-    const core::synthesis_result r = core::synthesize_network(net, options);
-    std::ostringstream os;
-    xbar::write_design(r.design, os);
-    return os.str();
-  };
-  const auto robdd_run = [&net](bool gc, int threads) {
-    core::synthesis_options options;
-    options.method = core::labeling_method::minimal_semiperimeter;
-    options.gc_at_stage_boundaries = gc;
-    options.parallel.threads = threads;
-    const core::synthesis_result r =
-        core::synthesize_separate_robdds(net, options);
-    std::ostringstream os;
-    xbar::write_design(r.design, os);
-    return os.str();
-  };
-
-  const std::string sbdd_reference = sbdd_run(false, 1);
-  const std::string robdd_reference = robdd_run(false, 1);
-  for (const int threads : {1, 2, 8}) {
-    EXPECT_EQ(sbdd_run(true, threads), sbdd_reference)
-        << "SBDD design changed under GC, threads=" << threads;
-    EXPECT_EQ(robdd_run(true, threads), robdd_reference)
-        << "separate-ROBDD design changed under GC, threads=" << threads;
-  }
-
-  // The const entry point (caller-owned manager, never collected) agrees.
-  bdd::manager m(net.input_count());
-  const frontend::sbdd built = frontend::build_sbdd(net, m);
   core::synthesis_options options;
   options.method = core::labeling_method::minimal_semiperimeter;
-  const core::synthesis_result r =
-      core::synthesize(m, built.roots, built.names, options);
-  std::ostringstream os;
-  xbar::write_design(r.design, os);
-  EXPECT_EQ(os.str(), sbdd_reference);
+  const auto text = [](const xbar::crossbar& design) {
+    std::ostringstream os;
+    xbar::write_design(design, os);
+    return os.str();
+  };
+
+  // References from caller-owned managers, which the flow never collects:
+  // the shared BDD, and one ROBDD per output composed along the diagonal.
+  bdd::manager m(net.input_count());
+  const frontend::sbdd built = frontend::build_sbdd(net, m);
+  const std::string sbdd_reference =
+      text(core::synthesize(m, built.roots, built.names, options).design);
+  std::vector<core::synthesis_result> parts;
+  for (std::size_t o = 0; o < net.outputs().size(); ++o) {
+    bdd::manager part(net.input_count());
+    const std::vector<node_handle> roots{
+        frontend::build_output(net, part, static_cast<int>(o))};
+    parts.push_back(
+        core::synthesize(part, roots, {net.outputs()[o].name}, options));
+  }
+  std::vector<const xbar::crossbar*> blocks;
+  for (const core::synthesis_result& part : parts)
+    blocks.push_back(&part.design);
+  const std::string robdd_reference = text(core::compose_diagonal(blocks));
+
+  // The network entry points own their managers and sweep at every stage
+  // boundary; the designs must not change.
+  for (const int threads : {1, 2, 8}) {
+    options.parallel.threads = threads;
+    EXPECT_EQ(text(core::synthesize_network(net, options).design),
+              sbdd_reference)
+        << "SBDD design changed under GC, threads=" << threads;
+    EXPECT_EQ(text(core::synthesize_separate_robdds(net, options).design),
+              robdd_reference)
+        << "separate-ROBDD design changed under GC, threads=" << threads;
+  }
 }
 
 TEST(BddGcTest, SynthesizeGcLeavesRootHandlesValid) {

@@ -16,7 +16,6 @@
 #include "frontend/to_bdd.hpp"
 #include "verify/analyzer.hpp"
 #include "verify/criticality.hpp"
-#include "verify/pass.hpp"
 #include "xbar/evaluate.hpp"
 #include "xbar/faults.hpp"
 
@@ -36,7 +35,7 @@ struct synthesized {
     ctx.roots = &built.roots;
     ctx.names = &built.names;
     ctx.options.time_limit_seconds = 5.0;
-    core::make_synthesis_pipeline(ctx.options).run(ctx);
+    core::make_synthesis_pipeline().run(ctx);
   }
 };
 

@@ -11,17 +11,24 @@
 #include <utility>
 
 #include "analog/margins.hpp"
+#include "api/compact_api.hpp"
 #include "core/partition.hpp"
 #include "core/pipeline.hpp"
 #include "frontend/benchgen.hpp"
+#include "frontend/blif.hpp"
 #include "frontend/to_bdd.hpp"
 #include "verify/analyzer.hpp"
 #include "verify/electrical.hpp"
-#include "verify/pass.hpp"
 #include "xbar/serialize.hpp"
 
 namespace compact::verify {
 namespace {
+
+std::string to_blif(const frontend::network& net) {
+  std::ostringstream os;
+  frontend::write_blif(net, os);
+  return os.str();
+}
 
 struct synthesized {
   frontend::network net;
@@ -36,7 +43,7 @@ struct synthesized {
     ctx.roots = &built.roots;
     ctx.names = &built.names;
     ctx.options.time_limit_seconds = 5.0;
-    core::make_synthesis_pipeline(ctx.options).run(ctx);
+    core::make_synthesis_pipeline().run(ctx);
   }
 };
 
@@ -145,45 +152,30 @@ TEST(ElectricalTest, StaticSafeImpliesMnaSeparable) {
 }
 
 TEST(ElectricalTest, VerifyPassWithElectricalKeepsDesignsByteIdentical) {
-  std::string baseline;
+  // --verify-electrical: a synthesize request whose analysis runs the ELC
+  // family. The analysis observes; it must never change the design.
+  api::request_v1 request;
+  request.op = "synthesize";
+  request.source.text = to_blif(frontend::make_mux_tree(2));
+  request.synthesis.time_limit_seconds = 5.0;
+
+  const api::response_v1 plain = api::handle(request);
+  ASSERT_TRUE(plain.ok) << plain.error_message;
+  EXPECT_FALSE(plain.verification.ran);
+
+  request.synthesis.verify = true;
+  request.lint.electrical = true;
   for (const int threads : {1, 2, 8}) {
-    frontend::network net = frontend::make_mux_tree(2);
-    bdd::manager m(net.input_count());
-    const frontend::sbdd built = frontend::build_sbdd(net, m);
-    core::synthesis_context ctx;
-    ctx.manager = &m;
-    ctx.roots = &built.roots;
-    ctx.names = &built.names;
-    ctx.options.time_limit_seconds = 5.0;
-    ctx.options.parallel.threads = threads;
-    ctx.options.verify_design = true;
-    ctx.options.verify_electrical = true;
-    core::make_synthesis_pipeline(ctx.options).run(ctx);
-    ASSERT_TRUE(ctx.mapped.has_value());
-    ASSERT_TRUE(ctx.verification.has_value());
-
-    std::ostringstream text;
-    xbar::write_design(ctx.mapped->design, text);
-    if (baseline.empty())
-      baseline = text.str();
-    else
-      EXPECT_EQ(text.str(), baseline) << threads << " threads";
+    request.synthesis.threads = threads;
+    const api::response_v1 verified = api::handle(request);
+    ASSERT_TRUE(verified.ok) << verified.error_message;
+    EXPECT_TRUE(verified.verification.ran);
+    bool electrical_ran = false;
+    for (const api::diagnostic_v1& d : verified.diagnostics)
+      if (d.check.starts_with("ELC")) electrical_ran = true;
+    EXPECT_TRUE(electrical_ran) << threads << " threads";
+    EXPECT_EQ(verified.design_text, plain.design_text) << threads << " threads";
   }
-
-  // Same design without any verify pass at all.
-  frontend::network net = frontend::make_mux_tree(2);
-  bdd::manager m(net.input_count());
-  const frontend::sbdd built = frontend::build_sbdd(net, m);
-  core::synthesis_context ctx;
-  ctx.manager = &m;
-  ctx.roots = &built.roots;
-  ctx.names = &built.names;
-  ctx.options.time_limit_seconds = 5.0;
-  core::make_synthesis_pipeline(ctx.options).run(ctx);
-  ASSERT_TRUE(ctx.mapped.has_value());
-  std::ostringstream text;
-  xbar::write_design(ctx.mapped->design, text);
-  EXPECT_EQ(text.str(), baseline);
 }
 
 TEST(ElectricalTest, AnalyzerEmitsElcFamilyAndFillsCache) {

@@ -5,7 +5,6 @@
 #include <sstream>
 
 #include "analog/mna.hpp"
-#include "baseline/staircase.hpp"
 #include "core/compact.hpp"
 #include "frontend/benchgen.hpp"
 #include "frontend/blif.hpp"
@@ -18,6 +17,13 @@
 
 namespace compact {
 namespace {
+
+/// The prior-work staircase mapping [16]: the all-VH labeler.
+core::synthesis_options staircase() {
+  core::synthesis_options options;
+  options.labeler = "staircase";
+  return options;
+}
 
 TEST(IntegrationTest, BlifToValidatedCrossbar) {
   const frontend::network net = frontend::parse_blif_string(R"(
@@ -126,7 +132,7 @@ TEST(IntegrationTest, ThreeBackendsAgreeOnFunctionality) {
   const core::synthesis_result flow =
       core::synthesize(m, built.roots, built.names, options);
   const core::synthesis_result stair =
-      baseline::staircase_synthesize(m, built.roots, built.names);
+      core::synthesize(m, built.roots, built.names, staircase());
   const magic::gate_network gates = magic::decompose(net);
   const magic::lut_mapping luts = magic::map_to_luts(gates);
 

@@ -9,8 +9,8 @@
 #include "core/pipeline.hpp"
 #include "frontend/benchgen.hpp"
 #include "frontend/to_bdd.hpp"
+#include "verify/analyzer.hpp"
 #include "verify/mutate.hpp"
-#include "verify/pass.hpp"
 
 namespace compact::verify {
 namespace {
@@ -28,7 +28,7 @@ struct synthesized {
     ctx.roots = &built.roots;
     ctx.names = &built.names;
     ctx.options.time_limit_seconds = 5.0;
-    core::make_synthesis_pipeline(ctx.options).run(ctx);
+    core::make_synthesis_pipeline().run(ctx);
   }
 
   [[nodiscard]] artifacts art() const { return make_artifacts(ctx); }

@@ -3,7 +3,6 @@
 // Section V/VI must hold for *every* function, not just the benchmarks.
 #include <gtest/gtest.h>
 
-#include "baseline/staircase.hpp"
 #include "core/compact.hpp"
 #include "core/labelers.hpp"
 #include "core/mapping.hpp"
@@ -12,6 +11,13 @@
 
 namespace compact {
 namespace {
+
+/// The prior-work staircase mapping [16]: the all-VH labeler.
+core::synthesis_options staircase() {
+  core::synthesis_options options;
+  options.labeler = "staircase";
+  return options;
+}
 
 /// Build a random multi-output function over `inputs` variables.
 struct random_function {
@@ -84,7 +90,7 @@ TEST_P(ValiditySweep, StaircaseProducesValidDesign) {
   const auto [inputs, outputs, seed] = GetParam();
   random_function fn(inputs, outputs, seed);
   const core::synthesis_result r =
-      baseline::staircase_synthesize(fn.m, fn.roots, fn.names);
+      core::synthesize(fn.m, fn.roots, fn.names, staircase());
   const xbar::validation_report report = xbar::validate_against_bdd(
       r.design, fn.m, fn.roots, fn.names, inputs);
   EXPECT_TRUE(report.valid) << report.first_failure;
@@ -98,7 +104,7 @@ TEST_P(ValiditySweep, CompactNeverLargerThanStaircase) {
   const core::synthesis_result flow =
       core::synthesize(fn.m, fn.roots, fn.names, options);
   const core::synthesis_result stair =
-      baseline::staircase_synthesize(fn.m, fn.roots, fn.names);
+      core::synthesize(fn.m, fn.roots, fn.names, staircase());
   EXPECT_LE(flow.stats.semiperimeter, stair.stats.semiperimeter);
   EXPECT_LE(flow.stats.rows, stair.stats.rows);
 }

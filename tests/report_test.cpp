@@ -22,7 +22,8 @@ TEST(ReportTest, ContainsAllSections) {
 
   report_inputs inputs;
   inputs.circuit_name = net.name();
-  inputs.result = &r;
+  inputs.stats = &r.stats;
+  inputs.labels = &r.labels;
   inputs.validation = &validation;
   std::ostringstream os;
   write_report(inputs, os);
@@ -46,7 +47,8 @@ TEST(ReportTest, ValidationSectionOptional) {
   options.method = labeling_method::minimal_semiperimeter;
   const synthesis_result r = synthesize_network(net, options);
   report_inputs inputs;
-  inputs.result = &r;
+  inputs.stats = &r.stats;
+  inputs.labels = &r.labels;
   std::ostringstream os;
   write_report(inputs, os);
   EXPECT_EQ(os.str().find("## Validation"), std::string::npos);

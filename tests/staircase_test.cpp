@@ -1,22 +1,31 @@
+// The prior-work baseline [16] as the "staircase" labeler: every BDD node
+// on a wordline and a bitline (S = 2n); under separate ROBDDs it is the
+// whole prior-work flow.
 #include <gtest/gtest.h>
 
-#include "baseline/staircase.hpp"
 #include "core/compact.hpp"
 #include "frontend/benchgen.hpp"
 #include "frontend/to_bdd.hpp"
 #include "xbar/validate.hpp"
 
-namespace compact::baseline {
+namespace compact::core {
 namespace {
+
+synthesis_options staircase() {
+  synthesis_options options;
+  options.labeler = "staircase";
+  return options;
+}
 
 TEST(StaircaseTest, SemiperimeterIsTwoN) {
   bdd::manager m(3);
   const bdd::node_handle f =
       m.apply_or(m.apply_and(m.var(0), m.var(1)), m.var(2));
-  const core::synthesis_result r = staircase_synthesize(m, {f}, {"f"});
+  const synthesis_result r = synthesize(m, {f}, {"f"}, staircase());
   EXPECT_EQ(static_cast<std::size_t>(r.stats.semiperimeter),
             2 * r.stats.graph_nodes);
   EXPECT_EQ(r.stats.rows, r.stats.columns);
+  EXPECT_TRUE(r.stats.optimal);
 }
 
 TEST(StaircaseTest, DesignsAreValid) {
@@ -25,8 +34,8 @@ TEST(StaircaseTest, DesignsAreValid) {
         frontend::make_parity(5, 1)}) {
     bdd::manager m(net.input_count());
     const frontend::sbdd built = frontend::build_sbdd(net, m);
-    const core::synthesis_result r =
-        staircase_synthesize(m, built.roots, built.names);
+    const synthesis_result r =
+        synthesize(m, built.roots, built.names, staircase());
     const xbar::validation_report report = xbar::validate_against_bdd(
         r.design, m, built.roots, built.names, net.input_count());
     EXPECT_TRUE(report.valid) << net.name() << ": " << report.first_failure;
@@ -35,7 +44,7 @@ TEST(StaircaseTest, DesignsAreValid) {
 
 TEST(StaircaseTest, NetworkFlowValidAndBiggerThanCompact) {
   const frontend::network net = frontend::make_comparator(3);
-  const core::synthesis_result stair = staircase_synthesize_network(net);
+  const synthesis_result stair = synthesize_separate_robdds(net, staircase());
 
   bdd::manager m(net.input_count());
   const frontend::sbdd built = frontend::build_sbdd(net, m);
@@ -43,10 +52,9 @@ TEST(StaircaseTest, NetworkFlowValidAndBiggerThanCompact) {
       stair.design, m, built.roots, built.names, net.input_count());
   EXPECT_TRUE(report.valid) << report.first_failure;
 
-  core::synthesis_options oct;
-  oct.method = core::labeling_method::minimal_semiperimeter;
-  const core::synthesis_result compact_result =
-      core::synthesize_network(net, oct);
+  synthesis_options oct;
+  oct.method = labeling_method::minimal_semiperimeter;
+  const synthesis_result compact_result = synthesize_network(net, oct);
   // The headline claim, in miniature: COMPACT is strictly smaller.
   EXPECT_LT(compact_result.stats.semiperimeter, stair.stats.semiperimeter);
   EXPECT_LT(compact_result.stats.area, stair.stats.area);
@@ -56,7 +64,7 @@ TEST(StaircaseTest, NetworkFlowValidAndBiggerThanCompact) {
 TEST(StaircaseTest, EveryNodeBridged) {
   bdd::manager m(2);
   const bdd::node_handle f = m.apply_xor(m.var(0), m.var(1));
-  const core::synthesis_result r = staircase_synthesize(m, {f}, {"f"});
+  const synthesis_result r = synthesize(m, {f}, {"f"}, staircase());
   int bridges = 0;
   for (int row = 0; row < r.design.rows(); ++row)
     for (int col = 0; col < r.design.columns(); ++col)
@@ -65,4 +73,4 @@ TEST(StaircaseTest, EveryNodeBridged) {
 }
 
 }  // namespace
-}  // namespace compact::baseline
+}  // namespace compact::core

@@ -10,7 +10,6 @@
 #include "frontend/to_bdd.hpp"
 #include "verify/analyzer.hpp"
 #include "verify/extract.hpp"
-#include "verify/pass.hpp"
 #include "xbar/faults.hpp"
 #include "xbar/validate.hpp"
 
@@ -30,7 +29,7 @@ struct synthesized {
     ctx.roots = &built.roots;
     ctx.names = &built.names;
     ctx.options.time_limit_seconds = 5.0;
-    core::make_synthesis_pipeline(ctx.options).run(ctx);
+    core::make_synthesis_pipeline().run(ctx);
   }
 };
 

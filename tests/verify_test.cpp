@@ -6,15 +6,16 @@
 
 #include <algorithm>
 #include <memory>
+#include <sstream>
 
 #include "bdd/transfer.hpp"
 #include "core/pipeline.hpp"
 #include "frontend/benchgen.hpp"
+#include "frontend/blif.hpp"
 #include "frontend/to_bdd.hpp"
 #include "util/error.hpp"
 #include "verify/analyzer.hpp"
 #include "verify/extract.hpp"
-#include "verify/pass.hpp"
 #include "xbar/evaluate.hpp"
 #include "xbar/validate.hpp"
 
@@ -36,7 +37,7 @@ struct synthesized {
     ctx.roots = &built.roots;
     ctx.names = &built.names;
     ctx.options.time_limit_seconds = 5.0;
-    core::make_synthesis_pipeline(ctx.options).run(ctx);
+    core::make_synthesis_pipeline().run(ctx);
   }
 
   [[nodiscard]] artifacts art() const { return make_artifacts(ctx); }
@@ -249,8 +250,13 @@ TEST(RegistryTest, ResolveVariableCountFallsBackToDevices) {
 // --- the analyzer over real designs -----------------------------------------
 
 TEST(AnalyzerTest, SynthesizedDesignsLintClean) {
+  // Every output constant: the design keeps only its bare input wordline.
+  std::istringstream constants(
+      ".model constants\n.inputs a b c\n.outputs z o\n"
+      ".names a z\n.names o\n1\n.end\n");
   for (auto make : {frontend::make_comparator(4), frontend::make_decoder(3),
-                    frontend::make_ripple_adder(4)}) {
+                    frontend::make_ripple_adder(4),
+                    frontend::parse_blif(constants)}) {
     const synthesized s(std::move(make));
     const report r = analyze(s.art());
     EXPECT_TRUE(r.clean()) << s.net.name();

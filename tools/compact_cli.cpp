@@ -8,7 +8,9 @@
 //
 // Netlist formats are chosen by extension: .blif, .pla, .v / .verilog.
 // synthesize options:
-//   --method oct|mip       labeling engine (default mip)
+//   --method oct|mip|staircase
+//                          labeling engine (default mip); staircase is the
+//                          prior-work mapping of [16] (every node VH)
 //   --gamma G              weighted objective (default 0.5)
 //   --time-limit S         solver budget in seconds (default 60)
 //   --max-rows N           hard row budget (Section III)
@@ -16,7 +18,6 @@
 //   --partition            split across multiple arrays instead of failing
 //                          when the budgets are exceeded
 //   --separate-robdds      prior multi-output strategy instead of one SBDD
-//   --baseline             staircase mapping of [16] instead of COMPACT
 //   --threads N            worker threads for parallel stages (default 1)
 //   --out FILE.xbar        save the design
 //   --dot FILE.dot         dump the shared BDD as graphviz
@@ -30,8 +31,15 @@
 //                          exits with code 4
 //   --flight-record FILE   write a postmortem JSON artifact (recent events,
 //                          memory accounts, metrics) if the run fails
+//   --report FILE.md       markdown synthesis report (implies --validate)
 //   --print                pretty-print the crossbar
 //   --validate             digital validity check before reporting
+//   --verify               static analyzer over the design
+//   --verify-electrical    --verify plus the ELC electrical checks
+//
+// synthesize and lint build a request_v1 from their flags and execute it
+// through api/run — the code compact-serve runs for the same JSON line — then
+// write their outputs from the result.
 //
 // `compact_cli stats <netlist> [synthesize options]` runs the same flow with
 // the metrics registry and memory accounting enabled and prints both as
@@ -48,15 +56,12 @@
 
 #include "analog/margins.hpp"
 #include "api/compact_api.hpp"
-#include "baseline/staircase.hpp"
+#include "api/run.hpp"
 #include "bdd/dot.hpp"
 #include "bdd/stats.hpp"
-#include "core/compact.hpp"
-#include "core/pipeline.hpp"
 #include "core/report.hpp"
 #include "frontend/blif.hpp"
 #include "frontend/equivalence.hpp"
-#include "frontend/minimize.hpp"
 #include "frontend/pla.hpp"
 #include "frontend/to_bdd.hpp"
 #include "frontend/verilog.hpp"
@@ -66,12 +71,10 @@
 #include "util/metrics.hpp"
 #include "util/strings.hpp"
 #include "util/table.hpp"
-#include "util/telemetry.hpp"
 #include "util/trace.hpp"
 #include "verify/analyzer.hpp"
 #include "verify/extract.hpp"
 #include "verify/mutate.hpp"
-#include "verify/pass.hpp"
 #include "xbar/evaluate.hpp"
 #include "xbar/serialize.hpp"
 #include "xbar/validate.hpp"
@@ -85,11 +88,11 @@ using namespace compact;
   std::cerr <<
       "usage:\n"
       "  compact_cli info <netlist>\n"
-      "  compact_cli synthesize <netlist> [--method oct|mip] [--gamma G]\n"
-      "      [--time-limit S] [--max-rows N] [--max-cols N] [--partition]\n"
-      "      [--threads N] [--order none|sift|exhaustive] [--minimize]\n"
-      "      [--separate-robdds] [--baseline] [--out F.xbar] [--dot F.dot]\n"
-      "      [--trace-json F.jsonl] [--metrics-json F.json]\n"
+      "  compact_cli synthesize <netlist> [--method oct|mip|staircase]\n"
+      "      [--gamma G] [--time-limit S] [--max-rows N] [--max-cols N]\n"
+      "      [--partition] [--threads N] [--order none|sift|exhaustive]\n"
+      "      [--minimize] [--separate-robdds] [--out F.xbar] [--dot F.dot]\n"
+      "      [--report F.md] [--trace-json F.jsonl] [--metrics-json F.json]\n"
       "      [--chrome-trace F.json] [--mem-limit BYTES] [--deadline S]\n"
       "      [--flight-record F.json] [--print] [--validate] [--verify]\n"
       "      [--verify-electrical]\n"
@@ -99,7 +102,7 @@ using namespace compact;
       "      [--threads N] [--symbolic]\n"
       "  compact_cli equiv <netlist-a> <netlist-b>\n"
       "  compact_cli margins <design.xbar> --inputs N\n"
-      "  compact_cli lint <netlist> [--method oct|mip] [--gamma G]\n"
+      "  compact_cli lint <netlist> [--method oct|mip|staircase] [--gamma G]\n"
       "      [--time-limit S] [--threads N] [--sarif F.sarif] [--json F]\n"
       "      [--fail-on note|warning|error] [--no-equivalence]\n"
       "      [--electrical] [--margin-threshold R] [--criticality]\n"
@@ -189,12 +192,24 @@ xbar::loaded_partitioned_design load_partitioned(const std::string& path) {
   return xbar::read_partitioned_design(file);
 }
 
-void print_lint_report(const verify::report& r, std::ostream& os);
-
-std::vector<std::string> input_names(const frontend::network& net) {
-  std::vector<std::string> names;
-  for (int i : net.inputs()) names.push_back(net.node(i).name);
-  return names;
+void print_lint_report(const verify::report& r, std::ostream& os) {
+  for (const verify::diagnostic& d : r.diagnostics()) {
+    os << d.check_id << ' ' << verify::severity_name(d.level) << ": "
+       << d.message;
+    if (!d.anchors.empty()) {
+      os << " [";
+      for (std::size_t i = 0; i < d.anchors.size(); ++i) {
+        if (i != 0) os << ", ";
+        os << verify::to_string(d.anchors[i]);
+      }
+      os << "]";
+    }
+    os << "\n";
+    if (!d.fix.empty()) os << "  fix: " << d.fix << "\n";
+  }
+  os << r.error_count() << " error(s), " << r.warning_count()
+     << " warning(s), " << r.note_count() << " note(s); "
+     << r.checks_run().size() << " checks run\n";
 }
 
 int cmd_info(const std::vector<std::string>& args) {
@@ -308,301 +323,25 @@ struct observability_dump {
   }
 };
 
-/// Transitional synthesize path. Everything the stable facade covers now
-/// routes through cmd_synthesize below; this body only remains for the
-/// flags that need pipeline internals (--baseline, --dot, --report) and is
-/// slated to fold into the facade (see DESIGN.md, "public API").
-int cmd_synthesize_legacy(const std::vector<std::string>& args) {
-  if (args.empty()) usage("synthesize needs a netlist");
-  const std::string netlist_path = args[0];
-
-  core::synthesis_options options;
-  bool separate = false;
-  bool baseline_map = false;
-  bool do_print = false;
-  bool do_validate = false;
-  bool do_minimize = false;
-  frontend::order_effort order = frontend::order_effort::none;
-  std::optional<std::string> out_path, dot_path, report_path, trace_path;
-  std::optional<std::string> metrics_path, chrome_path;
-
-  for (std::size_t i = 1; i < args.size(); ++i) {
-    const std::string& a = args[i];
-    auto value = [&]() -> const std::string& {
-      if (++i >= args.size()) usage(a + " needs a value");
-      return args[i];
-    };
-    if (a == "--method") {
-      const std::string& v = value();
-      if (v == "oct")
-        options.method = core::labeling_method::minimal_semiperimeter;
-      else if (v == "mip")
-        options.method = core::labeling_method::weighted_mip;
-      else
-        usage("unknown method " + v);
-    } else if (a == "--gamma") {
-      options.gamma = parse_double_flag(a, value());
-      if (options.gamma < 0.0 || options.gamma > 1.0)
-        usage("--gamma must be in [0, 1]");
-    } else if (a == "--time-limit") {
-      options.time_limit_seconds = parse_double_flag(a, value());
-      if (options.time_limit_seconds <= 0.0)
-        usage("--time-limit must be positive");
-    } else if (a == "--max-rows") {
-      options.max_rows = parse_positive_flag(a, value());
-    } else if (a == "--max-cols") {
-      options.max_columns = parse_positive_flag(a, value());
-    } else if (a == "--threads") {
-      options.parallel.threads = parse_positive_flag(a, value());
-    } else if (a == "--order") {
-      const std::string& v = value();
-      if (v == "none")
-        order = frontend::order_effort::none;
-      else if (v == "sift")
-        order = frontend::order_effort::sift;
-      else if (v == "exhaustive")
-        order = frontend::order_effort::exhaustive;
-      else
-        usage("unknown order effort " + v);
-    } else if (a == "--minimize") {
-      do_minimize = true;
-    } else if (a == "--partition") {
-      // Partitioned synthesis lives behind the facade; the legacy detour
-      // exists only for flags that need pipeline internals.
-      usage("--partition cannot combine with --baseline/--dot/--report");
-    } else if (a == "--separate-robdds") {
-      separate = true;
-    } else if (a == "--baseline") {
-      baseline_map = true;
-    } else if (a == "--out") {
-      out_path = value();
-    } else if (a == "--dot") {
-      dot_path = value();
-    } else if (a == "--report") {
-      report_path = value();
-    } else if (a == "--trace-json") {
-      trace_path = value();
-    } else if (a == "--metrics-json") {
-      metrics_path = value();
-    } else if (a == "--chrome-trace") {
-      chrome_path = value();
-    } else if (a == "--mem-limit") {
-      options.memory_limit_bytes = parse_bytes_flag(a, value());
-    } else if (a == "--deadline") {
-      options.deadline_seconds = parse_double_flag(a, value());
-      if (options.deadline_seconds <= 0.0)
-        usage("--deadline must be positive");
-    } else if (a == "--flight-record") {
-      set_flight_record_path(value());
-    } else if (a == "--print") {
-      do_print = true;
-    } else if (a == "--validate") {
-      do_validate = true;
-    } else if (a == "--verify") {
-      // The pass body lives in the verify library; installing explicitly
-      // keeps this working even if no other verify symbol is referenced.
-      verify::install_pipeline_pass();
-      options.verify_design = true;
-    } else if (a == "--verify-electrical") {
-      verify::install_pipeline_pass();
-      options.verify_design = true;
-      options.verify_electrical = true;
-    } else {
-      usage("unknown option " + a);
-    }
-  }
-
-  // Enable the observers before any flow code runs; the dump guard then
-  // persists whatever they saw, even when loading or synthesis throws.
-  if (metrics_path) {
-    set_metrics_enabled(true);
-    global_metrics().reset();
-    // Memory gauges ride along in the JSON dump (mem.* names).
-    set_memtrack_enabled(true);
-    memtrack_reset();
-  }
-  if (chrome_path) {
-    set_trace_enabled(true);
-    trace_reset();
-  }
-  const observability_dump dump{metrics_path, chrome_path};
-
-  frontend::network net = load_netlist(netlist_path);
-  if (do_minimize) net = frontend::minimize_network(net);
-  // The separate-ROBDD flow builds per-output BDDs internally under the
-  // declaration order; a permuted order would desynchronize validation.
-  if (separate && order != frontend::order_effort::none) {
-    std::cerr << "note: --order is ignored with --separate-robdds\n";
-    order = frontend::order_effort::none;
-  }
-  const std::vector<int> variable_order = frontend::optimize_order(net, order);
-  bdd::manager m(net.input_count());
-  const frontend::sbdd built = frontend::build_sbdd(net, m, variable_order);
-
-  if (dot_path) {
-    std::ofstream dot(*dot_path);
-    if (!dot) throw error("cannot write " + *dot_path);
-    bdd::write_dot(m, built.roots, built.names, dot);
-  }
-
-  // The sink must outlive synthesis; one JSON object per pipeline stage.
-  std::ofstream trace_file;
-  std::optional<json_lines_sink> trace_sink;
-  if (trace_path) {
-    trace_file.open(*trace_path);
-    if (!trace_file) throw error("cannot write " + *trace_path);
-    trace_sink.emplace(trace_file);
-    options.telemetry = &*trace_sink;
-  }
-
-  core::synthesis_result result = [&] {
-    const trace_span span("synthesize", "cli");
-    if (baseline_map) {
-      return separate ? baseline::staircase_synthesize_network(net)
-                      : baseline::staircase_synthesize(m, built.roots,
-                                                       built.names);
-    }
-    return separate ? core::synthesize_separate_robdds(net, options)
-                    : core::synthesize(m, built.roots, built.names, options);
-  }();
-
-  table t({"metric", "value"});
-  t.add_row({"rows x cols",
-             cell(result.stats.rows) + " x " + cell(result.stats.columns)});
-  t.add_row({"semiperimeter S", cell(result.stats.semiperimeter)});
-  t.add_row({"max dimension D", cell(result.stats.max_dimension)});
-  t.add_row({"area", cell(result.stats.area)});
-  t.add_row({"BDD graph nodes (n)", cell(result.stats.graph_nodes)});
-  t.add_row({"VH labels (k)", cell(result.stats.vh_count)});
-  t.add_row({"power proxy (literal devices)", cell(result.stats.power_proxy)});
-  t.add_row({"delay (steps)", cell(result.stats.delay_steps)});
-  t.add_row({"labeling optimal", result.stats.optimal ? "yes" : "no"});
-  t.add_row({"relative gap", cell(100.0 * result.stats.relative_gap, 2) + "%"});
-  t.add_row({"synthesis time (s)", cell(result.stats.synthesis_seconds, 3)});
-  t.print(std::cout);
-
-  if (result.verification.has_value()) {
-    const verify::report& v = *result.verification;
-    std::cout << "\nverify: " << (v.clean() ? "CLEAN" : "DIRTY") << " ("
-              << v.checks_run().size() << " checks)\n";
-    if (!v.clean()) {
-      print_lint_report(v, std::cout);
-      return 1;
-    }
-  }
-
-  std::optional<xbar::validation_report> validation;
-  if (do_validate || report_path) {
-    // Validation runs in BDD-variable space (the space the design was
-    // synthesized in), before any remapping.
-    xbar::validation_options validation_options;
-    validation_options.parallel = options.parallel;
-    validation = xbar::validate_against_bdd(
-        result.design, m, built.roots, built.names, net.input_count(),
-        validation_options);
-    if (do_validate) {
-      std::cout << "\nvalidity: " << (validation->valid ? "PASS" : "FAIL")
-                << " (" << validation->checked_assignments
-                << " assignments)\n";
-      if (!validation->valid) {
-        std::cout << validation->first_failure << "\n";
-        return 1;
-      }
-    }
-  }
-  if (report_path) {
-    std::ofstream report_file(*report_path);
-    if (!report_file) throw error("cannot write " + *report_path);
-    core::report_inputs inputs;
-    inputs.circuit_name = net.name();
-    inputs.result = &result;
-    inputs.validation = validation ? &*validation : nullptr;
-    core::write_report(inputs, report_file);
-    std::cout << "\nwrote " << *report_path << "\n";
-  }
-
-  // Express device literals in declared-input numbering so `evaluate`
-  // assignments read naturally (level l tested input variable_order[l]).
-  if (!separate && !variable_order.empty()) {
-    bool identity = true;
-    for (std::size_t l = 0; l < variable_order.size(); ++l)
-      if (variable_order[l] != static_cast<int>(l)) identity = false;
-    if (!identity)
-      result.design = xbar::remap_variables(result.design, variable_order);
-  }
-
-  if (do_print) {
-    std::cout << '\n';
-    result.design.print(std::cout, input_names(net));
-  }
-  if (out_path) {
-    std::ofstream out(*out_path);
-    if (!out) throw error("cannot write " + *out_path);
-    xbar::write_design(result.design, out, input_names(net));
-    std::cout << "\nwrote " << *out_path << "\n";
-  }
-  return 0;
+/// --method: a built-in labeler of the library.
+std::string parse_method(const std::string& name) {
+  if (name != "oct" && name != "mip" && name != "staircase")
+    usage("unknown method " + name);
+  return name;
 }
 
-/// Render one facade diagnostic in the same shape print_lint_report uses.
-void print_diagnostic(const api::diagnostic_v1& d, std::ostream& os) {
-  os << d.check << ' ' << d.severity << ": " << d.message;
-  if (!d.anchors.empty()) {
-    os << " [";
-    for (std::size_t i = 0; i < d.anchors.size(); ++i) {
-      if (i != 0) os << ", ";
-      os << d.anchors[i];
-    }
-    os << "]";
-  }
-  os << "\n";
-  if (!d.fix.empty()) os << "  fix: " << d.fix << "\n";
-}
-
-/// Translate a failed facade response into the CLI's historical stderr text
-/// and exit codes (3 infeasible, 4 resource limit / deadline, 1 everything
-/// else). Returns nullopt when the response succeeded.
-std::optional<int> report_failure(const api::response_v1& resp) {
-  if (resp.ok) return std::nullopt;
-  switch (resp.code) {
-    case api::error_code_v1::infeasible:
-      std::cerr << "infeasible: " << resp.error_message << "\n";
-      return 3;
-    case api::error_code_v1::resource_limit:
-      std::cerr << "resource limit (memory): " << resp.error_message << "\n";
-      return 4;
-    case api::error_code_v1::deadline_exceeded:
-      std::cerr << "resource limit (deadline): " << resp.error_message << "\n";
-      return 4;
-    case api::error_code_v1::version_mismatch:
-      // Structured skew report: the same JSON a served response carries, so
-      // scripts can parse the error instead of scraping prose.
-      std::cerr << "version mismatch: " << resp.error_message << "\n"
-                << api::to_json(resp) << "\n";
-      return 1;
-    default:
-      std::cerr << "error: " << resp.error_message << "\n";
-      return 1;
-  }
-}
-
-/// `compact_cli synthesize` — netlist in, crossbar out, through the stable
-/// compact::api facade (a request_v1 handled in process, exactly what
-/// compact-serve executes for the same JSON). Only --baseline / --dot /
-/// --report still detour into the transitional legacy path (they need
-/// pipeline internals the facade deliberately does not expose).
+/// `compact_cli synthesize` — netlist in, crossbar out. The flags become a
+/// request_v1 that runs through api::run_synthesize (exactly what
+/// compact-serve executes for the same JSON line); every output below is
+/// written from that one result.
 int cmd_synthesize(const std::vector<std::string>& args) {
   if (args.empty()) usage("synthesize needs a netlist");
-  for (const std::string& a : args)
-    if (a == "--baseline" || a == "--dot" || a == "--report" ||
-        a == "--verify-electrical")
-      return cmd_synthesize_legacy(args);
-
-  api::netlist_source source;
-  source.path = args[0];
-  api::synthesis_options_v1 options;
+  api::request_v1 request;
+  request.op = "synthesize";
+  request.source.path = args[0];
+  api::synthesis_options_v1& options = request.synthesis;
   bool do_print = false;
-  std::optional<std::string> out_path;
+  std::optional<std::string> out_path, dot_path, report_path;
   std::optional<std::string> metrics_path, chrome_path;
 
   for (std::size_t i = 1; i < args.size(); ++i) {
@@ -612,9 +351,7 @@ int cmd_synthesize(const std::vector<std::string>& args) {
       return args[i];
     };
     if (a == "--method") {
-      const std::string& v = value();
-      if (v != "oct" && v != "mip") usage("unknown method " + v);
-      options.labeler = v;
+      options.labeler = parse_method(value());
     } else if (a == "--gamma") {
       options.gamma = parse_double_flag(a, value());
       if (options.gamma < 0.0 || options.gamma > 1.0)
@@ -642,6 +379,10 @@ int cmd_synthesize(const std::vector<std::string>& args) {
       options.separate_robdds = true;
     } else if (a == "--out") {
       out_path = value();
+    } else if (a == "--dot") {
+      dot_path = value();
+    } else if (a == "--report") {
+      report_path = value();
     } else if (a == "--trace-json") {
       options.trace_json_path = value();
     } else if (a == "--metrics-json") {
@@ -662,6 +403,10 @@ int cmd_synthesize(const std::vector<std::string>& args) {
       options.validate = true;
     } else if (a == "--verify") {
       options.verify = true;
+    } else if (a == "--verify-electrical") {
+      // The analyzer switches of a synthesize request live in request.lint.
+      options.verify = true;
+      request.lint.electrical = true;
     } else {
       usage("unknown option " + a);
     }
@@ -670,6 +415,8 @@ int cmd_synthesize(const std::vector<std::string>& args) {
     std::cerr << "note: --order is ignored with --separate-robdds\n";
     options.variable_order = "none";
   }
+  // The report documents the validation verdict.
+  if (report_path) options.validate = true;
 
   // Enable the observers before any flow code runs; the dump guard then
   // persists whatever they saw, even when loading or synthesis throws.
@@ -686,14 +433,15 @@ int cmd_synthesize(const std::vector<std::string>& args) {
   }
   const observability_dump dump{metrics_path, chrome_path};
 
-  api::request_v1 request;
-  request.op = "synthesize";
-  request.api_version = COMPACT_API_VERSION;
-  request.source = source;
-  request.synthesis = options;
-  const api::response_v1 resp = api::handle(request);
-  if (const std::optional<int> rc = report_failure(resp)) return *rc;
-  const api::synthesis_stats_v1& s = resp.stats;
+  const api::run_result result = api::run_synthesize(request, {});
+  const api::synthesis_stats_v1 s = api::to_stats(result.stats);
+
+  if (dot_path) {
+    std::ofstream dot(*dot_path);
+    if (!dot) throw error("cannot write " + *dot_path);
+    const api::spec_bdd& spec = *result.spec;
+    bdd::write_dot(spec.manager, spec.built.roots, spec.built.names, dot);
+  }
 
   table t({"metric", "value"});
   if (s.arrays > 1) {
@@ -720,27 +468,38 @@ int cmd_synthesize(const std::vector<std::string>& args) {
   t.add_row({"synthesis time (s)", cell(s.synthesis_seconds, 3)});
   t.print(std::cout);
 
-  if (resp.verification.ran) {
-    std::cout << "\nverify: " << (resp.verification.passed ? "CLEAN" : "DIRTY")
-              << " (" << resp.verification.detail << ")\n";
-    if (!resp.verification.passed) {
-      for (const api::diagnostic_v1& d : resp.diagnostics)
-        print_diagnostic(d, std::cout);
+  if (result.verification) {
+    const api::check_result_v1 v = api::to_check_result(*result.verification);
+    std::cout << "\nverify: " << (v.passed ? "CLEAN" : "DIRTY") << " ("
+              << v.detail << ")\n";
+    if (!v.passed) {
+      print_lint_report(*result.verification, std::cout);
       return 1;
     }
   }
-  if (resp.validation.ran) {
-    std::cout << "\nvalidity: " << (resp.validation.passed ? "PASS" : "FAIL")
-              << " (" << resp.validation.detail << ")\n";
-    if (!resp.validation.passed) return 1;
+  if (result.validation) {
+    const api::check_result_v1 v = api::to_check_result(*result.validation);
+    std::cout << "\nvalidity: " << (v.passed ? "PASS" : "FAIL") << " ("
+              << v.detail << ")\n";
+    if (!v.passed) return 1;
+  }
+  if (report_path) {
+    std::ofstream report_file(*report_path);
+    if (!report_file) throw error("cannot write " + *report_path);
+    core::report_inputs inputs;
+    inputs.circuit_name = result.spec->net.name();
+    inputs.stats = &result.stats;
+    if (result.pipeline) inputs.labels = &result.pipeline->labels;
+    inputs.validation = &*result.validation;
+    core::write_report(inputs, report_file);
+    std::cout << "\nwrote " << *report_path << "\n";
   }
 
-  if (do_print)
-    std::cout << '\n' << api::design::from_text(resp.design_text).render();
+  if (do_print) std::cout << '\n' << result.mapped.render();
   if (out_path) {
     std::ofstream out(*out_path);
     if (!out) throw error("cannot write " + *out_path);
-    out << resp.design_text;
+    out << result.mapped.to_text();
     std::cout << "\nwrote " << *out_path << "\n";
   }
   return 0;
@@ -863,38 +622,15 @@ int cmd_validate(const std::vector<std::string>& args) {
   return report.valid ? 0 : 1;
 }
 
-void print_lint_report(const verify::report& r, std::ostream& os) {
-  for (const verify::diagnostic& d : r.diagnostics()) {
-    os << d.check_id << ' ' << verify::severity_name(d.level) << ": "
-       << d.message;
-    if (!d.anchors.empty()) {
-      os << " [";
-      for (std::size_t i = 0; i < d.anchors.size(); ++i) {
-        if (i != 0) os << ", ";
-        os << verify::to_string(d.anchors[i]);
-      }
-      os << "]";
-    }
-    os << "\n";
-    if (!d.fix.empty()) os << "  fix: " << d.fix << "\n";
-  }
-  os << r.error_count() << " error(s), " << r.warning_count()
-     << " warning(s), " << r.note_count() << " note(s); "
-     << r.checks_run().size() << " checks run\n";
-}
-
 /// `compact_cli lint` — run the static analyzer (src/verify) without
-/// simulating a single input vector.
+/// simulating a single input vector, through api::run_lint.
 ///
 /// Two input shapes: a netlist (the full pipeline runs, so labeling /
 /// mapping / structural / equivalence checks all apply) or a saved .xbar
 /// plus the netlist it claims to implement (structural + symbolic
-/// equivalence only). --self-test flips into the mutation-kill harness:
-/// every injected corruption must be caught by some check.
-/// Transitional lint path for the flags that need analyzer internals
-/// (--sarif / --json report files and the mutation self-test); plain lint
-/// runs route through the facade in cmd_lint below.
-int cmd_lint_legacy(const std::vector<std::string>& args) {
+/// equivalence only). --self-test adds the mutation-kill harness: every
+/// injected corruption must be caught by some check.
+int cmd_lint(const std::vector<std::string>& args) {
   if (args.empty()) usage("lint needs a netlist or a design");
   const bool xbar_mode = args[0].ends_with(".xbar");
   std::size_t positional = 1;
@@ -909,17 +645,14 @@ int cmd_lint_legacy(const std::vector<std::string>& args) {
     netlist_path = args[0];
   }
 
-  core::synthesis_options options;
-  verify::analyzer_options analyzer_options;
+  api::request_v1 request;
+  request.op = "lint";
+  request.source.path = netlist_path;
+  api::lint_options_v1& options = request.lint;
   verify::severity fail_on = verify::severity::warning;
   bool self_test = false;
   std::size_t mutations_per_kind = 4;
-  std::optional<std::string> sarif_path, json_path;
-  verify::electrical_options electrical;
-  bool electrical_enabled = false;
-  verify::criticality_options criticality;
-  bool criticality_enabled = false;
-  std::optional<std::string> criticality_json_path;
+  std::optional<std::string> sarif_path, json_path, criticality_json_path;
 
   for (std::size_t i = positional; i < args.size(); ++i) {
     const std::string& a = args[i];
@@ -928,19 +661,13 @@ int cmd_lint_legacy(const std::vector<std::string>& args) {
       return args[i];
     };
     if (a == "--method") {
-      const std::string& v = value();
-      if (v == "oct")
-        options.method = core::labeling_method::minimal_semiperimeter;
-      else if (v == "mip")
-        options.method = core::labeling_method::weighted_mip;
-      else
-        usage("unknown method " + v);
+      options.labeler = parse_method(value());
     } else if (a == "--gamma") {
       options.gamma = parse_double_flag(a, value());
     } else if (a == "--time-limit") {
       options.time_limit_seconds = parse_double_flag(a, value());
     } else if (a == "--threads") {
-      options.parallel.threads = parse_positive_flag(a, value());
+      options.threads = parse_positive_flag(a, value());
     } else if (a == "--sarif") {
       sarif_path = value();
     } else if (a == "--json") {
@@ -952,22 +679,22 @@ int cmd_lint_legacy(const std::vector<std::string>& args) {
       if (!parsed) usage("--fail-on expects note|warning|error, got " + v);
       fail_on = *parsed;
     } else if (a == "--no-equivalence") {
-      analyzer_options.equivalence = false;
+      options.equivalence = false;
     } else if (a == "--electrical") {
-      electrical_enabled = true;
+      options.electrical = true;
     } else if (a == "--margin-threshold") {
-      electrical.margin_threshold = parse_double_flag(a, value());
-      if (electrical.margin_threshold <= 0.0)
+      options.margin_threshold = parse_double_flag(a, value());
+      if (options.margin_threshold <= 0.0)
         usage("--margin-threshold must be positive");
-      electrical_enabled = true;
+      options.electrical = true;
     } else if (a == "--criticality") {
-      criticality_enabled = true;
+      options.criticality = true;
     } else if (a == "--criticality-json") {
       criticality_json_path = value();
-      criticality_enabled = true;
+      options.criticality = true;
     } else if (a == "--criticality-limit") {
-      criticality.max_faults = parse_positive_flag(a, value());
-      criticality_enabled = true;
+      options.criticality_limit = parse_positive_flag(a, value());
+      options.criticality = true;
     } else if (a == "--self-test") {
       self_test = true;
     } else if (a == "--mutations") {
@@ -977,48 +704,29 @@ int cmd_lint_legacy(const std::vector<std::string>& args) {
       usage("unknown option " + a);
     }
   }
-
-  const frontend::network net = load_netlist(netlist_path);
-  bdd::manager m(net.input_count());
-  const frontend::sbdd built = frontend::build_sbdd(net, m);
-
-  // Assemble the artifacts: either adopt the saved design as-is, or run the
-  // synthesis pipeline and keep every intermediate stage for the checks.
-  // Saved designs load version-tolerantly: a multi-array document fills the
-  // partitioned artifact slot (PARxxx checks + stitched equivalence), a
-  // single-array one the plain design slot.
-  std::optional<xbar::loaded_partitioned_design> loaded;
-  core::synthesis_context ctx;
-  verify::artifacts artifacts;
   if (xbar_mode) {
-    loaded = load_partitioned(design_path);
-    if (loaded->design.array_count() > 1 ||
-        !loaded->design.connections().empty())
-      artifacts.partitioned = &loaded->design;
-    else
-      artifacts.design = &loaded->design.fragment(0);
-  } else {
-    ctx.manager = &m;
-    ctx.roots = &built.roots;
-    ctx.names = &built.names;
-    ctx.options = options;
-    const core::pipeline pipeline = core::make_synthesis_pipeline(ctx.options);
-    pipeline.run(ctx);
-    artifacts = verify::make_artifacts(ctx);
+    std::ifstream file(design_path);
+    if (!file) throw error("cannot open " + design_path);
+    std::ostringstream text;
+    text << file.rdbuf();
+    request.design_text = text.str();
   }
-  artifacts.spec = &m;
-  artifacts.spec_roots = &built.roots;
-  artifacts.spec_names = &built.names;
-  artifacts.variable_count = net.input_count();
-  if (electrical_enabled) artifacts.electrical = &electrical;
-  if (criticality_enabled) artifacts.criticality = &criticality;
-  verify::analysis_cache cache;
-  artifacts.cache = &cache;
+
+  const api::run_result result = api::run_lint(request, {});
+  verify::electrical_options electrical;
+  electrical.margin_threshold = options.margin_threshold;
+  verify::criticality_options criticality;
+  criticality.max_faults = options.criticality_limit;
+  verify::artifacts artifacts = result.artifacts();
+  if (options.electrical) artifacts.electrical = &electrical;
+  if (options.criticality) artifacts.criticality = &criticality;
 
   if (self_test) {
-    const verify::self_test_result result =
+    verify::analyzer_options analyzer_options;
+    analyzer_options.equivalence = options.equivalence;
+    const verify::self_test_result outcome =
         verify::run_self_test(artifacts, analyzer_options, mutations_per_kind);
-    for (const verify::self_test_outcome& o : result.outcomes) {
+    for (const verify::self_test_outcome& o : outcome.outcomes) {
       std::cout << (o.killed ? "killed  " : "SURVIVED") << "  "
                 << o.m.describe();
       if (!o.triggered_checks.empty()) {
@@ -1031,21 +739,28 @@ int cmd_lint_legacy(const std::vector<std::string>& args) {
       }
       std::cout << "\n";
     }
-    std::cout << "self-test: " << result.killed << "/" << result.total
+    std::cout << "self-test: " << outcome.killed << "/" << outcome.total
               << " mutations killed\n";
-    return result.all_killed() && result.total > 0 ? 0 : 1;
+    return outcome.all_killed() && outcome.total > 0 ? 0 : 1;
   }
 
-  const verify::report report = verify::analyze(artifacts, analyzer_options);
+  const verify::report& report = *result.verification;
   print_lint_report(report, std::cout);
+  if (const auto& e = result.analysis.electrical)
+    std::cout << "electrical: " << (e->safe ? "safe" : "UNSAFE")
+              << " (min margin ratio " << e->min_margin_ratio << ")\n";
+  if (const auto& c = result.analysis.criticality)
+    std::cout << "criticality: " << c->critical_count << "/"
+              << c->junction_count << " junctions critical"
+              << (c->truncated ? " (truncated)" : "") << "\n";
 
   if (criticality_json_path) {
-    // The FLT family fills the cache when the equivalence-cost class is
-    // enabled; otherwise (or when gating skipped it) run the engine
+    // The FLT family fills the analysis cache when the equivalence-cost
+    // class is enabled; otherwise (or when gating skipped it) run the engine
     // directly so the requested map is always written.
     verify::criticality_report crit;
-    if (cache.criticality.has_value())
-      crit = *cache.criticality;
+    if (result.analysis.criticality.has_value())
+      crit = *result.analysis.criticality;
     else if (artifacts.partitioned != nullptr)
       crit = verify::analyze_criticality(
           *artifacts.partitioned, artifacts.resolve_variable_count(),
@@ -1073,102 +788,6 @@ int cmd_lint_legacy(const std::vector<std::string>& args) {
     std::cout << "wrote " << *sarif_path << "\n";
   }
   return verify::lint_exit_code(report, fail_on);
-}
-
-/// `compact_cli lint` — run the static analyzer through the facade's
-/// lint() entry points. Accepts a netlist (full pipeline, so labeling /
-/// mapping / structural / equivalence checks all apply) or a saved .xbar
-/// plus the netlist it claims to implement.
-int cmd_lint(const std::vector<std::string>& args) {
-  if (args.empty()) usage("lint needs a netlist or a design");
-  for (const std::string& a : args)
-    if (a == "--sarif" || a == "--json" || a == "--self-test" ||
-        a == "--mutations" || a == "--criticality-json")
-      return cmd_lint_legacy(args);
-
-  const bool xbar_mode = args[0].ends_with(".xbar");
-  std::size_t positional = 1;
-  std::string design_path, netlist_path;
-  if (xbar_mode) {
-    if (args.size() < 2 || args[1].starts_with("--"))
-      usage("lint <design.xbar> needs the netlist it implements");
-    design_path = args[0];
-    netlist_path = args[1];
-    positional = 2;
-  } else {
-    netlist_path = args[0];
-  }
-
-  api::lint_options_v1 options;
-  std::string fail_on = "warning";
-  for (std::size_t i = positional; i < args.size(); ++i) {
-    const std::string& a = args[i];
-    auto value = [&]() -> const std::string& {
-      if (++i >= args.size()) usage(a + " needs a value");
-      return args[i];
-    };
-    if (a == "--method") {
-      const std::string& v = value();
-      if (v != "oct" && v != "mip") usage("unknown method " + v);
-      options.labeler = v;
-    } else if (a == "--gamma") {
-      options.gamma = parse_double_flag(a, value());
-    } else if (a == "--time-limit") {
-      options.time_limit_seconds = parse_double_flag(a, value());
-    } else if (a == "--threads") {
-      options.threads = parse_positive_flag(a, value());
-    } else if (a == "--fail-on") {
-      const std::string& v = value();
-      if (v != "note" && v != "warning" && v != "error")
-        usage("--fail-on expects note|warning|error, got " + v);
-      fail_on = v;
-    } else if (a == "--no-equivalence") {
-      options.equivalence = false;
-    } else if (a == "--electrical") {
-      options.electrical = true;
-    } else if (a == "--margin-threshold") {
-      options.margin_threshold = parse_double_flag(a, value());
-      if (options.margin_threshold <= 0.0)
-        usage("--margin-threshold must be positive");
-      options.electrical = true;
-    } else if (a == "--criticality") {
-      options.criticality = true;
-    } else if (a == "--criticality-limit") {
-      options.criticality_limit = parse_positive_flag(a, value());
-      options.criticality = true;
-    } else {
-      usage("unknown option " + a);
-    }
-  }
-
-  api::request_v1 request;
-  request.op = "lint";
-  request.api_version = COMPACT_API_VERSION;
-  request.source.path = netlist_path;
-  request.lint = options;
-  request.fail_on = fail_on;
-  if (xbar_mode) {
-    std::ifstream file(design_path);
-    if (!file) throw error("cannot open " + design_path);
-    std::ostringstream text;
-    text << file.rdbuf();
-    request.design_text = text.str();
-  }
-  const api::response_v1 resp = api::handle(request);
-  if (const std::optional<int> rc = report_failure(resp)) return *rc;
-
-  for (const api::diagnostic_v1& d : resp.diagnostics)
-    print_diagnostic(d, std::cout);
-  std::cout << resp.lint_errors << " error(s), " << resp.lint_warnings
-            << " warning(s), " << resp.lint_notes << " note(s)\n";
-  if (resp.electrical_ran)
-    std::cout << "electrical: " << (resp.electrically_safe ? "safe" : "UNSAFE")
-              << " (min margin ratio " << resp.min_margin_ratio << ")\n";
-  if (resp.criticality_ran)
-    std::cout << "criticality: " << resp.critical_junctions << "/"
-              << resp.junctions_analyzed << " junctions critical"
-              << (resp.criticality_truncated ? " (truncated)" : "") << "\n";
-  return resp.lint_clean ? 0 : 1;
 }
 
 /// `compact_cli version` — print the schema version this binary was compiled
@@ -1262,19 +881,10 @@ int main(int argc, char** argv) {
     if (command == "lint") return cmd_lint(args);
     if (command == "version") return cmd_version(args);
     usage("unknown command " + command);
-  } catch (const infeasible_error& e) {
-    dump_flight_postmortem(std::string("infeasible: ") + e.what());
-    std::cerr << "infeasible: " << e.what() << "\n";
-    return 3;
   } catch (const api::infeasible_error& e) {
     dump_flight_postmortem(std::string("infeasible: ") + e.what());
     std::cerr << "infeasible: " << e.what() << "\n";
     return 3;
-  } catch (const resource_limit_error& e) {
-    dump_flight_postmortem(std::string("resource limit: ") + e.what());
-    std::cerr << "resource limit (" << e.kind_name() << "): " << e.what()
-              << "\n";
-    return 4;
   } catch (const api::resource_limit_error& e) {
     dump_flight_postmortem(std::string("resource limit: ") + e.what());
     std::cerr << "resource limit (" << e.kind_name() << "): " << e.what()

@@ -130,7 +130,9 @@ struct synthesis_stats {
   std::uint64_t cache_hits = 0;
   std::uint64_t cache_misses = 0;
   bool optimal = false;         // labeling proven optimal within the limit
-  double relative_gap = 0.0;    // MIP gap at termination (0 for method 1)
+  /// Certified gap at termination: the MIP's for Method 2, and
+  /// (VH - LB) / (n + VH) for Method 1, LB its OCT lower bound.
+  double relative_gap = 0.0;
   std::vector<milp::mip_trace_entry> trace;  // MIP convergence (Fig. 10)
   /// Multi-array accounting (1 / 0 / 0 for single-array designs). For
   /// partitioned designs, rows/columns above are the largest fragment's

@@ -57,8 +57,8 @@ struct cached_labeling {
   labeling l;
   bool optimal = false;
   double relative_gap = 0.0;
-  std::size_t oct_size = 0;   // Method 1: VH labels before promotions
-  std::size_t promoted = 0;   // Method 1: alignment promotions
+  std::size_t oct_size = 0;   // Method 1: VH labels
+  std::size_t promoted = 0;   // Method 1: always 0 (alignment is exact)
 };
 
 class labeling_cache {

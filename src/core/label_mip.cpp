@@ -29,6 +29,7 @@ oct_label_result warm_oct_labeling(const bdd_graph& graph,
     oct_label_result result;
     result.l = std::move(hit->l);
     result.optimal = hit->optimal;
+    result.relative_gap = hit->relative_gap;
     result.oct_size = hit->oct_size;
     result.promoted = hit->promoted;
     return result;
@@ -37,6 +38,7 @@ oct_label_result warm_oct_labeling(const bdd_graph& graph,
   cached_labeling entry;
   entry.l = result.l;
   entry.optimal = result.optimal;
+  entry.relative_gap = result.relative_gap;
   entry.oct_size = result.oct_size;
   entry.promoted = result.promoted;
   cache->store(key, std::move(entry));
@@ -218,9 +220,10 @@ mip_label_result label_weighted(const bdd_graph& graph,
     const oct_label_result warm = warm_oct_labeling(graph, oct, options.cache);
 
     // Any feasible labeling's VH set is an odd cycle transversal (removing
-    // it leaves a V/H 2-colorable, hence bipartite, graph). When the OCT
-    // engine proved k_min, S >= n + k_min is a valid cut that typically
-    // closes the gamma-weighted root gap.
+    // it leaves a V/H 2-colorable, hence bipartite, graph), and under
+    // alignment one that avoids Method 1's anchor. When Method 1 proved the
+    // minimum VH count k_min for the same alignment setting, S >= n + k_min
+    // is a valid cut that typically closes the gamma-weighted root gap.
     if (warm.optimal) {
       std::vector<milp::linear_term> terms;
       for (graph::node_id i = 0; i < n; ++i) {

@@ -76,26 +76,41 @@ oct_label_result label_minimal_semiperimeter(const bdd_graph& graph,
                                              const oct_label_options& options) {
   const trace_span span("label_oct", "label");
   const graph::undirected_graph& g = graph.g;
+  const std::size_t n = g.node_count();
   oct_label_result result;
-  result.l.label_of.assign(g.node_count(), vh_label::v);
-  if (g.node_count() == 0) {
+  result.l.label_of.assign(n, vh_label::v);
+  if (n == 0) {
     result.optimal = true;
     return result;
   }
 
-  // Step 1: minimum odd cycle transversal -> the VH set. Kernelize first
+  // Step 1: the VH set. Under alignment, join one anchor vertex to every
+  // aligned node and forbid deleting it: in G + anchor - X the aligned nodes
+  // all take the colour opposite the anchor's, so any transversal X that
+  // avoids the anchor is exactly the VH set of a labeling satisfying Eq. 7,
+  // and a minimum one minimizes S = n + |X| under alignment. Kernelize first
   // (unless disabled): the reductions are exact, so the lifted transversal
-  // has the same size as an unreduced solve, and the solver only sees the
-  // irreducible core of the graph.
+  // has the same size as an unreduced solve.
+  graph::undirected_graph anchored = g;
   graph::oct_options oct;
   oct.engine = options.engine;
   oct.time_limit_seconds = options.time_limit_seconds;
   oct.threads = options.threads;
+  if (options.alignment) {
+    const std::vector<graph::node_id> aligned = graph.aligned_nodes();
+    if (!aligned.empty()) {
+      oct.anchor = anchored.add_node();
+      for (const graph::node_id v : aligned) anchored.add_edge(oct.anchor, v);
+    }
+  }
   const graph::oct_result transversal =
-      options.reduce ? reduced_odd_cycle_transversal(g, oct)
-                     : graph::odd_cycle_transversal(g, oct);
+      options.reduce ? reduced_odd_cycle_transversal(anchored, oct)
+                     : graph::odd_cycle_transversal(anchored, oct);
   result.oct_size = transversal.size;
   result.optimal = transversal.optimal;
+  result.relative_gap =
+      static_cast<double>(transversal.size - transversal.lower_bound) /
+      static_cast<double>(n + transversal.size);
   if (metrics_enabled()) {
     metrics_registry& registry = global_metrics();
     registry.counter("label_oct.runs").increment();
@@ -105,99 +120,55 @@ oct_label_result label_minimal_semiperimeter(const bdd_graph& graph,
         .observe(static_cast<double>(result.oct_size));
   }
 
-  // Step 2: 2-color the induced bipartite subgraph G_B.
-  std::vector<bool> keep(g.node_count());
-  for (std::size_t v = 0; v < g.node_count(); ++v)
+  // Step 2: 2-color the induced bipartite subgraph (anchor included).
+  std::vector<bool> keep(anchored.node_count());
+  for (std::size_t v = 0; v < keep.size(); ++v)
     keep[v] = !transversal.in_transversal[v];
-  const auto induced = g.induced_subgraph(keep);
+  const auto induced = anchored.induced_subgraph(keep);
   const auto coloring = graph::try_two_color(induced.subgraph);
   check(coloring.has_value(), "label_oct: G - OCT is not bipartite");
   const auto components = induced.subgraph.connected_components();
 
-  // color_of / component_of in *original* vertex ids (-1 for VH nodes).
-  std::vector<int> color_of(g.node_count(), -1);
-  std::vector<int> component_of(g.node_count(), -1);
-  for (graph::node_id v = 0; v < static_cast<graph::node_id>(g.node_count());
-       ++v) {
-    const graph::node_id nv = induced.new_id_of[static_cast<std::size_t>(v)];
+  // color_of / component_of in *anchored* vertex ids (-1 for VH nodes).
+  std::vector<int> color_of(anchored.node_count(), -1);
+  std::vector<int> component_of(anchored.node_count(), -1);
+  for (std::size_t v = 0; v < anchored.node_count(); ++v) {
+    const graph::node_id nv = induced.new_id_of[v];
     if (nv < 0) continue;
-    color_of[static_cast<std::size_t>(v)] =
-        coloring->color_of[static_cast<std::size_t>(nv)];
-    component_of[static_cast<std::size_t>(v)] =
+    color_of[v] = coloring->color_of[static_cast<std::size_t>(nv)];
+    component_of[v] =
         components.component_of[static_cast<std::size_t>(nv)];
   }
 
-  // Step 3: per-component alignment analysis. Orientation 0 maps color 0 to
-  // H (rows); orientation 1 maps color 1 to H.
+  // Step 3: orientations. Orientation 0 maps color 0 to H (rows);
+  // orientation 1 maps color 1 to H. The anchor's component is fixed with
+  // the anchor on the V side, which puts every aligned node on H; every
+  // other component is free.
   const int k = components.count;
+  std::vector<int> orientation(static_cast<std::size_t>(k), -1);
+  if (oct.anchor >= 0) {
+    const auto a = static_cast<std::size_t>(oct.anchor);
+    orientation[static_cast<std::size_t>(component_of[a])] = 1 - color_of[a];
+  }
   std::vector<std::array<int, 2>> size_by_color(
       static_cast<std::size_t>(k), {0, 0});
-  std::vector<std::array<int, 2>> aligned_by_color(
-      static_cast<std::size_t>(k), {0, 0});
-  for (graph::node_id v = 0; v < static_cast<graph::node_id>(g.node_count());
-       ++v) {
-    const int c = component_of[static_cast<std::size_t>(v)];
+  for (std::size_t v = 0; v < n; ++v) {
+    const int c = component_of[v];
     if (c < 0) continue;
     ++size_by_color[static_cast<std::size_t>(c)]
-                   [static_cast<std::size_t>(color_of[static_cast<std::size_t>(v)])];
-  }
-  std::vector<bool> is_aligned(g.node_count(), false);
-  for (graph::node_id v : graph.aligned_nodes()) {
-    is_aligned[static_cast<std::size_t>(v)] = true;
-    const int c = component_of[static_cast<std::size_t>(v)];
-    if (c < 0) continue;  // already VH: alignment satisfied
-    ++aligned_by_color[static_cast<std::size_t>(c)]
-                      [static_cast<std::size_t>(color_of[static_cast<std::size_t>(v)])];
+                   [static_cast<std::size_t>(color_of[v])];
   }
 
-  // orientation[c]: 0 or 1 when fixed, -1 when free (left to balancing).
-  std::vector<int> orientation(static_cast<std::size_t>(k), -1);
-  std::vector<bool> promote(g.node_count(), false);
-  if (options.alignment) {
-    for (int c = 0; c < k; ++c) {
-      // Promotions if color x maps to H: aligned nodes of the other color.
-      const int promote0 = aligned_by_color[static_cast<std::size_t>(c)][1];
-      const int promote1 = aligned_by_color[static_cast<std::size_t>(c)][0];
-      if (promote0 == 0 && promote1 == 0) continue;  // free
-      orientation[static_cast<std::size_t>(c)] = promote0 <= promote1 ? 0 : 1;
-    }
-    // Mark promoted nodes: aligned nodes on the V side of a fixed
-    // orientation.
-    for (graph::node_id v = 0;
-         v < static_cast<graph::node_id>(g.node_count()); ++v) {
-      if (!is_aligned[static_cast<std::size_t>(v)]) continue;
-      const int c = component_of[static_cast<std::size_t>(v)];
-      if (c < 0) continue;
-      const int o = orientation[static_cast<std::size_t>(c)];
-      if (o < 0) continue;
-      if (color_of[static_cast<std::size_t>(v)] != o) {
-        promote[static_cast<std::size_t>(v)] = true;
-        ++result.promoted;
-      }
-    }
-  }
-
-  // Step 4: balance the free components (Fig. 6). VH nodes (transversal +
-  // promotions) occupy one row and one column each; fixed components
-  // contribute their oriented counts.
-  const int vh_total =
-      static_cast<int>(result.oct_size) + static_cast<int>(result.promoted);
-  int bias_rows = vh_total;
-  int bias_columns = vh_total;
+  // Step 4: balance the free components (Fig. 6). VH nodes occupy one row
+  // and one column each; the fixed component contributes its oriented
+  // counts.
+  int bias_rows = static_cast<int>(result.oct_size);
+  int bias_columns = static_cast<int>(result.oct_size);
   std::vector<int> free_components;
   std::vector<std::pair<int, int>> free_contribution;  // (rows, cols) if kept
   for (int c = 0; c < k; ++c) {
-    // Promoted nodes were counted in size_by_color but are VH now; subtract.
-    int promoted_here[2] = {0, 0};
-    if (options.alignment && orientation[static_cast<std::size_t>(c)] >= 0) {
-      const int o = orientation[static_cast<std::size_t>(c)];
-      promoted_here[1 - o] =
-          aligned_by_color[static_cast<std::size_t>(c)][static_cast<std::size_t>(1 - o)];
-    }
-    const int n0 =
-        size_by_color[static_cast<std::size_t>(c)][0] - promoted_here[0];
-    const int n1 =
-        size_by_color[static_cast<std::size_t>(c)][1] - promoted_here[1];
+    const int n0 = size_by_color[static_cast<std::size_t>(c)][0];
+    const int n1 = size_by_color[static_cast<std::size_t>(c)][1];
     const int o = orientation[static_cast<std::size_t>(c)];
     if (o == 0) {
       bias_rows += n0;
@@ -216,24 +187,15 @@ oct_label_result label_minimal_semiperimeter(const bdd_graph& graph,
     flips = balance_flips(free_contribution, bias_rows, bias_columns);
   for (std::size_t i = 0; i < free_components.size(); ++i)
     orientation[static_cast<std::size_t>(free_components[i])] = flips[i];
-  // Any still-free component (balance disabled): orientation 0.
-  for (int c = 0; c < k; ++c)
-    if (orientation[static_cast<std::size_t>(c)] < 0)
-      orientation[static_cast<std::size_t>(c)] = 0;
 
   // Step 5: emit labels.
-  for (graph::node_id v = 0; v < static_cast<graph::node_id>(g.node_count());
-       ++v) {
-    if (transversal.in_transversal[static_cast<std::size_t>(v)] ||
-        promote[static_cast<std::size_t>(v)]) {
-      result.l.label_of[static_cast<std::size_t>(v)] = vh_label::vh;
+  for (std::size_t v = 0; v < n; ++v) {
+    if (transversal.in_transversal[v]) {
+      result.l.label_of[v] = vh_label::vh;
       continue;
     }
-    const int c = component_of[static_cast<std::size_t>(v)];
-    const int o = orientation[static_cast<std::size_t>(c)];
-    const bool is_h = color_of[static_cast<std::size_t>(v)] == o;
-    result.l.label_of[static_cast<std::size_t>(v)] =
-        is_h ? vh_label::h : vh_label::v;
+    const int o = orientation[static_cast<std::size_t>(component_of[v])];
+    result.l.label_of[v] = color_of[v] == o ? vh_label::h : vh_label::v;
   }
 
   check(is_feasible(g, result.l), "label_oct: infeasible labeling produced");

@@ -57,6 +57,7 @@ class oct_labeler final : public labeler {
     labeler_result result;
     result.l = std::move(r.l);
     result.optimal = r.optimal;
+    result.relative_gap = r.relative_gap;
     result.oct_size = r.oct_size;
     result.promoted = r.promoted;
     return result;

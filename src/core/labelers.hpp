@@ -3,11 +3,11 @@
 // Two engines ship with the library:
 //
 //  * label_minimal_semiperimeter — Method 1: minimum odd cycle transversal
-//    via vertex cover of G x K2 (Lemma 1), then a 2-coloring of the induced
-//    bipartite subgraph. Extended here (beyond the paper's description) to
-//    honor alignment by per-component orientation and minimal VH promotion,
-//    and to balance R vs C via a per-component flip DP (the Fig. 6
-//    mechanism).
+//    (graph/oct), then a 2-coloring of the induced bipartite subgraph.
+//    Extended here (beyond the paper's description) to honor alignment
+//    exactly — an anchor vertex joined to every aligned node and never
+//    deleted makes the transversal the minimum VH set under Eq. 7 — and to
+//    balance R vs C via a per-component flip DP (the Fig. 6 mechanism).
 //  * label_weighted — Method 2: the MIP of Eq. 4 with the alignment
 //    constraints of Eq. 7, minimizing gamma*S + (1-gamma)*D, warm-started
 //    from Method 1's labeling.
@@ -50,9 +50,12 @@ struct oct_label_options {
 
 struct oct_label_result {
   labeling l;
-  std::size_t oct_size = 0;  // VH labels before alignment promotions
-  std::size_t promoted = 0;  // extra VH labels forced by alignment
-  bool optimal = false;      // OCT proven minimum
+  std::size_t oct_size = 0;  // VH labels (the aligned transversal)
+  std::size_t promoted = 0;  // always 0: alignment is part of the OCT
+  bool optimal = false;      // VH count proven minimum
+  /// Certified gap (VH - LB) / (n + VH), LB the engine's lower bound on the
+  /// VH count; 0 when optimal.
+  double relative_gap = 0.0;
 };
 
 [[nodiscard]] oct_label_result label_minimal_semiperimeter(

@@ -128,7 +128,8 @@ std::size_t strip_parity_bipartite_components(parity_graph& pg) {
 /// One low-degree sweep: delete degree-0/1 vertices and fold degree-2
 /// vertices until no vertex of degree <= 2 remains. Returns whether anything
 /// changed.
-bool reduce_low_degree(parity_graph& pg, oct_reduction_stats& stats,
+bool reduce_low_degree(parity_graph& pg, node_id anchor,
+                       oct_reduction_stats& stats,
                        std::vector<node_id>& forced) {
   const std::size_t n = pg.vertex_alive.size();
   std::deque<node_id> work;
@@ -176,6 +177,12 @@ bool reduce_low_degree(parity_graph& pg, oct_reduction_stats& stats,
         ++stats.merges;
         pg.remove_vertex(v);
         ++stats.low_degree_removed;
+      } else if (a == anchor) {
+        // Odd 2-cycle v <-> anchor: the anchor is never deleted, so every
+        // transversal contains v. Force v; the anchor stays.
+        forced.push_back(v);
+        ++stats.forced;
+        pg.remove_vertex(v);
       } else {
         // Odd 2-cycle v <-> a and v has no other edges: every odd cycle
         // through v contains a, so a minimum transversal containing a
@@ -227,7 +234,8 @@ std::vector<bool> oct_kernel::lift(
   return out;
 }
 
-oct_kernel kernelize_for_oct(const graph::undirected_graph& g) {
+oct_kernel kernelize_for_oct(const graph::undirected_graph& g,
+                             node_id anchor) {
   const trace_span span("oct_reduce", "label");
   oct_kernel kernel;
   kernel.original_node_count_ = g.node_count();
@@ -247,13 +255,13 @@ oct_kernel kernelize_for_oct(const graph::undirected_graph& g) {
     const std::size_t stripped = strip_parity_bipartite_components(pg);
     kernel.stats_.bipartite_stripped += stripped;
     if (stripped > 0) changed = true;
-    if (reduce_low_degree(pg, kernel.stats_, forced)) changed = true;
+    if (reduce_low_degree(pg, anchor, kernel.stats_, forced)) changed = true;
   }
   kernel.forced_ = std::move(forced);
 
   // Materialize the surviving parity graph as a simple graph: odd edges map
   // directly, each even edge becomes a path through a subdivision vertex
-  // that lifts to one of its endpoints.
+  // that lifts to one of its endpoints (never the anchor).
   std::vector<node_id> kernel_of_original(g.node_count(), -1);
   for (std::size_t v = 0; v < g.node_count(); ++v) {
     if (!pg.vertex_alive[v]) continue;
@@ -270,11 +278,13 @@ oct_kernel kernelize_for_oct(const graph::undirected_graph& g) {
       materialized.add_edge(ku, kv);
     } else {
       const node_id w = materialized.add_node();
-      kernel.original_of_kernel_.push_back(e.u);
+      kernel.original_of_kernel_.push_back(e.u == anchor ? e.v : e.u);
       materialized.add_edge(ku, w);
       materialized.add_edge(w, kv);
     }
   }
+  if (anchor >= 0)
+    kernel.anchor_ = kernel_of_original[static_cast<std::size_t>(anchor)];
   kernel.kernel_ = std::move(materialized);
   kernel.stats_.kernel_nodes = kernel.kernel_.node_count();
   kernel.stats_.kernel_edges = kernel.kernel_.edge_count();
@@ -307,7 +317,7 @@ oct_kernel kernelize_for_oct(const graph::undirected_graph& g) {
 graph::oct_result reduced_odd_cycle_transversal(
     const graph::undirected_graph& g, const graph::oct_options& options,
     oct_reduction_stats* stats_out) {
-  const oct_kernel kernel = kernelize_for_oct(g);
+  const oct_kernel kernel = kernelize_for_oct(g, options.anchor);
   if (stats_out != nullptr) *stats_out = kernel.stats();
 
   graph::oct_result result;
@@ -315,15 +325,25 @@ graph::oct_result reduced_odd_cycle_transversal(
     result.in_transversal = kernel.lift({});
     result.optimal = true;
   } else {
-    const graph::oct_result on_kernel =
-        graph::odd_cycle_transversal(kernel.kernel_graph(), options);
+    graph::oct_options on_kernel_options = options;
+    on_kernel_options.anchor = kernel.kernel_anchor();
+    const graph::oct_result on_kernel = graph::odd_cycle_transversal(
+        kernel.kernel_graph(), on_kernel_options);
     result.in_transversal = kernel.lift(on_kernel.in_transversal);
     result.optimal = on_kernel.optimal;
+    result.lower_bound = on_kernel.lower_bound;
+    result.search_nodes = on_kernel.search_nodes;
   }
   result.size = static_cast<std::size_t>(std::count(
       result.in_transversal.begin(), result.in_transversal.end(), true));
+  // Reductions are exact: OPT(g) = OPT(kernel) + |forced|.
+  result.lower_bound += kernel.stats().forced;
+  if (result.optimal) result.lower_bound = result.size;
   check(graph::is_odd_cycle_transversal(g, result.in_transversal),
         "oct_reduce: lifted transversal is not a valid OCT");
+  check(options.anchor < 0 ||
+            !result.in_transversal[static_cast<std::size_t>(options.anchor)],
+        "oct_reduce: lifted transversal contains the anchor");
   return result;
 }
 

@@ -22,13 +22,18 @@
 //     some minimum transversal therefore contains a: force a into the
 //     transversal and delete both vertices.
 //
+// One vertex may be marked as the anchor, which no transversal contains
+// (label_oct's alignment vertex). The rules respect it: the odd-2-cycle
+// rule forces v instead when a is the anchor, and folding never needs the
+// anchor because the swap argument can always pick the other neighbour.
+//
 // The surviving kernel is materialized back into a simple undirected graph
 // for the unchanged solvers in graph/: odd-parity edges become plain edges
 // and each even-parity edge becomes a two-edge path through a fresh
 // subdivision vertex. lift() maps a kernel transversal back to the full
-// graph (subdivision vertices are swapped for a kernel endpoint, which lies
-// on every cycle the subdivision vertex lies on) and adds the forced
-// vertices. The lift is valid for *any* kernel transversal and
+// graph (subdivision vertices are swapped for a non-anchor kernel endpoint,
+// which lies on every cycle the subdivision vertex lies on) and adds the
+// forced vertices. The lift is valid for *any* kernel transversal and
 // size-preserving for optimal ones: OPT(G) = OPT(kernel) + |forced|.
 #pragma once
 
@@ -43,7 +48,7 @@ namespace compact::core {
 /// Bumped whenever a reduction rule changes behaviour. Cached labelings are
 /// keyed on this (see core/labelers.cpp): a cache written by one
 /// kernelization version must never satisfy a request made under another.
-inline constexpr int oct_reduction_version = 1;
+inline constexpr int oct_reduction_version = 2;
 
 struct oct_reduction_stats {
   std::size_t original_nodes = 0;
@@ -71,13 +76,18 @@ class oct_kernel {
   /// minimum transversal is exactly the forced set, lift({}) returns it.
   [[nodiscard]] bool solved() const { return kernel_.node_count() == 0; }
 
+  /// Kernel id of the anchor, or -1 when there is none or it was reduced
+  /// away.
+  [[nodiscard]] graph::node_id kernel_anchor() const { return anchor_; }
+
   /// Map a transversal of kernel_graph() (indexed by kernel node id; may be
   /// empty when solved()) to a transversal of the original graph.
   [[nodiscard]] std::vector<bool> lift(
       const std::vector<bool>& kernel_transversal) const;
 
  private:
-  friend oct_kernel kernelize_for_oct(const graph::undirected_graph& g);
+  friend oct_kernel kernelize_for_oct(const graph::undirected_graph& g,
+                                      graph::node_id anchor);
 
   graph::undirected_graph kernel_;
   oct_reduction_stats stats_;
@@ -87,16 +97,20 @@ class oct_kernel {
   // subdivision vertices).
   std::vector<graph::node_id> original_of_kernel_;
   std::vector<graph::node_id> forced_;  // original ids, always in the lift
+  graph::node_id anchor_ = -1;          // kernel id of the anchor
 };
 
-/// Run all reductions to a fixpoint and materialize the kernel. Publishes
+/// Run all reductions to a fixpoint and materialize the kernel; `anchor`
+/// (-1 for none) is a vertex no transversal may contain. Publishes
 /// oct_reduce.* metrics when enabled.
-[[nodiscard]] oct_kernel kernelize_for_oct(const graph::undirected_graph& g);
+[[nodiscard]] oct_kernel kernelize_for_oct(const graph::undirected_graph& g,
+                                           graph::node_id anchor = -1);
 
 /// Drop-in replacement for graph::odd_cycle_transversal that kernelizes
 /// first, solves on the kernel only, and lifts the transversal back. The
-/// returned transversal is always valid for `g`; optimal is true when the
-/// kernel solve was optimal (reductions themselves are exact).
+/// returned transversal is always valid for `g` and avoids options.anchor;
+/// optimal is true when the kernel solve was optimal (reductions themselves
+/// are exact), and lower_bound is the kernel's plus the forced vertices.
 [[nodiscard]] graph::oct_result reduced_odd_cycle_transversal(
     const graph::undirected_graph& g, const graph::oct_options& options = {},
     oct_reduction_stats* stats_out = nullptr);

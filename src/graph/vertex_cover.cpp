@@ -1,205 +1,10 @@
 #include "graph/vertex_cover.hpp"
 
-#include <algorithm>
 #include <cmath>
 
 #include "util/error.hpp"
-#include "util/stopwatch.hpp"
 
 namespace compact::graph {
-namespace {
-
-/// Mutable view of the graph used by the branch-and-bound search. Vertices
-/// are deleted either by inclusion in the cover or by becoming isolated.
-class bnb_search {
- public:
-  bnb_search(const undirected_graph& g, const vertex_cover_options& options)
-      : graph_(g),
-        alive_(g.node_count(), true),
-        in_cover_(g.node_count(), false),
-        degree_(g.node_count()),
-        time_limit_(options.time_limit_seconds) {
-    for (node_id v = 0; v < static_cast<node_id>(g.node_count()); ++v)
-      degree_[v] = g.degree(v);
-    best_cover_ = greedy_vertex_cover(g);
-    best_size_ = static_cast<std::size_t>(
-        std::count(best_cover_.begin(), best_cover_.end(), true));
-    if (options.warm_start && is_vertex_cover(g, *options.warm_start)) {
-      const auto warm_size = static_cast<std::size_t>(std::count(
-          options.warm_start->begin(), options.warm_start->end(), true));
-      if (warm_size < best_size_) {
-        best_cover_ = *options.warm_start;
-        best_size_ = warm_size;
-      }
-    }
-  }
-
-  vertex_cover_result run() {
-    search(0);
-    vertex_cover_result result;
-    result.in_cover = best_cover_;
-    result.size = best_size_;
-    result.optimal = !timed_out_;
-    return result;
-  }
-
- private:
-  // --- primitive operations with undo support ---------------------------
-
-  /// Remove `v` from the residual graph; if `cover` it joins the cover.
-  void remove(node_id v, bool cover) {
-    alive_[v] = false;
-    in_cover_[v] = cover;
-    if (cover) ++cover_size_;
-    for (node_id w : graph_.neighbors(v))
-      if (alive_[w]) --degree_[w];
-    trail_.push_back(v);
-  }
-
-  void undo_to(std::size_t mark) {
-    while (trail_.size() > mark) {
-      const node_id v = trail_.back();
-      trail_.pop_back();
-      if (in_cover_[v]) --cover_size_;
-      in_cover_[v] = false;
-      alive_[v] = true;
-      for (node_id w : graph_.neighbors(v))
-        if (alive_[w]) ++degree_[w];
-    }
-  }
-
-  // --- bounding ----------------------------------------------------------
-
-  /// Size of a greedy maximal matching in the residual graph; every cover
-  /// must contain one endpoint per matched edge.
-  std::size_t matching_lower_bound() const {
-    std::vector<bool> matched(graph_.node_count(), false);
-    std::size_t size = 0;
-    for (node_id v = 0; v < static_cast<node_id>(graph_.node_count()); ++v) {
-      if (!alive_[v] || matched[v]) continue;
-      for (node_id w : graph_.neighbors(v)) {
-        if (alive_[w] && !matched[w] && w != v) {
-          matched[v] = matched[w] = true;
-          ++size;
-          break;
-        }
-      }
-    }
-    return size;
-  }
-
-  // --- search ------------------------------------------------------------
-
-  /// Amortized timeout probe; cheap enough for inner loops.
-  bool out_of_time() {
-    if (timed_out_) return true;
-    if ((++tick_ & 0x3ff) == 0 && clock_.seconds() > time_limit_)
-      timed_out_ = true;
-    return timed_out_;
-  }
-
-  void search(int depth) {
-    if (out_of_time()) return;
-
-    const std::size_t mark = trail_.size();
-
-    // Reductions: drop isolated vertices; take the neighbor of any
-    // degree-1 vertex (always at least as good as taking the leaf). Each
-    // fixpoint pass is O(n), and large graphs can need many passes, so the
-    // timeout is probed per pass as well.
-    bool changed = true;
-    while (changed && !out_of_time()) {
-      changed = false;
-      for (node_id v = 0; v < static_cast<node_id>(graph_.node_count());
-           ++v) {
-        if (!alive_[v]) continue;
-        if (degree_[v] == 0) {
-          remove(v, /*cover=*/false);
-          changed = true;
-        } else if (degree_[v] == 1) {
-          for (node_id w : graph_.neighbors(v)) {
-            if (alive_[w]) {
-              remove(w, /*cover=*/true);
-              break;
-            }
-          }
-          remove(v, /*cover=*/false);
-          changed = true;
-        }
-      }
-      if (cover_size_ >= best_size_) {
-        undo_to(mark);
-        return;
-      }
-    }
-
-    // Find the maximum-degree residual vertex.
-    node_id pivot = -1;
-    std::size_t max_degree = 0;
-    for (node_id v = 0; v < static_cast<node_id>(graph_.node_count()); ++v) {
-      if (alive_[v] && degree_[v] > max_degree) {
-        max_degree = degree_[v];
-        pivot = v;
-      }
-    }
-
-    if (pivot == -1) {  // no edges left: complete cover found
-      if (cover_size_ < best_size_) {
-        best_size_ = cover_size_;
-        best_cover_ = in_cover_;
-        // Nodes still alive are not in the cover.
-        for (std::size_t v = 0; v < alive_.size(); ++v)
-          if (alive_[v]) best_cover_[v] = false;
-      }
-      undo_to(mark);
-      return;
-    }
-
-    if (cover_size_ + matching_lower_bound() >= best_size_) {
-      undo_to(mark);
-      return;
-    }
-
-    // Branch 1: pivot in the cover.
-    {
-      const std::size_t inner = trail_.size();
-      remove(pivot, /*cover=*/true);
-      search(depth + 1);
-      undo_to(inner);
-    }
-    // Branch 2: pivot excluded => all its residual neighbors in the cover.
-    {
-      const std::size_t inner = trail_.size();
-      std::vector<node_id> residual_neighbors;
-      for (node_id w : graph_.neighbors(pivot))
-        if (alive_[w]) residual_neighbors.push_back(w);
-      remove(pivot, /*cover=*/false);
-      for (node_id w : residual_neighbors)
-        if (alive_[w]) remove(w, /*cover=*/true);
-      if (cover_size_ < best_size_) search(depth + 1);
-      undo_to(inner);
-    }
-
-    undo_to(mark);
-  }
-
-  const undirected_graph& graph_;
-  std::vector<bool> alive_;
-  std::vector<bool> in_cover_;
-  std::vector<std::size_t> degree_;
-  std::vector<node_id> trail_;
-  std::size_t cover_size_ = 0;
-
-  std::vector<bool> best_cover_;
-  std::size_t best_size_ = 0;
-
-  stopwatch clock_;
-  double time_limit_;
-  unsigned tick_ = 0;
-  bool timed_out_ = false;
-};
-
-}  // namespace
 
 std::vector<bool> greedy_vertex_cover(const undirected_graph& g) {
   std::vector<bool> cover(g.node_count(), false);
@@ -216,22 +21,17 @@ bool is_vertex_cover(const undirected_graph& g,
   return true;
 }
 
-vertex_cover_result min_vertex_cover_bnb(const undirected_graph& g,
-                                         const vertex_cover_options& options) {
-  bnb_search search(g, options);
-  vertex_cover_result result = search.run();
-  check(is_vertex_cover(g, result.in_cover),
-        "min_vertex_cover_bnb produced a non-cover");
-  return result;
-}
-
 vertex_cover_result min_vertex_cover_ilp(const undirected_graph& g,
-                                         const milp::mip_options& options) {
+                                         const milp::mip_options& options,
+                                         const std::vector<edge>& not_both) {
   milp::model m;
   for (node_id v = 0; v < static_cast<node_id>(g.node_count()); ++v)
     m.add_binary(1.0, "x" + std::to_string(v));
   for (const edge& e : g.edges())
     m.add_constraint({{e.u, 1.0}, {e.v, 1.0}}, milp::relation::greater_equal,
+                     1.0);
+  for (const edge& e : not_both)
+    m.add_constraint({{e.u, 1.0}, {e.v, 1.0}}, milp::relation::less_equal,
                      1.0);
 
   milp::mip_options mip = options;
@@ -239,7 +39,7 @@ vertex_cover_result min_vertex_cover_ilp(const undirected_graph& g,
     const std::vector<bool> greedy = greedy_vertex_cover(g);
     std::vector<double> warm(g.node_count());
     for (std::size_t v = 0; v < warm.size(); ++v) warm[v] = greedy[v] ? 1 : 0;
-    mip.warm_start = std::move(warm);
+    if (m.is_feasible(warm)) mip.warm_start = std::move(warm);
   }
 
   const milp::mip_result solved = milp::solve_mip(m, mip);

@@ -1,15 +1,11 @@
-// Minimum vertex cover solvers.
+// Minimum vertex cover.
 //
 // Section VI-A of the paper reduces the odd-cycle-transversal problem to a
-// minimum vertex cover of G x K2 and solves the cover with an ILP. We provide
-// two independent engines:
-//   * a combinatorial branch-and-bound with classical reductions (fast on the
-//     sparse, near-bipartite graphs arising from BDDs), and
-//   * the paper's ILP formulation on top of src/milp.
-// The two cross-check each other in the test suite.
+// minimum vertex cover of G x K2 and solves the cover with an ILP. That ILP
+// is kept here as the test oracle of graph/oct (the OCT path itself runs a
+// direct odd-cycle branch-and-bound and never builds G x K2).
 #pragma once
 
-#include <optional>
 #include <vector>
 
 #include "graph/graph.hpp"
@@ -17,29 +13,19 @@
 
 namespace compact::graph {
 
-struct vertex_cover_options {
-  double time_limit_seconds = 60.0;
-  /// Optional initial incumbent (must be a valid cover); when the search
-  /// times out, the result is never worse than this.
-  std::optional<std::vector<bool>> warm_start;
-};
-
 struct vertex_cover_result {
   std::vector<bool> in_cover;  // indexed by node id
   std::size_t size = 0;
   bool optimal = false;  // proven minimum (time limit not hit)
 };
 
-/// Branch-and-bound minimum vertex cover. Degree-0/degree-1 reductions,
-/// maximal-matching lower bound, max-degree mirror branching. If the time
-/// limit expires, the best cover found so far is returned with
-/// optimal=false (a greedy cover is always available as a fallback).
-[[nodiscard]] vertex_cover_result min_vertex_cover_bnb(
-    const undirected_graph& g, const vertex_cover_options& options = {});
-
-/// Minimum vertex cover via the 0/1 ILP  min sum x_v  s.t.  x_u + x_v >= 1.
+/// Minimum vertex cover via the 0/1 ILP  min sum x_v  s.t.  x_u + x_v >= 1,
+/// plus x_a + x_b <= 1 for every pair {a, b} in `not_both`. A warm start in
+/// `options` must satisfy both; without one, a greedy cover seeds the
+/// search when it respects `not_both`.
 [[nodiscard]] vertex_cover_result min_vertex_cover_ilp(
-    const undirected_graph& g, const milp::mip_options& options = {});
+    const undirected_graph& g, const milp::mip_options& options = {},
+    const std::vector<edge>& not_both = {});
 
 /// Simple 2-approximation (take both endpoints of a maximal matching);
 /// used as a warm start.

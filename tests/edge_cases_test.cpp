@@ -8,7 +8,6 @@
 #include "graph/graph.hpp"
 #include "graph/oct.hpp"
 #include "graph/product.hpp"
-#include "graph/vertex_cover.hpp"
 #include "util/rng.hpp"
 
 namespace compact::graph {
@@ -60,26 +59,6 @@ TEST(GraphEdgeCases, OctOfWheelGraphs) {
     const oct_result r = odd_cycle_transversal(wheel);
     ASSERT_TRUE(r.optimal);
     EXPECT_EQ(r.size, 2u) << "W" << rim;
-  }
-}
-
-TEST(GraphEdgeCases, VertexCoverWarmStartNeverHurts) {
-  rng random(61);
-  for (int t = 0; t < 10; ++t) {
-    undirected_graph g(10);
-    for (int i = 0; i < 10; ++i)
-      for (int j = i + 1; j < 10; ++j)
-        if (random.next_below(100) < 30) g.add_edge(i, j);
-    const vertex_cover_result plain = min_vertex_cover_bnb(g);
-    vertex_cover_options options;
-    options.warm_start = plain.in_cover;  // optimal warm start
-    const vertex_cover_result warmed = min_vertex_cover_bnb(g, options);
-    EXPECT_EQ(warmed.size, plain.size);
-    // A bogus warm start (not a cover) is ignored, not trusted.
-    vertex_cover_options bogus;
-    bogus.warm_start = std::vector<bool>(10, false);
-    const vertex_cover_result guarded = min_vertex_cover_bnb(g, bogus);
-    EXPECT_EQ(guarded.size, plain.size);
   }
 }
 

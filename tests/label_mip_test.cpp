@@ -27,23 +27,31 @@ TEST(LabelMipTest, FeasibleAndAlignedOnSmallBenchmarks) {
 }
 
 TEST(LabelMipTest, GammaOneMatchesOctSemiperimeter) {
-  // With gamma = 1 the MIP minimizes S alone; its optimum must equal the
-  // OCT-based minimum (n + k + promotions).
-  const frontend::network net = frontend::make_parity(4, 1);
-  bdd::manager m(net.input_count());
-  const bdd_graph g = graph_of(net, m);
+  // With gamma = 1 the MIP minimizes S alone under alignment; its optimum
+  // must equal Method 1's aligned minimum n + k. The comparator and
+  // int2float graphs are ones where running the OCT first and promoting
+  // misaligned nodes afterwards missed that minimum.
+  for (const auto& net :
+       {frontend::make_parity(4, 1), frontend::make_comparator(2),
+        frontend::make_int2float(4)}) {
+    bdd::manager m(net.input_count());
+    const bdd_graph g = graph_of(net, m);
 
-  const oct_label_result oct = label_minimal_semiperimeter(g);
-  ASSERT_TRUE(oct.optimal);
+    const oct_label_result oct = label_minimal_semiperimeter(g);
+    ASSERT_TRUE(oct.optimal) << net.name();
+    EXPECT_EQ(oct.promoted, 0u) << net.name();
 
-  mip_label_options options;
-  options.gamma = 1.0;
-  options.time_limit_seconds = 10.0;
-  const mip_label_result mip = label_weighted(g, options);
-  ASSERT_TRUE(mip.optimal);
+    mip_label_options options;
+    options.gamma = 1.0;
+    options.time_limit_seconds = 10.0;
+    options.warm_start_with_oct = false;  // no S >= n + k cut from Method 1
+    const mip_label_result mip = label_weighted(g, options);
+    ASSERT_TRUE(mip.optimal) << net.name();
 
-  EXPECT_EQ(compute_stats(mip.l).semiperimeter,
-            compute_stats(oct.l).semiperimeter);
+    EXPECT_EQ(compute_stats(mip.l).semiperimeter,
+              compute_stats(oct.l).semiperimeter)
+        << net.name();
+  }
 }
 
 TEST(LabelMipTest, GammaHalfNeverWorseInMaxDimension) {

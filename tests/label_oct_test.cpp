@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
+#include "core/compact.hpp"
 #include "core/labelers.hpp"
 #include "frontend/benchgen.hpp"
 #include "frontend/to_bdd.hpp"
+#include "util/metrics.hpp"
 #include "util/rng.hpp"
 
 namespace compact::core {
@@ -27,6 +29,7 @@ TEST(LabelOctTest, FeasibleAndAlignedOnBenchmarks) {
 }
 
 TEST(LabelOctTest, SemiperimeterIsNPlusOctPlusPromotions) {
+  // Alignment is part of the transversal, so promotions are always 0.
   const frontend::network net = frontend::make_ripple_adder(4);
   bdd::manager m(net.input_count());
   const bdd_graph g = graph_of(net, m);
@@ -51,7 +54,7 @@ TEST(LabelOctTest, BipartiteGraphGetsNoVhWithoutAlignment) {
 
 TEST(LabelOctTest, AlignmentPromotesWhenRootAndTerminalCollide) {
   // f = x0: root and terminal are adjacent, so both cannot be H;
-  // alignment must promote exactly one of them to VH.
+  // alignment must make exactly one of them VH.
   bdd::manager m(1);
   const bdd_graph g = build_bdd_graph(m, {m.var(0)}, {"f"});
   const oct_label_result r = label_minimal_semiperimeter(g);
@@ -101,6 +104,53 @@ TEST(LabelOctTest, BalancingNeverIncreasesSemiperimeter) {
       compute_stats(label_minimal_semiperimeter(g, unbalanced).l);
   EXPECT_EQ(sb.semiperimeter, su.semiperimeter);
   EXPECT_LE(sb.max_dimension, su.max_dimension);
+}
+
+// A starved Method-1 run reports a certified gap instead of 0: add32's
+// graph (benchmarks/add32.blif) cannot close in 10 ms, and its gap comes
+// from the engine's odd-cycle packing bound.
+TEST(LabelOctTest, TimedOutRunReportsCertifiedGap) {
+  const frontend::network net = frontend::make_ripple_adder(32);
+  bdd::manager m(net.input_count());
+  const bdd_graph g = graph_of(net, m);
+  labeler_request request;
+  request.time_limit_seconds = 0.01;
+  const labeler_result starved = find_labeler("oct").label(g, request);
+  EXPECT_FALSE(starved.optimal);
+  EXPECT_GT(starved.relative_gap, 0.0);
+  EXPECT_LT(starved.relative_gap, 1.0);
+  EXPECT_TRUE(is_feasible(g.g, starved.l));
+  EXPECT_TRUE(satisfies_alignment(g, starved.l));
+
+  const frontend::network small = frontend::make_ripple_adder(4);
+  bdd::manager m4(small.input_count());
+  const bdd_graph g4 = graph_of(small, m4);
+  const labeler_result proven = find_labeler("oct").label(g4, {});
+  EXPECT_TRUE(proven.optimal);
+  EXPECT_EQ(proven.relative_gap, 0.0);
+}
+
+// graph.oct.search_nodes is a deterministic effort count: equal on a repeat
+// and at any thread count (arbiter8 is benchmarks/arbiter8.blif).
+TEST(LabelOctTest, SearchNodeCounterIsDeterministic) {
+  const frontend::network net = frontend::make_arbiter(8);
+  const bool was_enabled = metrics_enabled();
+  set_metrics_enabled(true);
+  const auto nodes_for = [&net](int threads) {
+    metric_counter& counter =
+        global_metrics().counter("graph.oct.search_nodes");
+    const std::uint64_t before = counter.value();
+    synthesis_options options;
+    options.method = labeling_method::minimal_semiperimeter;
+    options.parallel.threads = threads;
+    (void)synthesize_network(net, options);
+    return counter.value() - before;
+  };
+  const std::uint64_t serial = nodes_for(1);
+  EXPECT_GT(serial, 0u);
+  EXPECT_EQ(nodes_for(1), serial);
+  EXPECT_EQ(nodes_for(8), serial);
+  set_metrics_enabled(was_enabled);
 }
 
 TEST(LabelOctTest, EmptyGraph) {

@@ -68,23 +68,34 @@ TEST(OctReduceTest, ReducedSolveIsDeterministic) {
 
 // The acceptance property: over >= 200 random graphs spanning tree-like to
 // dense, the kernelized solve is optimal-size-preserving and the lift is
-// always a valid transversal of the *original* graph.
+// always a valid transversal of the *original* graph. Three trials in four
+// carry a random never-deleted vertex (the alignment anchor), which the
+// lift must avoid.
 TEST(OctReduceTest, KernelizedSolveMatchesUnreducedOnRandomGraphs) {
   rng random(2026);
   for (int t = 0; t < 220; ++t) {
     const int nodes = 4 + static_cast<int>(random.next_below(14));
     const int percent = 8 + static_cast<int>(random.next_below(32));
     const undirected_graph g = random_graph(random, nodes, percent);
+    graph::oct_options options;
+    if (t % 4 != 0)
+      options.anchor = static_cast<graph::node_id>(
+          random.next_below(static_cast<std::uint64_t>(nodes)));
 
-    const graph::oct_result plain = graph::odd_cycle_transversal(g);
+    const graph::oct_result plain = graph::odd_cycle_transversal(g, options);
     oct_reduction_stats stats;
     const graph::oct_result reduced =
-        reduced_odd_cycle_transversal(g, {}, &stats);
+        reduced_odd_cycle_transversal(g, options, &stats);
 
     ASSERT_TRUE(plain.optimal) << "trial " << t;
     ASSERT_TRUE(reduced.optimal) << "trial " << t;
     EXPECT_TRUE(graph::is_odd_cycle_transversal(g, reduced.in_transversal))
         << "trial " << t;
+    if (options.anchor >= 0) {
+      EXPECT_FALSE(
+          reduced.in_transversal[static_cast<std::size_t>(options.anchor)])
+          << "trial " << t;
+    }
     EXPECT_EQ(reduced.size, plain.size) << "trial " << t;
     EXPECT_EQ(count_true(reduced.in_transversal), reduced.size)
         << "trial " << t;

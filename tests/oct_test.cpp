@@ -83,6 +83,100 @@ TEST(OctTest, MatchesBruteForceOnRandomGraphs) {
   }
 }
 
+/// Minimum transversal avoiding `anchor` by exhaustive search in order of
+/// size, with a bitmask bipartiteness test (fast enough for 14 vertices).
+std::size_t brute_force_anchored_oct(const undirected_graph& g,
+                                     node_id anchor) {
+  const int n = static_cast<int>(g.node_count());
+  std::vector<unsigned> adjacency(static_cast<std::size_t>(n), 0);
+  for (const edge& e : g.edges()) {
+    adjacency[static_cast<std::size_t>(e.u)] |= 1u << e.v;
+    adjacency[static_cast<std::size_t>(e.v)] |= 1u << e.u;
+  }
+  const auto bipartite_without = [&](unsigned removed) {
+    unsigned side[2] = {0, 0};
+    unsigned unvisited = ((1u << n) - 1) & ~removed;
+    while (unvisited != 0) {
+      unsigned frontier = unvisited & -unvisited;
+      int parity = 0;
+      while (frontier != 0) {
+        side[parity] |= frontier;
+        unvisited &= ~frontier;
+        unsigned next = 0;
+        for (unsigned f = frontier; f != 0; f &= f - 1)
+          next |= adjacency[static_cast<std::size_t>(__builtin_ctz(f))];
+        next &= ~removed;
+        if ((next & side[parity]) != 0) return false;
+        parity ^= 1;
+        frontier = next & unvisited;
+      }
+    }
+    return true;
+  };
+  for (int size = 0; size <= n; ++size)
+    for (unsigned mask = 0; mask < (1u << n); ++mask)
+      if (__builtin_popcount(mask) == size &&
+          (anchor < 0 || (mask & (1u << anchor)) == 0) &&
+          bipartite_without(mask))
+        return static_cast<std::size_t>(size);
+  return g.node_count();
+}
+
+// The engine against exhaustive search: 240 random graphs of 4-14
+// vertices at 8-40% density, every second one with a never-deleted vertex.
+TEST(OctTest, EngineMatchesBruteForceWithAndWithoutAnchor) {
+  rng random(2027);
+  for (int t = 0; t < 240; ++t) {
+    const int n = 4 + static_cast<int>(random.next_below(11));
+    const int percent = 8 + static_cast<int>(random.next_below(33));
+    undirected_graph g(static_cast<std::size_t>(n));
+    for (int i = 0; i < n; ++i)
+      for (int j = i + 1; j < n; ++j)
+        if (static_cast<int>(random.next_below(100)) < percent)
+          g.add_edge(i, j);
+    oct_options options;
+    if (t % 2 == 1)
+      options.anchor = static_cast<node_id>(
+          random.next_below(static_cast<std::uint64_t>(n)));
+    const oct_result r = odd_cycle_transversal(g, options);
+    ASSERT_TRUE(r.optimal) << "trial " << t;
+    EXPECT_TRUE(is_odd_cycle_transversal(g, r.in_transversal))
+        << "trial " << t;
+    if (options.anchor >= 0) {
+      EXPECT_FALSE(r.in_transversal[static_cast<std::size_t>(options.anchor)])
+          << "trial " << t;
+    }
+    EXPECT_EQ(r.size, brute_force_anchored_oct(g, options.anchor))
+        << "trial " << t;
+    EXPECT_EQ(r.lower_bound, r.size) << "trial " << t;
+  }
+}
+
+// The Lemma-1 ILP oracle agrees with the engine on larger graphs than
+// exhaustive search reaches, anchor included.
+TEST(OctTest, IlpOracleAgreesWithEngineOnLargerGraphs) {
+  rng random(43);
+  for (int t = 0; t < 20; ++t) {
+    const int n = 15 + static_cast<int>(random.next_below(16));
+    undirected_graph g(static_cast<std::size_t>(n));
+    for (int i = 0; i < n; ++i)
+      for (int j = i + 1; j < n; ++j)
+        if (static_cast<int>(random.next_below(1000)) < 2500 / n)
+          g.add_edge(i, j);
+    oct_options bnb;
+    if (t % 2 == 1)
+      bnb.anchor = static_cast<node_id>(
+          random.next_below(static_cast<std::uint64_t>(n)));
+    oct_options ilp = bnb;
+    ilp.engine = oct_engine::ilp;
+    const oct_result a = odd_cycle_transversal(g, bnb);
+    const oct_result b = odd_cycle_transversal(g, ilp);
+    ASSERT_TRUE(a.optimal) << "trial " << t;
+    ASSERT_TRUE(b.optimal) << "trial " << t;
+    EXPECT_EQ(a.size, b.size) << "trial " << t;
+  }
+}
+
 TEST(OctTest, IlpEngineAgreesWithBnb) {
   rng random(37);
   for (int t = 0; t < 6; ++t) {

@@ -114,6 +114,50 @@ void BM_SimplexVertexCoverRelaxation(benchmark::State& state) {
 }
 BENCHMARK(BM_SimplexVertexCoverRelaxation)->Arg(16)->Arg(64)->Arg(128);
 
+/// The unit of work behind every branch-and-bound child, probe and dive
+/// step: one bound change and a dual re-solve from an optimal basis. The LP
+/// has the shape of Eq. 4: two boxed label columns and a covering row per
+/// node, one selector per edge and two three-nonzero rows per edge (a ring
+/// plus random chords). Each iteration restores the solved engine, fixes
+/// the first label the root LP sets to 1 down to 0 and re-solves.
+void BM_SimplexWarmResolve(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  milp::model m;
+  for (int i = 0; i < n; ++i) {
+    const int h = m.add_variable(0.0, 1.0, 0.5, false, "");
+    const int v = m.add_variable(0.0, 1.0, 0.5, false, "");
+    m.add_constraint({{h, 1.0}, {v, 1.0}}, milp::relation::greater_equal, 1.0);
+  }
+  rng random(11);
+  for (int e = 0; e < 2 * n; ++e) {
+    const int u = e % n;
+    const int w = e < n ? (u + 1) % n
+                        : static_cast<int>(random.next_below(
+                              static_cast<std::uint64_t>(n)));
+    if (u == w) continue;
+    const int sel = m.add_variable(0.0, 1.0, 0.0, false, "");
+    m.add_constraint({{2 * u + 1, 1.0}, {2 * w, 1.0}, {sel, 2.0}},
+                     milp::relation::greater_equal, 2.0);
+    m.add_constraint({{2 * u, 1.0}, {2 * w + 1, 1.0}, {sel, -2.0}},
+                     milp::relation::greater_equal, 0.0);
+  }
+  milp::lp_engine solved(milp::make_lp_matrix(m));
+  const milp::lp_result root = solved.solve({});
+  int var = 0;
+  while (var + 1 < 2 * n && root.x[static_cast<std::size_t>(var)] < 0.5) ++var;
+  milp::lp_engine engine = solved;
+  long iterations = 0;
+  for (auto _ : state) {
+    engine = solved;
+    engine.set_bounds(var, 0.0, 0.0);
+    const milp::lp_result r = engine.solve({});
+    iterations = r.iterations;
+    benchmark::DoNotOptimize(r.objective);
+  }
+  state.counters["lp_iterations"] = static_cast<double>(iterations);
+}
+BENCHMARK(BM_SimplexWarmResolve)->Arg(64)->Arg(256);
+
 void BM_CrossbarEvaluate(benchmark::State& state) {
   const frontend::network net = frontend::make_comparator(8);
   bdd::manager m(net.input_count());

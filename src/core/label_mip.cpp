@@ -16,9 +16,9 @@ struct mip_layout {
   static int xv(graph::node_id i) { return 2 * i + 1; }
 };
 
-/// Method 1 run used as warm start / fallback, memoized through `cache` when
-/// one is supplied. The key matches a standalone "oct" labeler run with the
-/// same options, so gamma sweeps over one graph share a single OCT solve.
+/// Method 1 run used as warm start, memoized through `cache` when one is
+/// supplied. The key matches a standalone "oct" labeler run with the same
+/// options, so gamma sweeps over one graph share a single OCT solve.
 oct_label_result warm_oct_labeling(const bdd_graph& graph,
                                    const oct_label_options& oct,
                                    labeling_cache* cache) {
@@ -59,35 +59,6 @@ mip_label_result label_weighted(const bdd_graph& graph,
   if (n == 0) {
     result.optimal = true;
     return result;
-  }
-
-  // Memory guard: the LP engine keeps a dense tableau of roughly
-  // (n + 2|E| + 4) x (3n + |E| + rows) doubles. Beyond ~500 MB we fall back
-  // to Method 1's labeling and report the instance as unconverged — the
-  // same observable behaviour as the paper's timed-out large circuits.
-  {
-    const double rows_estimate = static_cast<double>(g.node_count()) +
-                                 2.0 * static_cast<double>(g.edge_count()) + 4.0;
-    const double cols_estimate = 3.0 * static_cast<double>(g.node_count()) +
-                                 static_cast<double>(g.edge_count()) +
-                                 rows_estimate;
-    if (rows_estimate * cols_estimate * 8.0 > 500e6) {
-      check(!options.max_rows && !options.max_columns,
-            "label_weighted: instance too large for constrained synthesis");
-      oct_label_options oct;
-      oct.alignment = options.alignment;
-      oct.time_limit_seconds = options.oct_time_limit_seconds;
-      oct.reduce = options.reduce;
-      oct.threads = options.threads;
-      oct_label_result fallback = warm_oct_labeling(graph, oct, options.cache);
-      result.l = std::move(fallback.l);
-      result.optimal = false;
-      result.relative_gap = 1.0;
-      result.objective =
-          options.gamma * compute_stats(result.l).semiperimeter +
-          (1.0 - options.gamma) * compute_stats(result.l).max_dimension;
-      return result;
-    }
   }
 
   // ---- Build the MIP of Eq. 4 (+ Eq. 7 alignment). ----------------------

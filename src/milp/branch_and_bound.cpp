@@ -1,8 +1,10 @@
 #include "milp/branch_and_bound.hpp"
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <limits>
+#include <memory>
 #include <queue>
 
 #include "milp/presolve.hpp"
@@ -25,11 +27,19 @@ constexpr double int_tolerance = 1e-6;
 /// bit-identical-across-thread-counts guarantee breaks.
 constexpr std::size_t batch_size = 8;
 
+/// A branched node's optimal LP basis, shared by its children: each child
+/// loads it with a fresh factorization and re-solves under its own bounds.
+struct node_basis {
+  lp_basis status;
+  int open_children = 0;  // children still queued; coordinator-only
+};
+
 struct bb_node {
   double lp_bound = -inf;  // parent LP objective (lower bound for subtree)
   std::uint64_t id = 0;    // creation order; the deterministic tie-break
   // Branching decisions along the path from the root: (var, lower, upper).
   std::vector<std::tuple<int, double, double>> fixings;
+  std::shared_ptr<node_basis> basis;  // parent's final basis; null at the root
 };
 
 struct node_order {
@@ -75,27 +85,30 @@ std::optional<std::vector<double>> round_heuristic(const model& m,
   return std::nullopt;
 }
 
-/// Diving heuristic: starting from `working`'s current bounds, repeatedly
-/// fix the most fractional integer variable to its nearest value (flipping
-/// once on infeasibility) until the LP relaxation turns integral. Returns
-/// an integer-feasible point for the *original* model or nullopt. `working`
-/// is a per-item scratch copy, so its bounds need no restoring.
-std::optional<std::vector<double>> dive_heuristic(model& working,
-                                                  const model& original,
-                                                  const lp_options& lp_opts,
-                                                  std::vector<double> x,
-                                                  int max_depth,
-                                                  double time_budget_seconds) {
-  stopwatch dive_clock;
-  std::vector<bool> skipped(working.variable_count(), false);
+/// Diving heuristic: starting from `engine`'s solved node, repeatedly fix
+/// the most fractional integer variable to its nearest value (flipping once
+/// on infeasibility) and re-solve from the previous basis, until the LP
+/// relaxation turns integral. Returns an integer-feasible point for the
+/// *original* model or nullopt. `engine` is the item's own, so its bounds
+/// need no restoring. Adds the dive's LP iterations to `iterations`.
+std::optional<std::vector<double>> dive_heuristic(
+    lp_engine& engine, const model& searched, const model& original,
+    const lp_options& lp_opts, lp_engine::clock::time_point deadline,
+    std::vector<double> x, int max_depth, long& iterations) {
+  std::vector<bool> skipped(searched.variable_count(), false);
+  auto resolve = [&] {
+    lp_result lp = engine.solve(lp_opts, deadline);
+    iterations += lp.iterations;
+    return lp;
+  };
   for (int depth = 0; depth < max_depth; ++depth) {
-    if (dive_clock.seconds() > time_budget_seconds) return std::nullopt;
+    if (lp_engine::clock::now() >= deadline) return std::nullopt;
     // Most fractional non-skipped integer variable (priority-aware).
     int var = -1;
     int best_priority = 0;
     double best_dist = 0.0;
-    for (std::size_t j = 0; j < working.variable_count(); ++j) {
-      const variable& v = working.var(static_cast<int>(j));
+    for (std::size_t j = 0; j < searched.variable_count(); ++j) {
+      const variable& v = searched.var(static_cast<int>(j));
       if (!v.is_integer || skipped[j]) continue;
       const double frac = x[j] - std::floor(x[j]);
       const double dist = std::min(frac, 1.0 - frac);
@@ -109,32 +122,32 @@ std::optional<std::vector<double>> dive_heuristic(model& working,
     }
     if (var == -1) {
       // Integral on every non-skipped variable; snap and test.
-      for (std::size_t j = 0; j < working.variable_count(); ++j)
-        if (working.var(static_cast<int>(j)).is_integer)
+      for (std::size_t j = 0; j < searched.variable_count(); ++j)
+        if (searched.var(static_cast<int>(j)).is_integer)
           x[j] = std::round(x[j]);
       if (original.is_feasible(x)) return x;
       return std::nullopt;
     }
-    const double saved_lower = working.var(var).lower;
-    const double saved_upper = working.var(var).upper;
+    const double saved_lower = engine.lower(var);
+    const double saved_upper = engine.upper(var);
     const double rounded = std::round(x[static_cast<std::size_t>(var)]);
-    working.set_bounds(var, rounded, rounded);
-    lp_result lp = solve_lp(working, lp_opts);
+    engine.set_bounds(var, rounded, rounded);
+    lp_result lp = resolve();
     if (lp.status != lp_status::optimal) {
       // Flip once; if that also fails, leave the variable free for later
       // instead of abandoning the dive.
       const double flipped = rounded > saved_lower ? saved_lower : saved_upper;
       if (std::isfinite(flipped)) {
-        working.set_bounds(var, flipped, flipped);
-        lp = solve_lp(working, lp_opts);
+        engine.set_bounds(var, flipped, flipped);
+        lp = resolve();
       }
       if (lp.status != lp_status::optimal) {
-        working.set_bounds(var, saved_lower, saved_upper);
+        engine.set_bounds(var, saved_lower, saved_upper);
         skipped[static_cast<std::size_t>(var)] = true;
         continue;
       }
     }
-    x = lp.x;
+    x = std::move(lp.x);
   }
   return std::nullopt;
 }
@@ -150,7 +163,8 @@ double relative_gap(double incumbent, double bound) {
 struct item_outcome {
   lp_status status = lp_status::infeasible;
   double objective = inf;
-  long iterations = 0;
+  long iterations = 0;       // node LP plus strong-branching probes
+  long dive_iterations = 0;  // diving heuristic LPs
   bool pruned = false;  // bound >= round-start incumbent, node concluded
   int branch_var = -1;
   double down_lower = 0.0, down_upper = 0.0;  // child bounds when branching
@@ -164,6 +178,7 @@ struct item_outcome {
   std::optional<std::vector<double>> rounded;   // rounding heuristic point
   bool dive_attempted = false;
   std::optional<std::vector<double>> dived;     // diving heuristic point
+  lp_basis basis;  // the node LP's optimal basis, kept when branching
   int thread_slot = 0;
   std::uint64_t busy_us = 0;
 };
@@ -175,6 +190,7 @@ struct item_outcome {
 struct solve_metrics_guard {
   const mip_result& result;
   const std::uint64_t& lp_iterations;
+  const std::uint64_t& dive_lp_iterations;
   const std::uint64_t& incumbents;
   const std::uint64_t& rounds;
   ~solve_metrics_guard() {
@@ -183,6 +199,7 @@ struct solve_metrics_guard {
     registry.counter("milp.bnb.nodes_explored")
         .add(static_cast<std::uint64_t>(result.nodes_explored));
     registry.counter("milp.bnb.lp_iterations").add(lp_iterations);
+    registry.counter("milp.bnb.dive_lp_iterations").add(dive_lp_iterations);
     registry.counter("milp.bnb.incumbents").add(incumbents);
     registry.counter("milp.bnb.rounds").add(rounds);
     registry.counter("milp.bnb.solves").increment();
@@ -192,11 +209,22 @@ struct solve_metrics_guard {
 mip_result solve_mip(const model& original, const mip_options& options) {
   const trace_span span("solve_mip", "milp");
   stopwatch clock;
+  // Every LP of this solve stops at one absolute deadline on the solve's
+  // own clock, however many nodes, probes and dive steps came before it.
+  const lp_engine::clock::time_point deadline =
+      options.time_limit_seconds < 1e9
+          ? lp_engine::clock::now() +
+                std::chrono::duration_cast<lp_engine::clock::duration>(
+                    std::chrono::duration<double>(
+                        std::max(0.0, options.time_limit_seconds)))
+          : lp_engine::clock::time_point::max();
   mip_result result;
-  std::uint64_t lp_iterations = 0;  // node-LP simplex iterations
-  std::uint64_t incumbents = 0;     // accepted incumbent improvements
-  std::uint64_t rounds = 0;         // synchronous search rounds
-  const solve_metrics_guard metrics_guard{result, lp_iterations, incumbents,
+  std::uint64_t lp_iterations = 0;       // node and probe LP iterations
+  std::uint64_t dive_lp_iterations = 0;  // diving heuristic LP iterations
+  std::uint64_t incumbents = 0;          // accepted incumbent improvements
+  std::uint64_t rounds = 0;              // synchronous search rounds
+  const solve_metrics_guard metrics_guard{result, lp_iterations,
+                                          dive_lp_iterations, incumbents,
                                           rounds};
 
   for (std::size_t j = 0; j < original.variable_count(); ++j) {
@@ -274,10 +302,12 @@ mip_result solve_mip(const model& original, const mip_options& options) {
 
   std::priority_queue<bb_node, std::vector<bb_node>, node_order> open;
   std::uint64_t next_node_id = 0;
-  open.push(bb_node{-inf, next_node_id++, {}});
+  open.push(bb_node{-inf, next_node_id++, {}, nullptr});
 
-  // Worker pool for node LPs. Created once per solve; each batch item gets
-  // its own copy of `searched`, so workers share nothing mutable.
+  // Worker pool for node LPs. Created once per solve. Every batch item
+  // builds its own LP engine over the shared, immutable sparse copy of
+  // `searched`, so workers share nothing mutable.
+  const std::shared_ptr<const lp_matrix> matrix = make_lp_matrix(searched);
   const int thread_count = std::max(1, options.threads);
   std::optional<thread_pool> pool;
   if (thread_count > 1) pool.emplace(thread_count);
@@ -307,53 +337,55 @@ mip_result solve_mip(const model& original, const mip_options& options) {
     return std::ceil(bound / step - 1e-6) * step;
   };
 
-  /// Solve one node on (a copy of) the reduced model. Pure function of the
-  /// node, the round-start incumbent and the LP options — never of thread
-  /// scheduling — so the merge below is deterministic.
+  /// Solve one node on its own engine over the reduced model: load the
+  /// parent's basis (the root starts from the slack basis), apply the node's
+  /// bounds and re-solve with dual pivots. Pure function of the node (its
+  /// bounds and parent basis), the round-start incumbent and the LP options
+  /// — never of thread scheduling — so the merge below is deterministic.
   auto process_item = [&](const bb_node& node, double round_incumbent,
-                          bool root_known, bool dive_scheduled,
-                          lp_options node_lp,
-                          double remaining) -> item_outcome {
+                          bool root_known,
+                          bool dive_scheduled) -> item_outcome {
     stopwatch busy;
     item_outcome out;
     out.thread_slot = current_thread_slot();
-    model working = searched;
-    for (const auto& [var, lo, hi] : node.fixings)
-      working.set_bounds(var, lo, hi);
-    const lp_result lp = solve_lp(working, node_lp);
+    auto finish = [&] {
+      out.busy_us = static_cast<std::uint64_t>(busy.seconds() * 1e6);
+      return std::move(out);
+    };
+    lp_engine engine(matrix);
+    for (const auto& [var, lo, hi] : node.fixings) engine.set_bounds(var, lo, hi);
+    if (node.basis) engine.load_basis(node.basis->status);
+    const lp_result lp = engine.solve(options.lp, deadline);
     out.status = lp.status;
     out.iterations = lp.iterations;
-    if (lp.status != lp_status::optimal) {
-      out.busy_us = static_cast<std::uint64_t>(busy.seconds() * 1e6);
-      return out;
-    }
+    if (lp.status != lp_status::optimal) return finish();
     out.objective = strengthen(lp.objective);
     if (root_known && out.objective >= round_incumbent - 1e-9) {
       out.pruned = true;
-      out.busy_us = static_cast<std::uint64_t>(busy.seconds() * 1e6);
-      return out;
+      return finish();
     }
 
-    out.branch_var = most_fractional(working, lp.x);
+    out.branch_var = most_fractional(searched, lp.x);
     if (out.branch_var == -1) {
       // Integer feasible: snap to exact integers.
       std::vector<double> x = lp.x;
-      for (std::size_t j = 0; j < working.variable_count(); ++j)
-        if (working.var(static_cast<int>(j)).is_integer)
+      for (std::size_t j = 0; j < searched.variable_count(); ++j)
+        if (searched.var(static_cast<int>(j)).is_integer)
           x[j] = std::round(x[j]);
       out.integral = std::move(x);
-      out.busy_us = static_cast<std::uint64_t>(busy.seconds() * 1e6);
-      return out;
+      return finish();
     }
+    out.basis = engine.basis();
 
     // Rounding heuristic: cheap incumbents early in the search.
     out.rounded = round_heuristic(original, lp.x);
 
     // Strong branching: probe the most fractional candidates with
-    // iteration-capped child LPs; branch where the weaker child bound
-    // improves most. A probe that proves a child infeasible or past the
-    // incumbent concludes that subtree here — it is never queued — and a
-    // node with both children dead is finished outright.
+    // iteration-capped child LPs, each re-solved from this node's optimal
+    // engine state after a single bound change; branch where the weaker
+    // child bound improves most. A probe that proves a child infeasible or
+    // past the incumbent concludes that subtree here — it is never queued —
+    // and a node with both children dead is finished outright.
     if (options.strong_branching_candidates > 0) {
       struct sb_candidate {
         double dist;
@@ -361,8 +393,8 @@ mip_result solve_mip(const model& original, const mip_options& options) {
         int var;
       };
       std::vector<sb_candidate> candidates;
-      for (std::size_t j = 0; j < working.variable_count(); ++j) {
-        const variable& v = working.var(static_cast<int>(j));
+      for (std::size_t j = 0; j < searched.variable_count(); ++j) {
+        const variable& v = searched.var(static_cast<int>(j));
         if (!v.is_integer) continue;
         const double frac = lp.x[j] - std::floor(lp.x[j]);
         const double dist = std::min(frac, 1.0 - frac);
@@ -380,19 +412,20 @@ mip_result solve_mip(const model& original, const mip_options& options) {
         candidates.resize(
             static_cast<std::size_t>(options.strong_branching_candidates));
 
-      lp_options probe_lp = node_lp;
+      lp_options probe_lp = options.lp;
       probe_lp.max_iterations = options.strong_branching_iterations;
+      const lp_engine solved = engine;
       double best_score = -inf;
       for (const sb_candidate& c : candidates) {
         const double value = lp.x[static_cast<std::size_t>(c.var)];
-        const double lo = working.var(c.var).lower;
-        const double hi = working.var(c.var).upper;
+        const double lo = engine.lower(c.var);
+        const double hi = engine.upper(c.var);
         double bound[2] = {out.objective, out.objective};  // down, up
         bool dead[2] = {false, false};
         for (int side = 0; side < 2; ++side) {
-          working.set_bounds(c.var, side == 0 ? lo : std::ceil(value),
-                             side == 0 ? std::floor(value) : hi);
-          const lp_result probe = solve_lp(working, probe_lp);
+          engine.set_bounds(c.var, side == 0 ? lo : std::ceil(value),
+                            side == 0 ? std::floor(value) : hi);
+          const lp_result probe = engine.solve(probe_lp, deadline);
           out.iterations += probe.iterations;
           if (probe.status == lp_status::infeasible) {
             dead[side] = true;
@@ -402,8 +435,8 @@ mip_result solve_mip(const model& original, const mip_options& options) {
               dead[side] = true;
           }
           // Inconclusive probes (iteration cap) keep the parent bound.
+          engine = solved;
         }
-        working.set_bounds(c.var, lo, hi);
         if (dead[0] && dead[1]) {
           out.pruned = true;  // no improving solution below this node
           break;
@@ -421,37 +454,31 @@ mip_result solve_mip(const model& original, const mip_options& options) {
           out.up_dead = dead[1];
         }
       }
-      if (out.pruned) {
-        out.busy_us = static_cast<std::uint64_t>(busy.seconds() * 1e6);
-        return out;
-      }
+      if (out.pruned) return finish();
     }
 
     const double value = lp.x[static_cast<std::size_t>(out.branch_var)];
-    out.down_lower = working.var(out.branch_var).lower;
+    out.down_lower = engine.lower(out.branch_var);
     out.down_upper = std::floor(value);
     out.up_lower = std::ceil(value);
-    out.up_upper = working.var(out.branch_var).upper;
+    out.up_upper = engine.upper(out.branch_var);
 
-    // Diving heuristic: LP-guided fix-and-resolve, scheduled by the
-    // coordinator (deterministically, by node ordinal).
+    // Diving heuristic: LP-guided fix-and-resolve from this node's basis,
+    // scheduled by the coordinator (deterministically, by node ordinal).
     if (dive_scheduled) {
       out.dive_attempted = true;
-      lp_options dive_lp = node_lp;
-      dive_lp.time_limit_seconds = std::min(dive_lp.time_limit_seconds,
-                                            std::max(0.01, remaining / 20.0));
       out.dived = dive_heuristic(
-          working, original, dive_lp, lp.x,
-          std::min<int>(static_cast<int>(working.variable_count()), 160),
-          /*time_budget_seconds=*/remaining * 0.5);
+          engine, searched, original, options.lp, deadline, lp.x,
+          std::min<int>(static_cast<int>(searched.variable_count()), 160),
+          out.dive_iterations);
     }
-    out.busy_us = static_cast<std::uint64_t>(busy.seconds() * 1e6);
-    return out;
+    return finish();
   };
 
   std::vector<bb_node> batch;
   std::vector<bool> dive_flags;
   account_guard open_nodes_charge(memtrack_account("milp.bnb_nodes"));
+  std::uint64_t open_basis_bytes = 0;
   while (!open.empty()) {
     if (clock.seconds() > options.time_limit_seconds ||
         result.nodes_explored >= options.node_limit) {
@@ -461,10 +488,12 @@ mip_result solve_mip(const model& original, const mip_options& options) {
     ++rounds;
     // Round boundary: sample the ambient resource watchdog (a memory or
     // deadline trip aborts the whole solve with resource_limit_error) and
-    // re-account the open-node queue. The byte figure counts node headers;
-    // per-node branching paths are small and excluded.
+    // re-account the open-node queue. The byte figure counts node headers
+    // and the stored parent bases (one status byte per column, each counted
+    // once however many children share it); per-node branching paths are
+    // small and excluded.
     (void)resource_checkpoint("milp.bnb.round");
-    open_nodes_charge.set(open.size() * sizeof(bb_node));
+    open_nodes_charge.set(open.size() * sizeof(bb_node) + open_basis_bytes);
     const double round_start_seconds = clock.seconds();
 
     // Global dual bound: best (lowest) bound among open nodes, capped by the
@@ -490,6 +519,8 @@ mip_result solve_mip(const model& original, const mip_options& options) {
     while (batch.size() < batch_size && !open.empty()) {
       bb_node node = open.top();
       open.pop();
+      if (node.basis && --node.basis->open_children == 0)
+        open_basis_bytes -= node.basis->status.size();
       if (root_done && (node.lp_bound >= incumbent_obj - 1e-9 ||
                         gap_closed(node.lp_bound)))
         continue;
@@ -502,9 +533,6 @@ mip_result solve_mip(const model& original, const mip_options& options) {
     const bool root_known = root_done;
     const double remaining =
         options.time_limit_seconds - clock.seconds();
-    lp_options node_lp = options.lp;
-    node_lp.time_limit_seconds =
-        std::min(node_lp.time_limit_seconds, std::max(0.01, remaining));
     const long dive_period = std::isfinite(round_incumbent)
                                  ? 128
                                  : (dive_failures < 5 ? 4 : 64);
@@ -522,7 +550,7 @@ mip_result solve_mip(const model& original, const mip_options& options) {
       for (std::size_t i = 0; i < batch.size(); ++i) {
         futures.push_back(pool->submit([&, i] {
           return process_item(batch[i], round_incumbent, root_known,
-                              dive_flags[i], node_lp, remaining);
+                              dive_flags[i]);
         }));
       }
       for (auto& f : futures) f.wait();  // never unwind past running tasks
@@ -530,7 +558,7 @@ mip_result solve_mip(const model& original, const mip_options& options) {
     } else {
       for (std::size_t i = 0; i < batch.size(); ++i)
         outcomes.push_back(process_item(batch[i], round_incumbent, root_known,
-                                        dive_flags[i], node_lp, remaining));
+                                        dive_flags[i]));
     }
 
     // Merge in item order: this loop is the only place the incumbent, the
@@ -542,6 +570,7 @@ mip_result solve_mip(const model& original, const mip_options& options) {
       item_outcome& r = outcomes[i];
       ++result.nodes_explored;
       lp_iterations += static_cast<std::uint64_t>(r.iterations);
+      dive_lp_iterations += static_cast<std::uint64_t>(r.dive_iterations);
       round_busy_us += r.busy_us;
       if (metrics_enabled())
         global_metrics()
@@ -595,16 +624,23 @@ mip_result solve_mip(const model& original, const mip_options& options) {
       }
       if (r.rounded) accept(std::move(*r.rounded));
 
+      // Both children warm-start from one stored copy of this node's basis.
+      auto basis = std::make_shared<node_basis>();
+      basis->status = std::move(r.basis);
+      basis->open_children = (r.down_dead ? 0 : 1) + (r.up_dead ? 0 : 1);
+      if (basis->open_children > 0) open_basis_bytes += basis->status.size();
       bb_node down;
       down.lp_bound = std::max(r.objective, r.down_bound);
       down.id = next_node_id++;
       down.fixings = node.fixings;
       down.fixings.emplace_back(r.branch_var, r.down_lower, r.down_upper);
+      down.basis = basis;
       bb_node up;
       up.lp_bound = std::max(r.objective, r.up_bound);
       up.id = next_node_id++;
       up.fixings = node.fixings;
       up.fixings.emplace_back(r.branch_var, r.up_lower, r.up_upper);
+      up.basis = std::move(basis);
       if (!r.down_dead) open.push(std::move(down));
       if (!r.up_dead) open.push(std::move(up));
 

@@ -3,6 +3,7 @@
 #include "core/labelers.hpp"
 #include "frontend/benchgen.hpp"
 #include "frontend/to_bdd.hpp"
+#include "util/metrics.hpp"
 
 namespace compact::core {
 namespace {
@@ -99,6 +100,49 @@ TEST(LabelMipTest, TraceRecordsConvergence) {
   ASSERT_FALSE(r.trace.empty());
   for (std::size_t i = 1; i < r.trace.size(); ++i)
     EXPECT_LE(r.trace[i].best_integer, r.trace[i - 1].best_integer + 1e-9);
+}
+
+// The branch-and-bound effort counters are deterministic: equal on a repeat
+// and at any thread count, because every node LP is a pure function of its
+// parent's basis and its own bounds.
+TEST(LabelMipTest, SearchEffortIsDeterministic) {
+  const bool was_enabled = metrics_enabled();
+  set_metrics_enabled(true);
+  struct effort {
+    long nodes = 0;
+    std::uint64_t lp_iterations = 0;
+    std::uint64_t dive_lp_iterations = 0;
+    bool operator==(const effort& o) const {
+      return nodes == o.nodes && lp_iterations == o.lp_iterations &&
+             dive_lp_iterations == o.dive_lp_iterations;
+    }
+  };
+  for (const frontend::network& net :
+       {frontend::make_comparator(3), frontend::make_parity(8, 2)}) {
+    bdd::manager m(net.input_count());
+    const bdd_graph g = graph_of(net, m);
+    const auto effort_at = [&g](int threads) {
+      metric_counter& lp = global_metrics().counter("milp.bnb.lp_iterations");
+      metric_counter& dive =
+          global_metrics().counter("milp.bnb.dive_lp_iterations");
+      const std::uint64_t lp_before = lp.value();
+      const std::uint64_t dive_before = dive.value();
+      mip_label_options options;
+      options.gamma = 0.5;
+      options.time_limit_seconds = 60.0;
+      options.threads = threads;
+      const mip_label_result r = label_weighted(g, options);
+      EXPECT_TRUE(r.optimal);
+      return effort{r.nodes_explored, lp.value() - lp_before,
+                    dive.value() - dive_before};
+    };
+    const effort serial = effort_at(1);
+    EXPECT_GT(serial.nodes, 0);
+    EXPECT_GT(serial.lp_iterations, 0u);
+    EXPECT_TRUE(effort_at(1) == serial);
+    EXPECT_TRUE(effort_at(8) == serial);
+  }
+  set_metrics_enabled(was_enabled);
 }
 
 TEST(LabelMipTest, RejectsBadGamma) {

@@ -226,6 +226,134 @@ TEST(SimplexTest, OptimalSolutionsAlwaysFeasibleUnderRandomFixings) {
   }
 }
 
+TEST(SimplexTest, WarmResolveMatchesColdSolve) {
+  // Branch-and-bound re-solves an engine after every bound change. Each warm
+  // answer must equal a cold solve of the same bounds: same status, same
+  // objective, and a point that really satisfies the model.
+  rng random(1717);
+  int warm_solves = 0;
+  int infeasible = 0;
+  int optimal = 0;
+  for (int trial = 0; trial < 120; ++trial) {
+    model m;
+    const int n = 3 + static_cast<int>(random.next_below(8));
+    const int rows = 2 + static_cast<int>(random.next_below(8));
+    std::vector<double> upper(static_cast<std::size_t>(n));
+    std::vector<double> anchor(static_cast<std::size_t>(n));
+    for (int j = 0; j < n; ++j) {
+      upper[j] = 1.0 + static_cast<double>(random.next_below(4));
+      anchor[j] = random.next_double() * upper[j];
+      m.add_variable(0.0, upper[j], random.next_double() * 2.0 - 1.0, false, "");
+    }
+    for (int i = 0; i < rows; ++i) {
+      std::vector<linear_term> terms;
+      double activity = 0.0;
+      for (int j = 0; j < n; ++j) {
+        if (random.next_below(3) != 0) continue;
+        const double coefficient = random.next_double() * 4.0 - 2.0;
+        terms.push_back({j, coefficient});
+        activity += coefficient * anchor[j];
+      }
+      if (terms.empty()) {
+        terms.push_back({i % n, 1.0});
+        activity = anchor[i % n];
+      }
+      // Rows hold at the anchor point, so the unfixed LP is feasible.
+      const auto kind = random.next_below(3);
+      const double slack = random.next_double() * 2.0;
+      if (kind == 0)
+        m.add_constraint(terms, relation::less_equal, activity + slack);
+      else if (kind == 1)
+        m.add_constraint(terms, relation::greater_equal, activity - slack);
+      else
+        m.add_constraint(terms, relation::equal, activity);
+    }
+
+    lp_engine engine(make_lp_matrix(m));
+    model cold = m;
+    for (int step = 0; step < 14; ++step) {
+      const int j = static_cast<int>(random.next_below(static_cast<std::uint64_t>(n)));
+      double lo = 0.0;
+      double hi = upper[j];
+      switch (random.next_below(3)) {
+        case 0: {  // tighten one side around the current range
+          const double cut = random.next_double() * upper[j];
+          if (random.next_bool())
+            lo = std::min(cut, engine.upper(j));
+          else
+            hi = std::max(cut, engine.lower(j));
+          lo = std::max(lo, engine.lower(j));
+          hi = std::min(hi, engine.upper(j));
+          if (lo > hi) lo = hi;
+          break;
+        }
+        case 1: {  // fix to an integer value, often infeasible with = rows
+          const double value =
+              static_cast<double>(random.next_below(static_cast<std::uint64_t>(upper[j]) + 1));
+          lo = hi = value;
+          break;
+        }
+        default:  // restore the original bounds
+          break;
+      }
+      engine.set_bounds(j, lo, hi);
+      cold.set_bounds(j, lo, hi);
+      const lp_result warm = engine.solve({});
+      const lp_result reference = solve_lp(cold);
+      ++warm_solves;
+      ASSERT_EQ(warm.status, reference.status)
+          << "trial " << trial << " step " << step;
+      if (warm.status == lp_status::infeasible) ++infeasible;
+      if (warm.status != lp_status::optimal) continue;
+      ++optimal;
+      EXPECT_NEAR(warm.objective, reference.objective, 1e-6)
+          << "trial " << trial << " step " << step;
+      EXPECT_TRUE(cold.is_feasible_continuous(warm.x, 1e-6))
+          << "trial " << trial << " step " << step;
+      EXPECT_NEAR(cold.objective_value(warm.x), warm.objective, 1e-6);
+    }
+  }
+  EXPECT_GE(warm_solves, 100 * 14);
+  EXPECT_GT(infeasible, 50);
+  EXPECT_GT(optimal, 500);
+}
+
+TEST(SimplexTest, WarmStartFromLoadedBasisNeedsFewPivots) {
+  // A child node loads its parent's optimal basis, changes one bound and
+  // re-solves; on a covering LP that costs a handful of dual pivots, and the
+  // unchanged problem costs none.
+  const int n = 40;
+  model m;
+  for (int i = 0; i < n; ++i) m.add_variable(0.0, 1.0, 1.0, false, "");
+  for (int i = 0; i < n; ++i)
+    m.add_constraint({{i, 1.0}, {(i + 1) % n, 1.0}, {(i + 7) % n, 1.0}},
+                     relation::greater_equal, 1.0);
+  const auto matrix = make_lp_matrix(m);
+  lp_engine parent(matrix);
+  const lp_result root = parent.solve({});
+  ASSERT_EQ(root.status, lp_status::optimal);
+  const lp_basis basis = parent.basis();
+
+  lp_engine again(matrix);
+  again.load_basis(basis);
+  const lp_result same = again.solve({});
+  ASSERT_EQ(same.status, lp_status::optimal);
+  EXPECT_EQ(same.iterations, 0);
+  EXPECT_NEAR(same.objective, root.objective, 1e-9);
+
+  lp_engine child(matrix);
+  child.set_bounds(3, 1.0, 1.0);
+  child.load_basis(basis);
+  const lp_result warm = child.solve({});
+  model fixed = m;
+  fixed.set_bounds(3, 1.0, 1.0);
+  const lp_result cold = solve_lp(fixed);
+  ASSERT_EQ(warm.status, lp_status::optimal);
+  ASSERT_EQ(cold.status, lp_status::optimal);
+  EXPECT_NEAR(warm.objective, cold.objective, 1e-6);
+  EXPECT_LT(warm.iterations, cold.iterations);
+}
+
 TEST(ModelTest, DuplicateTermsAccumulate) {
   model m;
   const int x = m.add_variable(0.0, 10.0, 1.0, false, "x");

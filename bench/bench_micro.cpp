@@ -20,6 +20,7 @@
 #include "milp/branch_and_bound.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
+#include "verify/electrical.hpp"
 #include "xbar/evaluate.hpp"
 #include "xbar/faults.hpp"
 #include "xbar/validate.hpp"
@@ -202,6 +203,23 @@ void BM_EndToEndOctSynthesis(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_EndToEndOctSynthesis);
+
+/// The ELC family's engine on a many-output design: ctrl7x26 (26 sensed
+/// outputs, 20 of them entered by two edges), synthesized once. Every
+/// iteration rebuilds the wire graph and bounds each output's parallel
+/// leakage paths exactly.
+void BM_AnalyzeElectrical(benchmark::State& state) {
+  core::synthesis_options options;
+  options.method = core::labeling_method::minimal_semiperimeter;
+  const core::synthesis_result r =
+      core::synthesize_network(frontend::make_ctrl(7, 26), options);
+  for (auto _ : state) {
+    const verify::electrical_report report =
+        verify::analyze_electrical(r.design);
+    benchmark::DoNotOptimize(report.min_margin_ratio);
+  }
+}
+BENCHMARK(BM_AnalyzeElectrical);
 
 /// Shared design for the parallel-stage benchmarks below.
 const core::synthesis_result& comparator_design() {

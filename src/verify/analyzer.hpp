@@ -15,8 +15,9 @@ struct synthesis_context;
 namespace compact::verify {
 
 struct analyzer_options {
-  /// Run the EQVxxx symbolic-equivalence checks (the most expensive family;
-  /// everything else is linear in the design size).
+  /// Run the EQVxxx symbolic-equivalence checks (the most expensive family:
+  /// BDD fixpoints, over half the analyzer's time on served lint requests;
+  /// the structural and electrical checks are polynomial in design size).
   bool equivalence = true;
   /// Check IDs to skip, e.g. {"XBR005"}.
   std::vector<std::string> disabled;

@@ -5,7 +5,6 @@
 //
 //   ELC001  static-sensing-margin   per-output OFF/ON margin verdict
 //   ELC002  electrical-bounds       per-design bound summary (companion)
-//   ELC003  sneak-enumeration-cap   bounded DFS hit its budget (companion)
 #include <cstdio>
 #include <string>
 
@@ -27,7 +26,7 @@ std::string where(const output_margin& m, bool partitioned) {
   return text + ")";
 }
 
-// ELC001 (+ ELC002/ELC003 companions) — run the static electrical engine
+// ELC001 (+ ELC002 companion) — run the static electrical engine
 // once and report every output whose bounds do not separate with slack.
 void check_static_margin(const artifacts& a, report& out) {
   const electrical_options& options = *a.electrical;
@@ -41,18 +40,6 @@ void check_static_margin(const artifacts& a, report& out) {
   for (const output_margin& m : er.outputs) {
     if (m.min_on_devices < 0) continue;  // dead output; XBR/EQV own it
     ++sensed;
-    if (m.sneak_truncated) {
-      diagnostic d;
-      d.check_id = "ELC003";
-      d.level = severity::note;
-      d.message = "sneak-path enumeration for " + where(m, partitioned) +
-                  " stopped at " + std::to_string(m.sneak_paths) +
-                  " paths; the parallel-leakage bound falls back to the "
-                  "output row's junction degree (" +
-                  std::to_string(m.parallel_paths) + ")";
-      d.anchors = {output_entity(m.name)};
-      out.add(std::move(d));
-    }
     if (m.safe) continue;
     diagnostic d;
     d.check_id = "ELC001";
@@ -118,17 +105,6 @@ std::vector<check_descriptor> electrical_checks() {
   c.default_severity = severity::note;
   c.needs_electrical = true;
   c.run = nullptr;  // companion: ELC001's engine pass emits it
-  checks.push_back(c);
-
-  c = {};
-  c.id = "ELC003";
-  c.name = "sneak-enumeration-cap";
-  c.description =
-      "The bounded sneak-path DFS exhausted its budget; the leakage bound "
-      "uses the junction-degree fallback";
-  c.default_severity = severity::note;
-  c.needs_electrical = true;
-  c.run = nullptr;  // companion
   checks.push_back(c);
 
   return checks;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <deque>
+#include <utility>
 
 #include "util/trace.hpp"
 
@@ -96,6 +97,11 @@ wire_graph build_graph(const xbar::partitioned_design& design) {
   return g;
 }
 
+int other_end(const wire_graph& g, int e, int wire) {
+  const wire_graph::edge& edge = g.edges[static_cast<std::size_t>(e)];
+  return edge.a == wire ? edge.b : edge.a;
+}
+
 /// 0/1-weighted BFS distance in *device* hops from `source` (bridges are
 /// free). -1 for unreachable wires.
 std::vector<int> device_distance(const wire_graph& g, int source) {
@@ -124,45 +130,57 @@ std::vector<int> device_distance(const wire_graph& g, int source) {
   return dist;
 }
 
-/// Bounded DFS enumeration of simple input-to-output paths inside the
-/// corridor. Counts paths up to options.max_sneak_paths with at most
-/// options.max_sneak_depth device hops each; sets `truncated` whenever a
-/// budget cut makes the count a lower bound instead of an exact total.
-struct sneak_count {
-  int paths = 0;
-  bool truncated = false;
-};
-
-void sneak_dfs(const wire_graph& g, const std::vector<bool>& corridor,
-               std::vector<bool>& visited, int wire, int target, int depth,
-               const electrical_options& options, long long& budget,
-               sneak_count& out) {
-  if (out.paths >= options.max_sneak_paths || budget <= 0) {
-    out.truncated = true;
-    return;
-  }
-  if (wire == target) {
-    ++out.paths;
-    return;
-  }
-  visited[static_cast<std::size_t>(wire)] = true;
-  for (const int e : g.incident[static_cast<std::size_t>(wire)]) {
-    const wire_graph::edge& edge = g.edges[static_cast<std::size_t>(e)];
-    const int other = edge.a == wire ? edge.b : edge.a;
-    if (!corridor[static_cast<std::size_t>(other)] ||
-        visited[static_cast<std::size_t>(other)])
-      continue;
-    const int next_depth = depth + (edge.bridge ? 0 : 1);
-    if (next_depth > options.max_sneak_depth) {
-      out.truncated = true;
-      continue;
+/// Wires reachable from `source` without entering a `blocked` wire.
+std::vector<char> reachable(const wire_graph& g, int source,
+                            const std::vector<char>& blocked) {
+  std::vector<char> seen(static_cast<std::size_t>(g.wires), 0);
+  std::vector<int> stack{source};
+  seen[static_cast<std::size_t>(source)] = 1;
+  while (!stack.empty()) {
+    const int w = stack.back();
+    stack.pop_back();
+    for (const int e : g.incident[static_cast<std::size_t>(w)]) {
+      const auto other = static_cast<std::size_t>(other_end(g, e, w));
+      if (seen[other] || blocked[other]) continue;
+      seen[other] = 1;
+      stack.push_back(static_cast<int>(other));
     }
-    --budget;
-    sneak_dfs(g, corridor, visited, other, target, next_depth, options, budget,
-              out);
-    if (out.paths >= options.max_sneak_paths) break;
   }
-  visited[static_cast<std::size_t>(wire)] = false;
+  return seen;
+}
+
+/// Simple source-to-target paths (distinct edge sequences), counted up to
+/// `cap`. The depth-first walk steps only into wires that still reach the
+/// target without touching the current path, so every branch ends in a
+/// path and the walk takes O(cap * wires) steps, one search each.
+int count_simple_paths(const wire_graph& g, int source, int target, int cap) {
+  std::vector<char> on_path(static_cast<std::size_t>(g.wires), 0);
+  on_path[static_cast<std::size_t>(source)] = 1;
+  std::vector<std::pair<int, std::size_t>> path{{source, 0}};  // wire, edge
+  int paths = 0;
+  while (!path.empty() && paths < cap) {
+    auto& [wire, next] = path.back();
+    const std::vector<char> live = reachable(g, target, on_path);
+    const std::vector<int>& incident =
+        g.incident[static_cast<std::size_t>(wire)];
+    int step = -1;
+    while (step < 0 && next < incident.size() && paths < cap) {
+      const int other = other_end(g, incident[next++], wire);
+      if (other == target)
+        ++paths;
+      else if (!on_path[static_cast<std::size_t>(other)] &&
+               live[static_cast<std::size_t>(other)])
+        step = other;
+    }
+    if (step < 0) {
+      on_path[static_cast<std::size_t>(wire)] = 0;
+      path.pop_back();
+    } else {
+      on_path[static_cast<std::size_t>(step)] = 1;
+      path.emplace_back(step, 0);
+    }
+  }
+  return paths;
 }
 
 electrical_report analyze_graph(const wire_graph& g,
@@ -172,6 +190,41 @@ electrical_report analyze_graph(const wire_graph& g,
   const analog::device_model& model = options.model;
   const std::vector<int> from_input = device_distance(g, g.input_wire);
 
+  // Devices conduct both ways, so every reachable output's corridor (wires
+  // reachable from the input and co-reachable from the output) is the
+  // input wire's connected component. Every simple conduction path is
+  // confined to it; a simple path over N wires has at most N - 1 edges,
+  // and at most all of the component's device (bridge) edges.
+  int component_wires = 0;
+  int component_sensed = 0;
+  for (int w = 0; w < g.wires; ++w) {
+    if (from_input[static_cast<std::size_t>(w)] < 0) continue;
+    ++component_wires;
+    if (g.sensed[static_cast<std::size_t>(w)]) ++component_sensed;
+  }
+  int component_devices = 0;
+  int component_bridges = 0;
+  for (const wire_graph::edge& e : g.edges) {
+    if (from_input[static_cast<std::size_t>(e.a)] < 0) continue;
+    if (e.bridge)
+      ++component_bridges;
+    else
+      ++component_devices;
+  }
+  const int hop_cap = std::max(component_wires - 1, 0);
+  const int worst_on_devices = std::min(component_devices, hop_cap);
+  const int bridge_crossings = std::min(component_bridges, hop_cap);
+  const double worst_on_resistance =
+      worst_on_devices * model.r_on +
+      bridge_crossings * options.bridge_resistance;
+  // Divider bounds. Every other sensed wordline in the corridor could load
+  // the ON path; lump their sensing resistors in parallel with the output's
+  // own (pessimistic — real shunts sit upstream of part of the path
+  // resistance).
+  const double r_load = model.r_sense / std::max(component_sensed, 1);
+  const double sense_level = model.threshold * model.v_in;
+
+  std::vector<char> blocked(static_cast<std::size_t>(g.wires), 0);
   bool any_reachable = false;
   for (const wire_graph::sensed_output& port : g.outputs) {
     output_margin m;
@@ -186,78 +239,41 @@ electrical_report analyze_graph(const wire_graph& g,
       report.outputs.push_back(std::move(m));
       continue;
     }
+    m.worst_on_devices = worst_on_devices;
+    m.bridge_crossings = bridge_crossings;
+    m.worst_on_resistance = worst_on_resistance;
 
-    // Corridor: wires both reachable from the input and co-reachable from
-    // this output. Every simple conduction path is confined to it.
-    const std::vector<int> to_output = device_distance(g, port.wire);
-    std::vector<bool> corridor(static_cast<std::size_t>(g.wires), false);
-    int corridor_wires = 0;
-    int corridor_devices = 0;
-    int corridor_bridges = 0;
-    int sensed_loads = 0;
-    for (int w = 0; w < g.wires; ++w) {
-      if (from_input[static_cast<std::size_t>(w)] < 0 ||
-          to_output[static_cast<std::size_t>(w)] < 0)
-        continue;
-      corridor[static_cast<std::size_t>(w)] = true;
-      ++corridor_wires;
-      if (g.sensed[static_cast<std::size_t>(w)] && w != port.wire)
-        ++sensed_loads;
+    // Parallel leakage paths each enter the output row through their own
+    // edge, so they number min(entry degree, simple input-to-output
+    // paths). An output on the input row is one path.
+    const std::vector<int>& entries =
+        g.incident[static_cast<std::size_t>(port.wire)];
+    const int entry_degree = static_cast<int>(entries.size());
+    m.parallel_paths = 1;
+    if (port.wire != g.input_wire && entry_degree > 1) {
+      // Every entry neighbour the input reaches with the output row
+      // removed closes a distinct simple path. Only when the output row
+      // cuts one off must the paths be counted.
+      blocked[static_cast<std::size_t>(port.wire)] = 1;
+      const std::vector<char> reached = reachable(g, g.input_wire, blocked);
+      blocked[static_cast<std::size_t>(port.wire)] = 0;
+      const bool all_reached =
+          std::all_of(entries.begin(), entries.end(), [&](int e) {
+            return reached[static_cast<std::size_t>(
+                other_end(g, e, port.wire))] != 0;
+          });
+      m.parallel_paths = std::max(
+          1, all_reached ? entry_degree
+                         : count_simple_paths(g, g.input_wire, port.wire,
+                                              entry_degree));
     }
-    for (const wire_graph::edge& e : g.edges) {
-      if (!corridor[static_cast<std::size_t>(e.a)] ||
-          !corridor[static_cast<std::size_t>(e.b)])
-        continue;
-      if (e.bridge)
-        ++corridor_bridges;
-      else
-        ++corridor_devices;
-    }
-
-    // A simple path over N corridor wires has at most N - 1 edges, and at
-    // most all the corridor's device (bridge) edges.
-    const int hop_cap = std::max(corridor_wires - 1, 0);
-    m.worst_on_devices = std::min(corridor_devices, hop_cap);
-    m.bridge_crossings = std::min(corridor_bridges, hop_cap);
-    m.worst_on_resistance = m.worst_on_devices * model.r_on +
-                            m.bridge_crossings * options.bridge_resistance;
-
-    sneak_count sneak;
-    {
-      std::vector<bool> visited(static_cast<std::size_t>(g.wires), false);
-      long long budget = 64LL * options.max_sneak_paths;
-      sneak_dfs(g, corridor, visited, g.input_wire, port.wire, 0, options,
-                budget, sneak);
-    }
-    m.sneak_paths = sneak.paths;
-    m.sneak_truncated = sneak.truncated;
-
-    // Parallel leakage paths all enter the output row through distinct
-    // corridor edges; the exact enumeration tightens the bound when it
-    // completed within budget.
-    int entry_degree = 0;
-    for (const int e : g.incident[static_cast<std::size_t>(port.wire)]) {
-      const wire_graph::edge& edge = g.edges[static_cast<std::size_t>(e)];
-      const int other = edge.a == port.wire ? edge.b : edge.a;
-      if (corridor[static_cast<std::size_t>(other)]) ++entry_degree;
-    }
-    m.parallel_paths = std::max(
-        1, sneak.truncated ? entry_degree : std::min(entry_degree, m.sneak_paths));
     m.best_off_resistance = model.r_off / m.parallel_paths;
     m.margin_ratio =
         m.best_off_resistance / std::max(m.worst_on_resistance, model.r_on);
-
-    // Divider bounds. Every other sensed wordline in the corridor could load
-    // the ON path; lump their sensing resistors in parallel with the
-    // output's own (pessimistic — real shunts sit upstream of part of the
-    // path resistance).
-    const double r_load = model.r_sense / (1 + sensed_loads);
     m.min_high_voltage =
         model.v_in * r_load / (r_load + m.worst_on_resistance);
     m.max_low_voltage =
         model.v_in * model.r_sense / (model.r_sense + m.best_off_resistance);
-
-    const double sense_level = model.threshold * model.v_in;
     m.safe = m.margin_ratio >= options.margin_threshold &&
              m.min_high_voltage >= sense_level &&
              m.max_low_voltage < sense_level;

@@ -9,15 +9,19 @@
 // system (that is analog/mna's job), it derives per-output bounds:
 //
 //   * an upper bound on the series resistance of the path that carries the
-//     ON current in the worst assignment — any simple conduction path is
-//     confined to the wires that are both reachable from the input wordline
-//     and co-reachable from the output, so its device count is bounded by
-//     that corridor's size (and by its device count);
+//     ON current in the worst assignment — devices conduct both ways, so
+//     any simple conduction path is confined to the input wordline's
+//     connected component (the corridor, shared by every reachable
+//     output), and its device count is bounded by that component's wire
+//     and device counts;
 //   * a lower bound on the effective resistance of the parasitic OFF-path
 //     network — when the output should read 0, every input-to-output path
-//     crosses at least one blocking junction (>= R_off), and the number of
-//     parallel such paths is bounded by the output row's junction degree
-//     and by a bounded-DFS enumeration of the simple sneak paths.
+//     crosses at least one blocking junction (>= R_off), and the parallel
+//     such paths number exactly min(output row's entry degree, simple
+//     input-to-output paths). That count is exact and needs no budget: one
+//     search with the output row removed settles it whenever the input
+//     reaches every entry neighbour, and a pruned path count up to the
+//     entry degree settles the rest.
 //
 // The verdict is conservative by construction: "safe" is only reported when
 // the bounds separate with slack (margin_ratio >= margin_threshold and the
@@ -47,12 +51,6 @@ struct electrical_options {
   /// designs), ohms. Bridges are wires, not devices, but long inter-array
   /// routes are not free.
   double bridge_resistance = 25.0;
-  /// Budget for the bounded-DFS sneak-path enumeration, per output. When
-  /// the budget is exhausted the enumeration reports "truncated" and the
-  /// parallel-path bound falls back to the output row's junction degree.
-  int max_sneak_paths = 4096;
-  /// Maximum devices per enumerated sneak path (DFS depth bound).
-  int max_sneak_depth = 64;
 };
 
 /// Per-output static margin bounds. `array` is 0 for single-array designs.
@@ -70,10 +68,8 @@ struct output_margin {
   int bridge_crossings = 0;
   /// worst_on_devices * r_on + bridge_crossings * bridge_resistance.
   double worst_on_resistance = 0.0;
-  /// Simple input-to-output paths found by the bounded DFS.
-  int sneak_paths = 0;
-  bool sneak_truncated = false;
-  /// Bound on the number of parallel leakage paths into the output row.
+  /// Parallel leakage paths into the output row: min(entry degree, simple
+  /// input-to-output paths), at least 1 (exactly 1 on the input row).
   int parallel_paths = 1;
   /// r_off / parallel_paths: lower bound on the OFF-network resistance.
   double best_off_resistance = 0.0;

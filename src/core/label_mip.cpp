@@ -4,6 +4,7 @@
 #include "core/labelers.hpp"
 #include "milp/model.hpp"
 #include "util/error.hpp"
+#include "util/metrics.hpp"
 #include "util/trace.hpp"
 
 namespace compact::core {
@@ -45,6 +46,21 @@ oct_label_result warm_oct_labeling(const bdd_graph& graph,
   return result;
 }
 
+/// Whether Method 1's labeling is optimal for Eq. 4 at every gamma without
+/// a search. Every labeling has S >= n + k (its VH set is an aligned odd
+/// cycle transversal, k the proven minimum) and D = max(R, C) >= ceil(S/2),
+/// so a proven-minimum labeling whose D already equals ceil(S/2) minimizes
+/// both terms at once; a fitting dimension budget only removes competitors.
+bool certifies_optimum(const oct_label_result& warm,
+                       const labeling_stats& stats,
+                       const mip_label_options& options) {
+  if (!warm.optimal) return false;
+  if (options.max_rows && stats.rows > *options.max_rows) return false;
+  if (options.max_columns && stats.columns > *options.max_columns)
+    return false;
+  return stats.max_dimension == (stats.semiperimeter + 1) / 2;
+}
+
 }  // namespace
 
 mip_label_result label_weighted(const bdd_graph& graph,
@@ -59,6 +75,64 @@ mip_label_result label_weighted(const bdd_graph& graph,
   if (n == 0) {
     result.optimal = true;
     return result;
+  }
+
+  // Solver milestones arrive as events: each one lands in the returned
+  // trace (Fig. 10) and, when a sink is attached, in telemetry.
+  const auto on_trace = [&result,
+                         &options](const milp::mip_trace_entry& entry) {
+    result.trace.push_back(entry);
+    if (options.telemetry != nullptr) {
+      telemetry_event event;
+      event.stage = "mip_trace";
+      event.seconds = entry.seconds;
+      event.metric("best_integer", entry.best_integer);
+      event.metric("best_bound", entry.best_bound);
+      event.metric("relative_gap", entry.relative_gap);
+      options.telemetry->emit(event);
+    }
+  };
+  auto finish = [&]() -> mip_label_result {
+    check(is_feasible(g, result.l), "label_weighted: infeasible labeling");
+    if (options.alignment)
+      check(satisfies_alignment(graph, result.l),
+            "label_weighted: alignment violated");
+    return std::move(result);
+  };
+
+  // ---- Method 1's warm start, fetched once. ------------------------------
+  std::optional<oct_label_result> warm;
+  if (options.warm_start_with_oct) {
+    oct_label_options oct;
+    oct.alignment = options.alignment;
+    oct.reduce = options.reduce;
+    oct.threads = options.threads;
+    // The warm start must not dwarf the MIP's own budget.
+    oct.time_limit_seconds = std::min(
+        options.oct_time_limit_seconds,
+        std::max(1.0, options.time_limit_seconds));
+    warm = warm_oct_labeling(graph, oct, options.cache);
+
+    // A certified warm start is the answer: the search would return this
+    // very point, since it accepts only strictly better incumbents.
+    const labeling_stats stats = compute_stats(warm->l);
+    if (certifies_optimum(*warm, stats, options)) {
+      result.l = std::move(warm->l);
+      result.optimal = true;
+      result.relative_gap = 0.0;
+      result.objective = options.gamma * stats.semiperimeter +
+                         (1.0 - options.gamma) * stats.max_dimension;
+      result.best_bound = result.objective;
+      result.nodes_explored = 0;
+      milp::mip_trace_entry entry;
+      entry.best_integer = result.objective;
+      entry.best_bound = result.objective;
+      entry.relative_gap = 0.0;
+      on_trace(entry);
+      if (metrics_enabled())
+        global_metrics().counter("label_mip.certified").increment();
+      return finish();
+    }
   }
 
   // ---- Build the MIP of Eq. 4 (+ Eq. 7 alignment). ----------------------
@@ -153,7 +227,7 @@ mip_label_result label_weighted(const bdd_graph& graph,
     m.add_constraint(std::move(terms), milp::relation::greater_equal, 0.0);
   }
 
-  // ---- Warm start from Method 1. -----------------------------------------
+  // ---- Objective lattice and Method 1's warm start. -----------------------
   milp::mip_options mip;
   mip.time_limit_seconds = options.time_limit_seconds;
   mip.threads = options.threads;
@@ -179,34 +253,24 @@ mip_label_result label_weighted(const bdd_graph& graph,
       mip.objective_lattice = static_cast<double>(a) / q;
     }
   }
-  if (options.warm_start_with_oct) {
-    oct_label_options oct;
-    oct.alignment = options.alignment;
-    oct.reduce = options.reduce;
-    oct.threads = options.threads;
-    // The warm start must not dwarf the MIP's own budget.
-    oct.time_limit_seconds = std::min(
-        options.oct_time_limit_seconds,
-        std::max(1.0, options.time_limit_seconds));
-    const oct_label_result warm = warm_oct_labeling(graph, oct, options.cache);
-
+  if (warm) {
     // Any feasible labeling's VH set is an odd cycle transversal (removing
     // it leaves a V/H 2-colorable, hence bipartite, graph), and under
     // alignment one that avoids Method 1's anchor. When Method 1 proved the
     // minimum VH count k_min for the same alignment setting, S >= n + k_min
     // is a valid cut that typically closes the gamma-weighted root gap.
-    if (warm.optimal) {
+    if (warm->optimal) {
       std::vector<milp::linear_term> terms;
       for (graph::node_id i = 0; i < n; ++i) {
         terms.push_back({mip_layout::xh(i), 1.0});
         terms.push_back({mip_layout::xv(i), 1.0});
       }
       m.add_constraint(std::move(terms), milp::relation::greater_equal,
-                       static_cast<double>(g.node_count() + warm.oct_size));
+                       static_cast<double>(g.node_count() + warm->oct_size));
     }
     std::vector<double> x(m.variable_count(), 0.0);
     for (graph::node_id i = 0; i < n; ++i) {
-      const vh_label label = warm.l.label_of[static_cast<std::size_t>(i)];
+      const vh_label label = warm->l.label_of[static_cast<std::size_t>(i)];
       x[static_cast<std::size_t>(mip_layout::xh(i))] =
           label != vh_label::v ? 1.0 : 0.0;
       x[static_cast<std::size_t>(mip_layout::xv(i))] =
@@ -219,7 +283,7 @@ mip_label_result label_weighted(const bdd_graph& graph,
           x[static_cast<std::size_t>(mip_layout::xh(edge.v))] > 0.5;
       x[static_cast<std::size_t>(edge_selector[e])] = v_then_h ? 0.0 : 1.0;
     }
-    const labeling_stats stats = compute_stats(warm.l);
+    const labeling_stats stats = compute_stats(warm->l);
     x[static_cast<std::size_t>(d_var)] = stats.max_dimension;
     if (m.is_feasible(x)) {
       mip.warm_start = std::move(x);
@@ -231,20 +295,7 @@ mip_label_result label_weighted(const bdd_graph& graph,
   }
 
   // ---- Solve and decode. ---------------------------------------------------
-  // Solver milestones arrive as events: each one lands in the returned
-  // trace (Fig. 10) and, when a sink is attached, in telemetry.
-  mip.on_trace = [&result, &options](const milp::mip_trace_entry& entry) {
-    result.trace.push_back(entry);
-    if (options.telemetry != nullptr) {
-      telemetry_event event;
-      event.stage = "mip_trace";
-      event.seconds = entry.seconds;
-      event.metric("best_integer", entry.best_integer);
-      event.metric("best_bound", entry.best_bound);
-      event.metric("relative_gap", entry.relative_gap);
-      options.telemetry->emit(event);
-    }
-  };
+  mip.on_trace = on_trace;
   const milp::mip_result solved = milp::solve_mip(m, mip);
   if (solved.status == milp::mip_status::infeasible)
     throw infeasible_error(
@@ -266,12 +317,7 @@ mip_label_result label_weighted(const bdd_graph& graph,
   result.best_bound = solved.best_bound;
   result.objective = solved.objective;
   result.nodes_explored = solved.nodes_explored;
-
-  check(is_feasible(g, result.l), "label_weighted: infeasible labeling");
-  if (options.alignment)
-    check(satisfies_alignment(graph, result.l),
-          "label_weighted: alignment violated");
-  return result;
+  return finish();
 }
 
 }  // namespace compact::core

@@ -85,16 +85,30 @@ std::optional<std::vector<double>> round_heuristic(const model& m,
   return std::nullopt;
 }
 
+/// Round a fractional LP bound up to the next multiple of `step` (the
+/// caller's objective lattice, mip_options::objective_lattice; 0 = none).
+/// Every integer-feasible objective is a lattice multiple, so the result is
+/// still a valid dual bound for the LP's region.
+double round_up_to_lattice(double bound, double step) {
+  if (step <= 0.0 || !std::isfinite(bound)) return bound;
+  return std::ceil(bound / step - 1e-6) * step;
+}
+
 /// Diving heuristic: starting from `engine`'s solved node, repeatedly fix
 /// the most fractional integer variable to its nearest value (flipping once
 /// on infeasibility) and re-solve from the previous basis, until the LP
 /// relaxation turns integral. Returns an integer-feasible point for the
 /// *original* model or nullopt. `engine` is the item's own, so its bounds
 /// need no restoring. Adds the dive's LP iterations to `iterations`.
+///
+/// The dive stops as soon as its LP bound, rounded up to `lattice`, reaches
+/// `cutoff` (the round-start incumbent): every later point lies inside that
+/// LP's region, so none could be accepted as a strictly better incumbent.
 std::optional<std::vector<double>> dive_heuristic(
     lp_engine& engine, const model& searched, const model& original,
     const lp_options& lp_opts, lp_engine::clock::time_point deadline,
-    std::vector<double> x, int max_depth, long& iterations) {
+    std::vector<double> x, int max_depth, double cutoff, double lattice,
+    long& iterations) {
   std::vector<bool> skipped(searched.variable_count(), false);
   auto resolve = [&] {
     lp_result lp = engine.solve(lp_opts, deadline);
@@ -147,6 +161,8 @@ std::optional<std::vector<double>> dive_heuristic(
         continue;
       }
     }
+    if (round_up_to_lattice(lp.objective, lattice) >= cutoff - 1e-9)
+      return std::nullopt;
     x = std::move(lp.x);
   }
   return std::nullopt;
@@ -327,14 +343,10 @@ mip_result solve_mip(const model& original, const mip_options& options) {
     return incumbent_obj - bound <= options.absolute_gap_tolerance;
   };
 
-  // Round a fractional LP bound up to the next objective-lattice point
-  // (options.objective_lattice, caller's promise). Every integer-feasible
-  // objective is a lattice multiple, so this stays a valid dual bound for
-  // the subtree while making near-incumbent subtrees prunable.
+  // Node and probe bounds round up to the objective lattice, which makes
+  // near-incumbent subtrees prunable.
   auto strengthen = [&](double bound) {
-    const double step = options.objective_lattice;
-    if (step <= 0.0 || !std::isfinite(bound)) return bound;
-    return std::ceil(bound / step - 1e-6) * step;
+    return round_up_to_lattice(bound, options.objective_lattice);
   };
 
   /// Solve one node on its own engine over the reduced model: load the
@@ -342,8 +354,9 @@ mip_result solve_mip(const model& original, const mip_options& options) {
   /// bounds and re-solve with dual pivots. Pure function of the node (its
   /// bounds and parent basis), the round-start incumbent and the LP options
   /// — never of thread scheduling — so the merge below is deterministic.
+  /// Every node, the root included, is pruned against the round-start
+  /// incumbent (a warm start before the first round).
   auto process_item = [&](const bb_node& node, double round_incumbent,
-                          bool root_known,
                           bool dive_scheduled) -> item_outcome {
     stopwatch busy;
     item_outcome out;
@@ -360,7 +373,7 @@ mip_result solve_mip(const model& original, const mip_options& options) {
     out.iterations = lp.iterations;
     if (lp.status != lp_status::optimal) return finish();
     out.objective = strengthen(lp.objective);
-    if (root_known && out.objective >= round_incumbent - 1e-9) {
+    if (out.objective >= round_incumbent - 1e-9) {
       out.pruned = true;
       return finish();
     }
@@ -431,8 +444,7 @@ mip_result solve_mip(const model& original, const mip_options& options) {
             dead[side] = true;
           } else if (probe.status == lp_status::optimal) {
             bound[side] = std::max(out.objective, strengthen(probe.objective));
-            if (root_known && bound[side] >= round_incumbent - 1e-9)
-              dead[side] = true;
+            if (bound[side] >= round_incumbent - 1e-9) dead[side] = true;
           }
           // Inconclusive probes (iteration cap) keep the parent bound.
           engine = solved;
@@ -470,7 +482,7 @@ mip_result solve_mip(const model& original, const mip_options& options) {
       out.dived = dive_heuristic(
           engine, searched, original, options.lp, deadline, lp.x,
           std::min<int>(static_cast<int>(searched.variable_count()), 160),
-          out.dive_iterations);
+          round_incumbent, options.objective_lattice, out.dive_iterations);
     }
     return finish();
   };
@@ -530,7 +542,6 @@ mip_result solve_mip(const model& original, const mip_options& options) {
 
     // Round-start snapshot everything the items depend on.
     const double round_incumbent = incumbent_obj;
-    const bool root_known = root_done;
     const double remaining =
         options.time_limit_seconds - clock.seconds();
     const long dive_period = std::isfinite(round_incumbent)
@@ -549,16 +560,15 @@ mip_result solve_mip(const model& original, const mip_options& options) {
       futures.reserve(batch.size());
       for (std::size_t i = 0; i < batch.size(); ++i) {
         futures.push_back(pool->submit([&, i] {
-          return process_item(batch[i], round_incumbent, root_known,
-                              dive_flags[i]);
+          return process_item(batch[i], round_incumbent, dive_flags[i]);
         }));
       }
       for (auto& f : futures) f.wait();  // never unwind past running tasks
       for (auto& f : futures) outcomes.push_back(f.get());
     } else {
       for (std::size_t i = 0; i < batch.size(); ++i)
-        outcomes.push_back(process_item(batch[i], round_incumbent, root_known,
-                                        dive_flags[i]));
+        outcomes.push_back(
+            process_item(batch[i], round_incumbent, dive_flags[i]));
     }
 
     // Merge in item order: this loop is the only place the incumbent, the
@@ -645,6 +655,9 @@ mip_result solve_mip(const model& original, const mip_options& options) {
       if (!r.up_dead) open.push(std::move(up));
 
       if (r.dive_attempted) {
+        // A dive cut off at the incumbent also counts as a failure; that is
+        // harmless, since dive_failures paces dives only before the first
+        // incumbent.
         if (r.dived) {
           if (accept(std::move(*r.dived))) dive_failures = 0;
         } else {

@@ -51,6 +51,13 @@ class resource_limit_error : public error {
 
 /// Internal consistency check. Unlike assert(), it is active in all build
 /// types: mapping bugs must never silently produce an invalid crossbar.
+/// String literals take this overload, so a passing check builds no string.
+inline void check(bool condition, const char* message) {
+  if (!condition)
+    throw error(std::string("internal check failed: ") + message);
+}
+
+/// As above, for messages assembled at the call site.
 inline void check(bool condition, const std::string& message) {
   if (!condition) throw error("internal check failed: " + message);
 }

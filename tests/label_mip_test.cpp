@@ -102,9 +102,54 @@ TEST(LabelMipTest, TraceRecordsConvergence) {
     EXPECT_LE(r.trace[i].best_integer, r.trace[i - 1].best_integer + 1e-9);
 }
 
+// Method 1's labeling is optimal at every gamma when its S = n + k is the
+// proven minimum and its D = ceil(S/2); label_weighted then returns it
+// without building the MIP. The certified objective must equal a search
+// that never sees Method 1 (no warm start, no S >= n + k cut), and
+// instances whose Method 1 labeling is not certified must still search.
+TEST(LabelMipTest, CertificateAgreesWithSearchWithoutMethodOne) {
+  struct instance {
+    frontend::network net;
+    bool certified;
+  };
+  for (const instance& c :
+       {instance{frontend::make_comparator(3), true},
+        instance{frontend::make_parity(8, 2), true},
+        instance{frontend::make_priority_encoder(6), true},
+        instance{frontend::make_mux_tree(3), false},
+        instance{frontend::make_priority_encoder(9), false}}) {
+    bdd::manager m(c.net.input_count());
+    const bdd_graph g = graph_of(c.net, m);
+    const oct_label_result oct = label_minimal_semiperimeter(g);
+    ASSERT_TRUE(oct.optimal) << c.net.name();
+    for (const double gamma : {0.0, 0.3, 0.5, 1.0}) {
+      mip_label_options options;
+      options.gamma = gamma;
+      options.time_limit_seconds = 60.0;
+      const mip_label_result fast = label_weighted(g, options);
+      options.warm_start_with_oct = false;
+      const mip_label_result searched = label_weighted(g, options);
+      ASSERT_TRUE(fast.optimal) << c.net.name() << " gamma " << gamma;
+      ASSERT_TRUE(searched.optimal) << c.net.name() << " gamma " << gamma;
+      EXPECT_NEAR(fast.objective, searched.objective, 1e-9)
+          << c.net.name() << " gamma " << gamma;
+      if (c.certified) {
+        EXPECT_EQ(fast.nodes_explored, 0) << c.net.name() << " gamma " << gamma;
+        EXPECT_EQ(fast.l.label_of, oct.l.label_of) << c.net.name();
+        ASSERT_EQ(fast.trace.size(), 1u);
+        EXPECT_EQ(fast.trace[0].relative_gap, 0.0);
+        EXPECT_EQ(fast.best_bound, fast.objective);
+      } else {
+        EXPECT_GT(fast.nodes_explored, 0) << c.net.name() << " gamma " << gamma;
+      }
+    }
+  }
+}
+
 // The branch-and-bound effort counters are deterministic: equal on a repeat
 // and at any thread count, because every node LP is a pure function of its
-// parent's basis and its own bounds.
+// parent's basis and its own bounds. The instances are ones the Method 1
+// certificate cannot close, so the search really runs.
 TEST(LabelMipTest, SearchEffortIsDeterministic) {
   const bool was_enabled = metrics_enabled();
   set_metrics_enabled(true);
@@ -118,7 +163,7 @@ TEST(LabelMipTest, SearchEffortIsDeterministic) {
     }
   };
   for (const frontend::network& net :
-       {frontend::make_comparator(3), frontend::make_parity(8, 2)}) {
+       {frontend::make_mux_tree(3), frontend::make_priority_encoder(9)}) {
     bdd::manager m(net.input_count());
     const bdd_graph g = graph_of(net, m);
     const auto effort_at = [&g](int threads) {

@@ -3,7 +3,9 @@
 #include <cmath>
 
 #include "milp/branch_and_bound.hpp"
+#include "milp/presolve.hpp"
 #include "util/error.hpp"
+#include "util/metrics.hpp"
 #include "util/rng.hpp"
 
 namespace compact::milp {
@@ -64,6 +66,48 @@ TEST(MipTest, WarmStartAccepted) {
   EXPECT_NEAR(r.objective, 1.0, 1e-6);  // improves past the warm start
 }
 
+// A warm start the root LP already proves optimal ends the search at the
+// root like any other node: the root is pruned after its LP, so no
+// strong-branching probe and no dive runs.
+TEST(MipTest, RootLpProvingTheWarmStartExploresOneNode) {
+  // Vertex cover of a 5-cycle: the LP optimum is x = 1/2 everywhere (2.5),
+  // which the unit lattice rounds up to the warm start's 3.
+  model m;
+  for (int i = 0; i < 5; ++i) m.add_binary(1.0, "");
+  for (int i = 0; i < 5; ++i)
+    m.add_constraint({{i, 1.0}, {(i + 1) % 5, 1.0}}, relation::greater_equal,
+                     1.0);
+  mip_options options;
+  options.objective_lattice = 1.0;
+  const std::vector<double> warm = {1.0, 0.0, 1.0, 0.0, 1.0};
+  options.warm_start = warm;
+
+  // The root LP exactly as the search solves it: cold, on the presolved
+  // model.
+  lp_engine root(make_lp_matrix(presolve_model(m).reduced));
+  const lp_result root_lp = root.solve(options.lp);
+  ASSERT_EQ(root_lp.status, lp_status::optimal);
+  ASSERT_NEAR(root_lp.objective, 2.5, 1e-9);
+
+  const bool was_enabled = metrics_enabled();
+  set_metrics_enabled(true);
+  metric_counter& lp = global_metrics().counter("milp.bnb.lp_iterations");
+  metric_counter& dive =
+      global_metrics().counter("milp.bnb.dive_lp_iterations");
+  const std::uint64_t lp_before = lp.value();
+  const std::uint64_t dive_before = dive.value();
+  const mip_result r = solve_mip(m, options);
+  const std::uint64_t lp_spent = lp.value() - lp_before;
+  const std::uint64_t dive_spent = dive.value() - dive_before;
+  set_metrics_enabled(was_enabled);
+
+  ASSERT_EQ(r.status, mip_status::optimal);
+  EXPECT_EQ(r.x, warm);
+  EXPECT_EQ(r.nodes_explored, 1);
+  EXPECT_EQ(lp_spent, static_cast<std::uint64_t>(root_lp.iterations));
+  EXPECT_EQ(dive_spent, 0u);
+}
+
 TEST(MipTest, BadWarmStartThrows) {
   model m;
   const int x = m.add_binary(1.0, "x");
@@ -110,6 +154,7 @@ TEST(MipTest, TraceIsMonotone) {
 
 TEST(MipTest, RandomBinaryProgramsMatchBruteForce) {
   rng random(7);
+  rng pick(11);  // warm-start choices; keeps `random`'s instances as they were
   for (int t = 0; t < 15; ++t) {
     model m;
     const int n = 2 + static_cast<int>(random.next_below(6));  // up to 7
@@ -140,6 +185,8 @@ TEST(MipTest, RandomBinaryProgramsMatchBruteForce) {
 
     // Brute force.
     double best = 1e18;
+    int best_mask = -1;
+    std::vector<int> feasible_masks;
     for (int mask = 0; mask < (1 << n); ++mask) {
       bool feasible = true;
       double obj = 0.0;
@@ -153,17 +200,38 @@ TEST(MipTest, RandomBinaryProgramsMatchBruteForce) {
       if (!feasible) continue;
       for (int j = 0; j < n; ++j)
         if (mask & (1 << j)) obj += cost[static_cast<std::size_t>(j)];
-      best = std::min(best, obj);
+      feasible_masks.push_back(mask);
+      if (obj < best) {
+        best = obj;
+        best_mask = mask;
+      }
     }
 
     const mip_result r = solve_mip(m);
     if (best > 1e17) {
       EXPECT_EQ(r.status, mip_status::infeasible) << "trial " << t;
-    } else {
-      ASSERT_EQ(r.status, mip_status::optimal) << "trial " << t;
-      EXPECT_NEAR(r.objective, best, 1e-6) << "trial " << t;
-      EXPECT_TRUE(m.is_feasible(r.x));
+      continue;
     }
+    ASSERT_EQ(r.status, mip_status::optimal) << "trial " << t;
+    EXPECT_NEAR(r.objective, best, 1e-6) << "trial " << t;
+    EXPECT_TRUE(m.is_feasible(r.x));
+
+    // Warm-started pass: a random feasible point, the optimum itself every
+    // third trial, becomes the incumbent that every node (the root
+    // included) and every dive is cut off against.
+    const int warm_mask =
+        t % 3 == 0 ? best_mask
+                   : feasible_masks[static_cast<std::size_t>(
+                         pick.next_below(feasible_masks.size()))];
+    std::vector<double> start(static_cast<std::size_t>(n), 0.0);
+    for (int j = 0; j < n; ++j)
+      if (warm_mask & (1 << j)) start[static_cast<std::size_t>(j)] = 1.0;
+    mip_options warm;
+    warm.warm_start = std::move(start);
+    const mip_result w = solve_mip(m, warm);
+    ASSERT_EQ(w.status, mip_status::optimal) << "warm trial " << t;
+    EXPECT_NEAR(w.objective, best, 1e-6) << "warm trial " << t;
+    EXPECT_TRUE(m.is_feasible(w.x));
   }
 }
 

@@ -268,11 +268,13 @@ TEST(ParallelDeterminismTest, SeparateRobddsDesignIdenticalAcrossThreadCounts) {
 
 // The labeling solver's round-based parallel branch-and-bound must produce
 // bit-identical designs for any thread count (the Table 4 protocol:
-// weighted MIP, gamma = 0.5, one shared SBDD per circuit).
+// weighted MIP, gamma = 0.5, one shared SBDD per circuit). Method 1's
+// optimality certificate answers comparator(3) and parity(8, 2) without a
+// search; mux_tree(3) and priority_encoder(9) branch.
 TEST(ParallelDeterminismTest, SolverDesignsBitIdenticalAcrossThreadCounts) {
   const std::vector<frontend::network> circuits = {
       frontend::make_mux_tree(3), frontend::make_comparator(3),
-      frontend::make_parity(8, 2)};
+      frontend::make_parity(8, 2), frontend::make_priority_encoder(9)};
   for (std::size_t c = 0; c < circuits.size(); ++c) {
     const frontend::network& net = circuits[c];
     bdd::manager m(net.input_count());

@@ -267,15 +267,16 @@ BENCHMARK(BM_ParallelSampledValidate)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->UseRealTi
 /// The labeling hot path end to end: weighted-MIP synthesis (kernelized OCT
 /// warm start + presolve + round-based parallel branch-and-bound) under
 /// `--threads`. The design is bit-identical for any thread count; only the
-/// wall clock may move. mux_tree(3)'s Method 1 labeling is unbalanced, so
-/// the optimality certificate cannot close it and branch-and-bound runs.
+/// wall clock may move. At gamma 0.3 mux_tree(3)'s Method 1 labeling is
+/// not optimal, so the optimality certificate cannot close it and
+/// branch-and-bound runs.
 void BM_MipLabelingSolver(benchmark::State& state) {
   const frontend::network net = frontend::make_mux_tree(3);
   bdd::manager m(net.input_count());
   const frontend::sbdd built = frontend::build_sbdd(net, m);
   core::synthesis_options options;
   options.method = core::labeling_method::weighted_mip;
-  options.gamma = 0.5;
+  options.gamma = 0.3;
   options.time_limit_seconds = 30.0;
   options.parallel.threads = g_solver_threads;
   for (auto _ : state) {

@@ -46,19 +46,48 @@ oct_label_result warm_oct_labeling(const bdd_graph& graph,
   return result;
 }
 
-/// Whether Method 1's labeling is optimal for Eq. 4 at every gamma without
-/// a search. Every labeling has S >= n + k (its VH set is an aligned odd
-/// cycle transversal, k the proven minimum) and D = max(R, C) >= ceil(S/2),
-/// so a proven-minimum labeling whose D already equals ceil(S/2) minimizes
-/// both terms at once; a fitting dimension budget only removes competitors.
-bool certifies_optimum(const oct_label_result& warm,
+/// Whether no labeling beats Method 1's, decided without a MIP. Method 1
+/// proved k, the minimum VH count, and its labeling has S = n + k and D_w.
+/// A labeling with k' VH nodes has S = n + k' and D >= ceil(S/2), so:
+///  1. every k' > k is ruled out by the bound at k' = k + 1, which only
+///     grows with k';
+///  2. at k' = k the VH set is a minimum aligned transversal X, and the
+///     best D for X is Method 1's own colouring and balance of X. Unless
+///     the bound D >= ceil(S/2) already rules this out, every X is
+///     enumerated, stopping at the first that balances better than D_w.
+/// Objectives compare with the search's incumbent tolerance: the search
+/// would return this very labeling, since it accepts only strictly better
+/// ones. A fitting dimension budget only removes competitors.
+bool certifies_optimum(const bdd_graph& graph, const oct_label_result& warm,
                        const labeling_stats& stats,
                        const mip_label_options& options) {
   if (!warm.optimal) return false;
   if (options.max_rows && stats.rows > *options.max_rows) return false;
   if (options.max_columns && stats.columns > *options.max_columns)
     return false;
-  return stats.max_dimension == (stats.semiperimeter + 1) / 2;
+  const double gamma = options.gamma;
+  const auto objective = [gamma](int s, int d) {
+    return gamma * s + (1.0 - gamma) * d;
+  };
+  const int s = stats.semiperimeter;
+  const double beats = objective(s, stats.max_dimension) - 1e-9;
+  if (objective(s + 1, (s + 2) / 2) < beats) return false;
+  if (objective(s, (s + 1) / 2) >= beats) return true;
+
+  const trace_span span("certificate", "label");
+  const anchored_graph anchored =
+      anchor_aligned_nodes(graph, options.alignment);
+  const graph::oct_enumeration listed = graph::enumerate_minimum_transversals(
+      anchored.g, anchored.anchor, warm.oct_size, certificate_node_limit,
+      [&](const std::vector<bool>& transversal) {
+        const labeling l = label_transversal(anchored, transversal, true);
+        return objective(s, compute_stats(l).max_dimension) < beats;
+      });
+  if (metrics_enabled())
+    global_metrics()
+        .counter("label_mip.certificate_search_nodes")
+        .add(listed.search_nodes);
+  return listed.complete;
 }
 
 }  // namespace
@@ -116,7 +145,7 @@ mip_label_result label_weighted(const bdd_graph& graph,
     // A certified warm start is the answer: the search would return this
     // very point, since it accepts only strictly better incumbents.
     const labeling_stats stats = compute_stats(warm->l);
-    if (certifies_optimum(*warm, stats, options)) {
+    if (certifies_optimum(graph, *warm, stats, options)) {
       result.l = std::move(warm->l);
       result.optimal = true;
       result.relative_gap = 0.0;
@@ -129,6 +158,7 @@ mip_label_result label_weighted(const bdd_graph& graph,
       entry.best_bound = result.objective;
       entry.relative_gap = 0.0;
       on_trace(entry);
+      milp::publish_solve_effort({});
       if (metrics_enabled())
         global_metrics().counter("label_mip.certified").increment();
       return finish();

@@ -72,67 +72,37 @@ std::vector<char> balance_flips(
 
 }  // namespace
 
-oct_label_result label_minimal_semiperimeter(const bdd_graph& graph,
-                                             const oct_label_options& options) {
-  const trace_span span("label_oct", "label");
-  const graph::undirected_graph& g = graph.g;
-  const std::size_t n = g.node_count();
-  oct_label_result result;
-  result.l.label_of.assign(n, vh_label::v);
-  if (n == 0) {
-    result.optimal = true;
-    return result;
-  }
-
-  // Step 1: the VH set. Under alignment, join one anchor vertex to every
-  // aligned node and forbid deleting it: in G + anchor - X the aligned nodes
-  // all take the colour opposite the anchor's, so any transversal X that
-  // avoids the anchor is exactly the VH set of a labeling satisfying Eq. 7,
-  // and a minimum one minimizes S = n + |X| under alignment. Kernelize first
-  // (unless disabled): the reductions are exact, so the lifted transversal
-  // has the same size as an unreduced solve.
-  graph::undirected_graph anchored = g;
-  graph::oct_options oct;
-  oct.engine = options.engine;
-  oct.time_limit_seconds = options.time_limit_seconds;
-  oct.threads = options.threads;
-  if (options.alignment) {
+anchored_graph anchor_aligned_nodes(const bdd_graph& graph, bool alignment) {
+  anchored_graph anchored{graph.g, -1, graph.g.node_count()};
+  if (alignment) {
     const std::vector<graph::node_id> aligned = graph.aligned_nodes();
     if (!aligned.empty()) {
-      oct.anchor = anchored.add_node();
-      for (const graph::node_id v : aligned) anchored.add_edge(oct.anchor, v);
+      anchored.anchor = anchored.g.add_node();
+      for (const graph::node_id v : aligned)
+        anchored.g.add_edge(anchored.anchor, v);
     }
   }
-  const graph::oct_result transversal =
-      options.reduce ? reduced_odd_cycle_transversal(anchored, oct)
-                     : graph::odd_cycle_transversal(anchored, oct);
-  result.oct_size = transversal.size;
-  result.optimal = transversal.optimal;
-  result.relative_gap =
-      static_cast<double>(transversal.size - transversal.lower_bound) /
-      static_cast<double>(n + transversal.size);
-  if (metrics_enabled()) {
-    metrics_registry& registry = global_metrics();
-    registry.counter("label_oct.runs").increment();
-    registry
-        .histogram("label_oct.oct_size",
-                   {0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0})
-        .observe(static_cast<double>(result.oct_size));
-  }
+  return anchored;
+}
 
-  // Step 2: 2-color the induced bipartite subgraph (anchor included).
-  std::vector<bool> keep(anchored.node_count());
-  for (std::size_t v = 0; v < keep.size(); ++v)
-    keep[v] = !transversal.in_transversal[v];
-  const auto induced = anchored.induced_subgraph(keep);
+labeling label_transversal(const anchored_graph& anchored,
+                           const std::vector<bool>& in_transversal,
+                           bool balance) {
+  const std::size_t n = anchored.graph_nodes;
+  const graph::undirected_graph& g = anchored.g;
+
+  // 2-color the induced bipartite subgraph (anchor included).
+  std::vector<bool> keep(g.node_count());
+  for (std::size_t v = 0; v < keep.size(); ++v) keep[v] = !in_transversal[v];
+  const auto induced = g.induced_subgraph(keep);
   const auto coloring = graph::try_two_color(induced.subgraph);
   check(coloring.has_value(), "label_oct: G - OCT is not bipartite");
   const auto components = induced.subgraph.connected_components();
 
   // color_of / component_of in *anchored* vertex ids (-1 for VH nodes).
-  std::vector<int> color_of(anchored.node_count(), -1);
-  std::vector<int> component_of(anchored.node_count(), -1);
-  for (std::size_t v = 0; v < anchored.node_count(); ++v) {
+  std::vector<int> color_of(g.node_count(), -1);
+  std::vector<int> component_of(g.node_count(), -1);
+  for (std::size_t v = 0; v < g.node_count(); ++v) {
     const graph::node_id nv = induced.new_id_of[v];
     if (nv < 0) continue;
     color_of[v] = coloring->color_of[static_cast<std::size_t>(nv)];
@@ -140,30 +110,33 @@ oct_label_result label_minimal_semiperimeter(const bdd_graph& graph,
         components.component_of[static_cast<std::size_t>(nv)];
   }
 
-  // Step 3: orientations. Orientation 0 maps color 0 to H (rows);
-  // orientation 1 maps color 1 to H. The anchor's component is fixed with
-  // the anchor on the V side, which puts every aligned node on H; every
-  // other component is free.
+  // Orientations. Orientation 0 maps color 0 to H (rows); orientation 1
+  // maps color 1 to H. The anchor's component is fixed with the anchor on
+  // the V side, which puts every aligned node on H; every other component
+  // is free.
   const int k = components.count;
   std::vector<int> orientation(static_cast<std::size_t>(k), -1);
-  if (oct.anchor >= 0) {
-    const auto a = static_cast<std::size_t>(oct.anchor);
+  if (anchored.anchor >= 0) {
+    const auto a = static_cast<std::size_t>(anchored.anchor);
     orientation[static_cast<std::size_t>(component_of[a])] = 1 - color_of[a];
   }
   std::vector<std::array<int, 2>> size_by_color(
       static_cast<std::size_t>(k), {0, 0});
+  int vh_count = 0;
   for (std::size_t v = 0; v < n; ++v) {
     const int c = component_of[v];
-    if (c < 0) continue;
+    if (c < 0) {
+      ++vh_count;
+      continue;
+    }
     ++size_by_color[static_cast<std::size_t>(c)]
                    [static_cast<std::size_t>(color_of[v])];
   }
 
-  // Step 4: balance the free components (Fig. 6). VH nodes occupy one row
-  // and one column each; the fixed component contributes its oriented
-  // counts.
-  int bias_rows = static_cast<int>(result.oct_size);
-  int bias_columns = static_cast<int>(result.oct_size);
+  // Balance the free components (Fig. 6). VH nodes occupy one row and one
+  // column each; the fixed component contributes its oriented counts.
+  int bias_rows = vh_count;
+  int bias_columns = vh_count;
   std::vector<int> free_components;
   std::vector<std::pair<int, int>> free_contribution;  // (rows, cols) if kept
   for (int c = 0; c < k; ++c) {
@@ -183,20 +156,69 @@ oct_label_result label_minimal_semiperimeter(const bdd_graph& graph,
   }
 
   std::vector<char> flips(free_components.size(), 0);
-  if (options.balance && !free_components.empty())
+  if (balance && !free_components.empty())
     flips = balance_flips(free_contribution, bias_rows, bias_columns);
   for (std::size_t i = 0; i < free_components.size(); ++i)
     orientation[static_cast<std::size_t>(free_components[i])] = flips[i];
 
-  // Step 5: emit labels.
+  // Emit labels.
+  labeling l;
+  l.label_of.assign(n, vh_label::v);
   for (std::size_t v = 0; v < n; ++v) {
-    if (transversal.in_transversal[v]) {
-      result.l.label_of[v] = vh_label::vh;
+    if (in_transversal[v]) {
+      l.label_of[v] = vh_label::vh;
       continue;
     }
     const int o = orientation[static_cast<std::size_t>(component_of[v])];
-    result.l.label_of[v] = color_of[v] == o ? vh_label::h : vh_label::v;
+    l.label_of[v] = color_of[v] == o ? vh_label::h : vh_label::v;
   }
+  return l;
+}
+
+oct_label_result label_minimal_semiperimeter(const bdd_graph& graph,
+                                             const oct_label_options& options) {
+  const trace_span span("label_oct", "label");
+  const graph::undirected_graph& g = graph.g;
+  oct_label_result result;
+  if (g.node_count() == 0) {
+    result.optimal = true;
+    return result;
+  }
+
+  // Step 1: the VH set. Under alignment, join one anchor vertex to every
+  // aligned node and forbid deleting it: in G + anchor - X the aligned nodes
+  // all take the colour opposite the anchor's, so any transversal X that
+  // avoids the anchor is exactly the VH set of a labeling satisfying Eq. 7,
+  // and a minimum one minimizes S = n + |X| under alignment. Kernelize first
+  // (unless disabled): the reductions are exact, so the lifted transversal
+  // has the same size as an unreduced solve.
+  const anchored_graph anchored =
+      anchor_aligned_nodes(graph, options.alignment);
+  graph::oct_options oct;
+  oct.engine = options.engine;
+  oct.time_limit_seconds = options.time_limit_seconds;
+  oct.threads = options.threads;
+  oct.anchor = anchored.anchor;
+  const graph::oct_result transversal =
+      options.reduce ? reduced_odd_cycle_transversal(anchored.g, oct)
+                     : graph::odd_cycle_transversal(anchored.g, oct);
+  result.oct_size = transversal.size;
+  result.optimal = transversal.optimal;
+  result.relative_gap =
+      static_cast<double>(transversal.size - transversal.lower_bound) /
+      static_cast<double>(g.node_count() + transversal.size);
+  if (metrics_enabled()) {
+    metrics_registry& registry = global_metrics();
+    registry.counter("label_oct.runs").increment();
+    registry
+        .histogram("label_oct.oct_size",
+                   {0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0})
+        .observe(static_cast<double>(result.oct_size));
+  }
+
+  // Steps 2-4: colour G + anchor - X, orient and balance its components.
+  result.l = label_transversal(anchored, transversal.in_transversal,
+                               options.balance);
 
   check(is_feasible(g, result.l), "label_oct: infeasible labeling produced");
   if (options.alignment)

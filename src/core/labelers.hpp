@@ -10,7 +10,8 @@
 //    balance R vs C via a per-component flip DP (the Fig. 6 mechanism).
 //  * label_weighted — Method 2: the MIP of Eq. 4 with the alignment
 //    constraints of Eq. 7, minimizing gamma*S + (1-gamma)*D, warm-started
-//    from Method 1's labeling.
+//    from Method 1's labeling, or answered by it without a MIP when an
+//    optimality certificate shows no labeling beats it.
 //
 // Both are also exposed as `labeler` implementations registered under "oct"
 // and "mip" in a process-wide registry, which is how the synthesis pipeline
@@ -20,6 +21,7 @@
 // one register_labeler() call — no edits to the pipeline or to compact.cpp.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <string>
@@ -60,6 +62,33 @@ struct oct_label_result {
 
 [[nodiscard]] oct_label_result label_minimal_semiperimeter(
     const bdd_graph& graph, const oct_label_options& options = {});
+
+/// The graph Method 1 searches: G, plus under alignment one anchor vertex
+/// (id `graph_nodes`) joined to every aligned node. A transversal of it
+/// that avoids the anchor is exactly the VH set of a labeling satisfying
+/// Eq. 7.
+struct anchored_graph {
+  graph::undirected_graph g;
+  graph::node_id anchor = -1;  // -1 without alignment or aligned nodes
+  std::size_t graph_nodes = 0;
+};
+
+[[nodiscard]] anchored_graph anchor_aligned_nodes(const bdd_graph& graph,
+                                                  bool alignment);
+
+/// Method 1's labeling for one VH set `in_transversal` (indexed by anchored
+/// vertex id, anchor excluded): two-colour G + anchor - X, orient the
+/// anchor's component so every aligned node takes H, and, when `balance`,
+/// flip the other components to minimize D = max(R, C) (Fig. 6).
+[[nodiscard]] labeling label_transversal(
+    const anchored_graph& anchored, const std::vector<bool>& in_transversal,
+    bool balance);
+
+/// Search nodes one optimality-certificate attempt of label_weighted may
+/// spend enumerating minimum transversals; an attempt cut off there leaves
+/// the question to the MIP (docs/solver.md, "Method 2: the optimality
+/// certificate").
+inline constexpr std::uint64_t certificate_node_limit = 1000;
 
 struct mip_label_options {
   double gamma = 0.5;

@@ -90,6 +90,16 @@ class oct_search {
     return result;
   }
 
+  /// Visit every transversal of `size` vertices, `size` the minimum.
+  oct_enumeration enumerate(int size, std::uint64_t node_limit,
+                            const transversal_visitor& visit) {
+    std::vector<node_id> all(g_.node_count());
+    std::iota(all.begin(), all.end(), node_id{0});
+    listing l{size, node_limit, &visit, {}, false, false};
+    descend(all, 0, l);
+    return {!l.ended && !l.capped, nodes_};
+  }
+
  private:
   enum : char { undecided = 0, kept = 1, deleted = 2 };
 
@@ -108,6 +118,16 @@ class oct_search {
     int best;                            // exclusive: improve below this
     std::vector<node_id> best_set;       // deletions achieving `best`
     const std::vector<node_id>* verts;   // the component's vertices
+  };
+
+  /// State of one enumeration of minimum transversals.
+  struct listing {
+    int size;                           // deletions every transversal has
+    std::uint64_t node_limit;
+    const transversal_visitor* visit;
+    std::vector<bool> transversal;      // the visited set, reused
+    bool ended;                         // the visitor ended the search
+    bool capped;                        // a node past the limit was cut
   };
 
   // --- state changes with undo -----------------------------------------
@@ -429,11 +449,7 @@ class oct_search {
   /// costs one deletion, so none is left once that reaches the incumbent.
   void branch(const std::vector<node_id>& verts, std::vector<node_id> cycle,
               int deleted_count, frame& f) {
-    std::sort(cycle.begin(), cycle.end(), [this](node_id a, node_id b) {
-      const std::size_t da = g_.degree(a);
-      const std::size_t db = g_.degree(b);
-      return da != db ? da > db : a < b;
-    });
+    order_by_degree(cycle);
     const std::size_t mark = trail_.size();
     for (const node_id v : cycle) {
       const std::size_t inner = trail_.size();
@@ -441,6 +457,53 @@ class oct_search {
       search(verts, deleted_count + 1, f);
       undo_to(inner);
       if (timed_out_ || deleted_count + 1 >= f.best || !keep(v)) break;
+    }
+    undo_to(mark);
+  }
+
+  /// Branching order: high degree first, then by id.
+  void order_by_degree(std::vector<node_id>& cycle) const {
+    std::sort(cycle.begin(), cycle.end(), [this](node_id a, node_id b) {
+      const std::size_t da = g_.degree(a);
+      const std::size_t db = g_.degree(b);
+      return da != db ? da > db : a < b;
+    });
+  }
+
+  /// One enumeration node: the branching of `branch` with the packing bound
+  /// against the deletions left, and a visit wherever the live graph is
+  /// bipartite. Every transversal that keeps the kept vertices and deletes
+  /// the deleted ones deletes an undecided vertex of each odd cycle; the
+  /// first of them in the cycle's order names the one child it lies under,
+  /// so each minimum transversal is reached exactly once.
+  void descend(const std::vector<node_id>& verts, int deleted_count,
+               listing& l) {
+    if (l.ended || l.capped) return;
+    if (nodes_ == l.node_limit) {
+      l.capped = true;
+      return;
+    }
+    ++nodes_;
+    packing p = pack(verts, l.size - deleted_count + 1);
+    if (deleted_count + p.bound > l.size) return;
+    if (p.bound == 0) {
+      check(deleted_count == l.size,
+            "enumerate_minimum_transversals: size is not the minimum");
+      l.transversal.assign(g_.node_count(), false);
+      for (const node_id v : verts)
+        if (state_[static_cast<std::size_t>(v)] == deleted)
+          l.transversal[static_cast<std::size_t>(v)] = true;
+      l.ended = (*l.visit)(l.transversal);
+      return;
+    }
+    order_by_degree(p.branch);
+    const std::size_t mark = trail_.size();
+    for (const node_id v : p.branch) {
+      const std::size_t inner = trail_.size();
+      remove(v);
+      descend(verts, deleted_count + 1, l);
+      undo_to(inner);
+      if (l.ended || l.capped || !keep(v)) break;
     }
     undo_to(mark);
   }
@@ -636,6 +699,15 @@ oct_result greedy_odd_cycle_transversal(const undirected_graph& g,
   check(is_odd_cycle_transversal(g, result.in_transversal),
         "greedy OCT produced an invalid transversal");
   return result;
+}
+
+oct_enumeration enumerate_minimum_transversals(
+    const undirected_graph& g, node_id anchor, std::size_t size,
+    std::uint64_t node_limit, const transversal_visitor& visit) {
+  check(anchor < static_cast<node_id>(g.node_count()),
+        "enumerate_minimum_transversals: anchor out of range");
+  oct_search search(g, anchor, std::numeric_limits<double>::infinity());
+  return search.enumerate(static_cast<int>(size), node_limit, visit);
 }
 
 oct_result odd_cycle_transversal(const undirected_graph& g,

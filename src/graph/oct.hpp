@@ -17,9 +17,14 @@
 // Both accept one never-deleted vertex (the anchor). label_oct joins an
 // anchor to every alignment-constrained node, so a transversal avoiding it
 // is exactly the VH set of a labeling that satisfies Eq. 7.
+//
+// A third search lists every minimum transversal instead of finding one;
+// Method 2's optimality certificate uses it to check each VH set Method 1
+// could have chosen.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "graph/graph.hpp"
@@ -61,6 +66,29 @@ struct oct_options {
 /// search_nodes to the graph.oct.search_nodes counter when metrics are on.
 [[nodiscard]] oct_result odd_cycle_transversal(const undirected_graph& g,
                                                const oct_options& options = {});
+
+struct oct_enumeration {
+  /// True when every minimum transversal was visited: the node limit did
+  /// not cut the search short and the visitor never ended it.
+  bool complete = false;
+  /// Search nodes explored, leaves included; at most the node limit.
+  std::uint64_t search_nodes = 0;
+};
+
+/// Called once per transversal (indexed by node id); returns true to end
+/// the enumeration.
+using transversal_visitor = std::function<bool(const std::vector<bool>&)>;
+
+/// Visits every odd cycle transversal of `g` with `size` vertices that
+/// avoids `anchor` (-1 for none), each once; `size` must be the minimum.
+/// The search branches like the bnb engine (child i deletes c_i and keeps
+/// c_1..c_{i-1} of an odd cycle) and prunes by the odd-cycle packing bound,
+/// but applies none of its reductions or component splits: those preserve
+/// one minimum, not all of them. A search that needs more than
+/// `node_limit` nodes stops there and reports itself incomplete.
+[[nodiscard]] oct_enumeration enumerate_minimum_transversals(
+    const undirected_graph& g, node_id anchor, std::size_t size,
+    std::uint64_t node_limit, const transversal_visitor& visit);
 
 /// Fast heuristic transversal avoiding `anchor` (-1 for none): greedily
 /// delete one vertex per odd-coloring conflict. Always valid; the bnb

@@ -201,8 +201,20 @@ struct item_outcome {
 
 }  // namespace
 
-// Adds the solve's totals to the "milp.bnb.*" counters on every exit path
-// of solve_mip (several early returns). No-op when metrics are disabled.
+void publish_solve_effort(const solve_effort& effort) {
+  if (!metrics_enabled()) return;
+  metrics_registry& registry = global_metrics();
+  registry.counter("milp.bnb.nodes_explored").add(effort.nodes_explored);
+  registry.counter("milp.bnb.lp_iterations").add(effort.lp_iterations);
+  registry.counter("milp.bnb.dive_lp_iterations")
+      .add(effort.dive_lp_iterations);
+  registry.counter("milp.bnb.incumbents").add(effort.incumbents);
+  registry.counter("milp.bnb.rounds").add(effort.rounds);
+  registry.counter("milp.bnb.solves").add(effort.solves);
+}
+
+// Publishes the solve's effort on every exit path of solve_mip (several
+// early returns).
 struct solve_metrics_guard {
   const mip_result& result;
   const std::uint64_t& lp_iterations;
@@ -210,15 +222,9 @@ struct solve_metrics_guard {
   const std::uint64_t& incumbents;
   const std::uint64_t& rounds;
   ~solve_metrics_guard() {
-    if (!metrics_enabled()) return;
-    metrics_registry& registry = global_metrics();
-    registry.counter("milp.bnb.nodes_explored")
-        .add(static_cast<std::uint64_t>(result.nodes_explored));
-    registry.counter("milp.bnb.lp_iterations").add(lp_iterations);
-    registry.counter("milp.bnb.dive_lp_iterations").add(dive_lp_iterations);
-    registry.counter("milp.bnb.incumbents").add(incumbents);
-    registry.counter("milp.bnb.rounds").add(rounds);
-    registry.counter("milp.bnb.solves").increment();
+    publish_solve_effort({static_cast<std::uint64_t>(result.nodes_explored),
+                          lp_iterations, dive_lp_iterations, incumbents,
+                          rounds, 1});
   }
 };
 

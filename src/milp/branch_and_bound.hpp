@@ -15,6 +15,7 @@
 // wall-clock limits, which are timing-dependent even serially).
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <optional>
 #include <vector>
@@ -103,5 +104,21 @@ struct mip_result {
 /// Solve `m` (minimization). Integer variables must have finite bounds.
 [[nodiscard]] mip_result solve_mip(const model& m,
                                    const mip_options& options = {});
+
+/// Search effort as the "milp.bnb.*" counters count it.
+struct solve_effort {
+  std::uint64_t nodes_explored = 0;
+  std::uint64_t lp_iterations = 0;       // node and probe LP iterations
+  std::uint64_t dive_lp_iterations = 0;  // diving heuristic LP iterations
+  std::uint64_t incumbents = 0;          // accepted incumbent improvements
+  std::uint64_t rounds = 0;              // synchronous search rounds
+  std::uint64_t solves = 0;
+};
+
+/// Adds `effort` to the "milp.bnb.*" counters; no-op when metrics are
+/// disabled. solve_mip publishes each solve's effort on every exit path. A
+/// caller that settles a model without solving it publishes a zero effort,
+/// so the same counters exist whichever path ran.
+void publish_solve_effort(const solve_effort& effort);
 
 }  // namespace compact::milp

@@ -102,27 +102,26 @@ TEST(LabelMipTest, TraceRecordsConvergence) {
     EXPECT_LE(r.trace[i].best_integer, r.trace[i - 1].best_integer + 1e-9);
 }
 
-// Method 1's labeling is optimal at every gamma when its S = n + k is the
-// proven minimum and its D = ceil(S/2); label_weighted then returns it
-// without building the MIP. The certified objective must equal a search
-// that never sees Method 1 (no warm start, no S >= n + k cut), and
-// instances whose Method 1 labeling is not certified must still search.
-TEST(LabelMipTest, CertificateAgreesWithSearchWithoutMethodOne) {
-  struct instance {
-    frontend::network net;
-    bool certified;
-  };
-  for (const instance& c :
-       {instance{frontend::make_comparator(3), true},
-        instance{frontend::make_parity(8, 2), true},
-        instance{frontend::make_priority_encoder(6), true},
-        instance{frontend::make_mux_tree(3), false},
-        instance{frontend::make_priority_encoder(9), false}}) {
+// Method 1's labeling W (S = n + k, k proven minimum) is certified at a
+// gamma when no labeling with more VH nodes can beat it by the D >= ceil(S/2)
+// bound and no other minimum aligned transversal balances better; then
+// label_weighted returns it without building the MIP. The objective must
+// equal a search that never sees Method 1 (no warm start, no S >= n + k
+// cut), and the instances whose W is not certified at a gamma (W is not
+// optimal there, or only a search rules out labelings with more VH nodes)
+// must still search.
+struct certificate_case {
+  frontend::network net;
+  double certified_from;  // certified at every listed gamma from here up
+};
+
+void expect_certificate_agrees(const std::vector<certificate_case>& cases) {
+  for (const certificate_case& c : cases) {
     bdd::manager m(c.net.input_count());
     const bdd_graph g = graph_of(c.net, m);
     const oct_label_result oct = label_minimal_semiperimeter(g);
     ASSERT_TRUE(oct.optimal) << c.net.name();
-    for (const double gamma : {0.0, 0.3, 0.5, 1.0}) {
+    for (const double gamma : {0.0, 0.1, 0.3, 0.4, 0.5, 0.7, 1.0}) {
       mip_label_options options;
       options.gamma = gamma;
       options.time_limit_seconds = 60.0;
@@ -133,7 +132,7 @@ TEST(LabelMipTest, CertificateAgreesWithSearchWithoutMethodOne) {
       ASSERT_TRUE(searched.optimal) << c.net.name() << " gamma " << gamma;
       EXPECT_NEAR(fast.objective, searched.objective, 1e-9)
           << c.net.name() << " gamma " << gamma;
-      if (c.certified) {
+      if (gamma >= c.certified_from) {
         EXPECT_EQ(fast.nodes_explored, 0) << c.net.name() << " gamma " << gamma;
         EXPECT_EQ(fast.l.label_of, oct.l.label_of) << c.net.name();
         ASSERT_EQ(fast.trace.size(), 1u);
@@ -146,10 +145,82 @@ TEST(LabelMipTest, CertificateAgreesWithSearchWithoutMethodOne) {
   }
 }
 
+TEST(LabelMipTest, CertificateAgreesWithSearchWithoutMethodOne) {
+  expect_certificate_agrees({{frontend::make_comparator(3), 0.0},
+                             {frontend::make_mux_tree(2), 1.0},
+                             {frontend::make_mux_tree(3), 0.5},
+                             {frontend::make_decoder(2), 0.5},
+                             {frontend::make_decoder(3), 0.7},
+                             {frontend::make_int2float(4), 0.5}});
+}
+
+// Priority encoders and parity trees, certified at every gamma; split from
+// the test above only so that the three run in parallel.
+TEST(LabelMipTest, CertificateAgreesOnPriorityEncoders) {
+  std::vector<certificate_case> cases;
+  for (int width = 5; width <= 12; ++width)
+    cases.push_back({frontend::make_priority_encoder(width), 0.0});
+  expect_certificate_agrees(cases);
+}
+
+TEST(LabelMipTest, CertificateAgreesOnParityTrees) {
+  std::vector<certificate_case> cases;
+  for (int bits = 8; bits <= 13; ++bits)
+    cases.push_back({frontend::make_parity(bits, 2), 0.0});
+  expect_certificate_agrees(cases);
+}
+
+// A graph whose minimum transversals outnumber the certificate's node
+// limit: two aligned nodes, which every labeling puts on rows, beside five
+// disjoint 5-cycles. Each of the 5^5 minimum transversals balances to
+// R = 17 = S/2 + 1 against C = 15, so Method 1's labeling W is optimal, and
+// under a 15-column budget the search proves it at its root (S >= 32 and
+// C <= 15 give R >= 17). The enumeration is cut off at the limit, and the
+// attempt must leave the search's answer unchanged: W, proven optimal.
+TEST(LabelMipTest, CertificateCutOffByNodeLimitLeavesTheSearchAnswer) {
+  const bool was_enabled = metrics_enabled();
+  set_metrics_enabled(true);
+  bdd_graph g;
+  g.g = graph::undirected_graph(27);
+  g.terminal_node = 0;
+  g.outputs.push_back({1, "f"});
+  for (int c = 0; c < 5; ++c)
+    for (int i = 0; i < 5; ++i)
+      g.g.add_edge(2 + 5 * c + i, 2 + 5 * c + (i + 1) % 5);
+  const oct_label_result oct = label_minimal_semiperimeter(g);
+  ASSERT_TRUE(oct.optimal);
+  const labeling_stats stats = compute_stats(oct.l);
+  ASSERT_EQ(stats.semiperimeter, 32);
+  ASSERT_EQ(stats.rows, 17);
+  ASSERT_EQ(stats.columns, 15);
+
+  metric_counter& certified = global_metrics().counter("label_mip.certified");
+  metric_counter& listed =
+      global_metrics().counter("label_mip.certificate_search_nodes");
+  for (const double gamma : {0.1, 0.5, 0.9}) {
+    const std::uint64_t certified_before = certified.value();
+    const std::uint64_t listed_before = listed.value();
+    mip_label_options options;
+    options.gamma = gamma;
+    options.time_limit_seconds = 60.0;
+    options.max_columns = 15;
+    const mip_label_result r = label_weighted(g, options);
+    EXPECT_EQ(certified.value(), certified_before) << "gamma " << gamma;
+    EXPECT_EQ(listed.value() - listed_before, certificate_node_limit)
+        << "gamma " << gamma;
+    ASSERT_TRUE(r.optimal) << "gamma " << gamma;
+    EXPECT_GT(r.nodes_explored, 0) << "gamma " << gamma;
+    EXPECT_EQ(r.l.label_of, oct.l.label_of) << "gamma " << gamma;
+    EXPECT_NEAR(r.objective, gamma * 32 + (1.0 - gamma) * 17, 1e-9)
+        << "gamma " << gamma;
+  }
+  set_metrics_enabled(was_enabled);
+}
+
 // The branch-and-bound effort counters are deterministic: equal on a repeat
 // and at any thread count, because every node LP is a pure function of its
-// parent's basis and its own bounds. The instances are ones the Method 1
-// certificate cannot close, so the search really runs.
+// parent's basis and its own bounds. The instances and gammas are ones the
+// Method 1 certificate cannot close, so the search really runs.
 TEST(LabelMipTest, SearchEffortIsDeterministic) {
   const bool was_enabled = metrics_enabled();
   set_metrics_enabled(true);
@@ -162,18 +233,22 @@ TEST(LabelMipTest, SearchEffortIsDeterministic) {
              dive_lp_iterations == o.dive_lp_iterations;
     }
   };
-  for (const frontend::network& net :
-       {frontend::make_mux_tree(3), frontend::make_priority_encoder(9)}) {
-    bdd::manager m(net.input_count());
-    const bdd_graph g = graph_of(net, m);
-    const auto effort_at = [&g](int threads) {
+  struct instance {
+    frontend::network net;
+    double gamma;
+  };
+  for (const instance& c : {instance{frontend::make_mux_tree(3), 0.3},
+                            instance{frontend::make_int2float(4), 0.4}}) {
+    bdd::manager m(c.net.input_count());
+    const bdd_graph g = graph_of(c.net, m);
+    const auto effort_at = [&g, &c](int threads) {
       metric_counter& lp = global_metrics().counter("milp.bnb.lp_iterations");
       metric_counter& dive =
           global_metrics().counter("milp.bnb.dive_lp_iterations");
       const std::uint64_t lp_before = lp.value();
       const std::uint64_t dive_before = dive.value();
       mip_label_options options;
-      options.gamma = 0.5;
+      options.gamma = c.gamma;
       options.time_limit_seconds = 60.0;
       options.threads = threads;
       const mip_label_result r = label_weighted(g, options);
@@ -182,10 +257,10 @@ TEST(LabelMipTest, SearchEffortIsDeterministic) {
                     dive.value() - dive_before};
     };
     const effort serial = effort_at(1);
-    EXPECT_GT(serial.nodes, 0);
-    EXPECT_GT(serial.lp_iterations, 0u);
-    EXPECT_TRUE(effort_at(1) == serial);
-    EXPECT_TRUE(effort_at(8) == serial);
+    EXPECT_GT(serial.nodes, 0) << c.net.name();
+    EXPECT_GT(serial.lp_iterations, 0u) << c.net.name();
+    EXPECT_TRUE(effort_at(1) == serial) << c.net.name();
+    EXPECT_TRUE(effort_at(8) == serial) << c.net.name();
   }
   set_metrics_enabled(was_enabled);
 }

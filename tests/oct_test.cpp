@@ -83,10 +83,11 @@ TEST(OctTest, MatchesBruteForceOnRandomGraphs) {
   }
 }
 
-/// Minimum transversal avoiding `anchor` by exhaustive search in order of
-/// size, with a bitmask bipartiteness test (fast enough for 14 vertices).
-std::size_t brute_force_anchored_oct(const undirected_graph& g,
-                                     node_id anchor) {
+/// Every minimum transversal avoiding `anchor`, as bitmasks in increasing
+/// order, by exhaustive search in order of size with a bitmask
+/// bipartiteness test (fast enough for 14 vertices).
+std::vector<unsigned> brute_force_minimum_transversals(const undirected_graph& g,
+                                                       node_id anchor) {
   const int n = static_cast<int>(g.node_count());
   std::vector<unsigned> adjacency(static_cast<std::size_t>(n), 0);
   for (const edge& e : g.edges()) {
@@ -113,13 +114,20 @@ std::size_t brute_force_anchored_oct(const undirected_graph& g,
     }
     return true;
   };
-  for (int size = 0; size <= n; ++size)
+  std::vector<unsigned> minimum;
+  for (int size = 0; size <= n && minimum.empty(); ++size)
     for (unsigned mask = 0; mask < (1u << n); ++mask)
       if (__builtin_popcount(mask) == size &&
           (anchor < 0 || (mask & (1u << anchor)) == 0) &&
           bipartite_without(mask))
-        return static_cast<std::size_t>(size);
-  return g.node_count();
+        minimum.push_back(mask);
+  return minimum;
+}
+
+std::size_t brute_force_anchored_oct(const undirected_graph& g,
+                                     node_id anchor) {
+  return static_cast<std::size_t>(
+      __builtin_popcount(brute_force_minimum_transversals(g, anchor).front()));
 }
 
 // The engine against exhaustive search: 240 random graphs of 4-14
@@ -149,6 +157,65 @@ TEST(OctTest, EngineMatchesBruteForceWithAndWithoutAnchor) {
     EXPECT_EQ(r.size, brute_force_anchored_oct(g, options.anchor))
         << "trial " << t;
     EXPECT_EQ(r.lower_bound, r.size) << "trial " << t;
+  }
+}
+
+// The enumerator against exhaustive search on the same kind of graphs: it
+// visits every minimum transversal exactly once and nothing else. A node
+// limit below its effort, or a visitor that ends it, leaves it incomplete;
+// a limit equal to its effort does not.
+TEST(OctTest, EnumeratorVisitsExactlyTheMinimumTransversals) {
+  rng random(2029);
+  const auto never_stop = [](const std::vector<bool>&) { return false; };
+  for (int t = 0; t < 240; ++t) {
+    const int n = 4 + static_cast<int>(random.next_below(11));
+    const int percent = 8 + static_cast<int>(random.next_below(33));
+    undirected_graph g(static_cast<std::size_t>(n));
+    for (int i = 0; i < n; ++i)
+      for (int j = i + 1; j < n; ++j)
+        if (static_cast<int>(random.next_below(100)) < percent)
+          g.add_edge(i, j);
+    node_id anchor = -1;
+    if (t % 2 == 1)
+      anchor = static_cast<node_id>(
+          random.next_below(static_cast<std::uint64_t>(n)));
+    const std::vector<unsigned> expected =
+        brute_force_minimum_transversals(g, anchor);
+    const auto size =
+        static_cast<std::size_t>(__builtin_popcount(expected.front()));
+
+    std::vector<unsigned> visited;
+    const oct_enumeration all = enumerate_minimum_transversals(
+        g, anchor, size, 1u << 20, [&](const std::vector<bool>& x) {
+          unsigned mask = 0;
+          for (int v = 0; v < n; ++v)
+            if (x[static_cast<std::size_t>(v)]) mask |= 1u << v;
+          visited.push_back(mask);
+          return false;
+        });
+    EXPECT_TRUE(all.complete) << "trial " << t;
+    std::sort(visited.begin(), visited.end());
+    EXPECT_EQ(visited, expected) << "trial " << t;
+
+    const oct_enumeration exact =
+        enumerate_minimum_transversals(g, anchor, size, all.search_nodes,
+                                       never_stop);
+    EXPECT_TRUE(exact.complete) << "trial " << t;
+    EXPECT_EQ(exact.search_nodes, all.search_nodes) << "trial " << t;
+    const oct_enumeration cut =
+        enumerate_minimum_transversals(g, anchor, size, all.search_nodes - 1,
+                                       never_stop);
+    EXPECT_FALSE(cut.complete) << "trial " << t;
+    EXPECT_EQ(cut.search_nodes, all.search_nodes - 1) << "trial " << t;
+
+    int calls = 0;
+    const oct_enumeration ended = enumerate_minimum_transversals(
+        g, anchor, size, 1u << 20, [&calls](const std::vector<bool>&) {
+          ++calls;
+          return true;
+        });
+    EXPECT_FALSE(ended.complete) << "trial " << t;
+    EXPECT_EQ(calls, 1) << "trial " << t;
   }
 }
 

@@ -11,6 +11,7 @@
 #include "core/compact.hpp"
 #include "frontend/benchgen.hpp"
 #include "frontend/to_bdd.hpp"
+#include "util/metrics.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 #include "xbar/faults.hpp"
@@ -268,25 +269,37 @@ TEST(ParallelDeterminismTest, SeparateRobddsDesignIdenticalAcrossThreadCounts) {
 
 // The labeling solver's round-based parallel branch-and-bound must produce
 // bit-identical designs for any thread count (the Table 4 protocol:
-// weighted MIP, gamma = 0.5, one shared SBDD per circuit). Method 1's
+// weighted MIP, one shared SBDD per circuit). At gamma 0.4 Method 1's
 // optimality certificate answers comparator(3) and parity(8, 2) without a
-// search; mux_tree(3) and priority_encoder(9) branch.
+// search, while mux_tree(3) and int2float(4) branch.
 TEST(ParallelDeterminismTest, SolverDesignsBitIdenticalAcrossThreadCounts) {
-  const std::vector<frontend::network> circuits = {
-      frontend::make_mux_tree(3), frontend::make_comparator(3),
-      frontend::make_parity(8, 2), frontend::make_priority_encoder(9)};
+  const bool was_enabled = metrics_enabled();
+  set_metrics_enabled(true);
+  metric_counter& nodes = global_metrics().counter("milp.bnb.nodes_explored");
+  struct circuit {
+    frontend::network net;
+    bool branches;
+  };
+  const std::vector<circuit> circuits = {
+      {frontend::make_mux_tree(3), true},
+      {frontend::make_comparator(3), false},
+      {frontend::make_parity(8, 2), false},
+      {frontend::make_int2float(4), true}};
   for (std::size_t c = 0; c < circuits.size(); ++c) {
-    const frontend::network& net = circuits[c];
+    const frontend::network& net = circuits[c].net;
     bdd::manager m(net.input_count());
     const frontend::sbdd built = frontend::build_sbdd(net, m);
     core::synthesis_options options;
     options.method = core::labeling_method::weighted_mip;
-    options.gamma = 0.5;
+    options.gamma = 0.4;
     options.time_limit_seconds = 60.0;  // solved to optimality well within
     options.parallel.threads = 1;
+    const std::uint64_t nodes_before = nodes.value();
     const core::synthesis_result serial =
         core::synthesize(m, built.roots, built.names, options);
     EXPECT_TRUE(serial.stats.optimal) << "circuit " << c;
+    EXPECT_EQ(nodes.value() > nodes_before, circuits[c].branches)
+        << "circuit " << c;
     const std::string serial_text = design_text(serial.design);
     for (const int threads : {2, 8}) {
       options.parallel.threads = threads;
@@ -299,6 +312,7 @@ TEST(ParallelDeterminismTest, SolverDesignsBitIdenticalAcrossThreadCounts) {
                 serial.stats.semiperimeter);
     }
   }
+  set_metrics_enabled(was_enabled);
 }
 
 }  // namespace

@@ -5,15 +5,18 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "analog/mna.hpp"
+#include "api/compact_api.hpp"
 #include "bdd/stats.hpp"
 #include "core/compact.hpp"
 #include "core/labelers.hpp"
 #include "core/partition.hpp"
 #include "frontend/benchgen.hpp"
+#include "frontend/blif.hpp"
 #include "frontend/to_bdd.hpp"
 #include "graph/oct.hpp"
 #include "graph/product.hpp"
@@ -220,6 +223,54 @@ void BM_AnalyzeElectrical(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_AnalyzeElectrical);
+
+/// Synthesize `net` through the facade, as a served request would.
+api::request_v1 netlist_request(const frontend::network& net, const char* op) {
+  std::ostringstream blif;
+  frontend::write_blif(net, blif);
+  api::request_v1 request;
+  request.id = "flow-1";
+  request.op = op;
+  request.source.text = blif.str();
+  request.synthesis.labeler = "oct";
+  request.lint.labeler = "oct";
+  request.lint.electrical = true;
+  return request;
+}
+
+/// The wire codec's hottest read: an evaluate request carrying a served
+/// design (arbiter(4), about 1.4 KB of JSON), as flow-serve sends it.
+void BM_RequestFromJson(benchmark::State& state) {
+  const frontend::network net = frontend::make_arbiter(4);
+  api::request_v1 evaluate;
+  evaluate.id = "flow-1";
+  evaluate.op = "evaluate";
+  evaluate.design_text =
+      api::handle(netlist_request(net, "synthesize")).design_text;
+  evaluate.assignment = std::string(net.input_count(), '1');
+  const std::string line = api::to_json(evaluate);
+  for (auto _ : state) {
+    const api::request_v1 request = api::request_from_json(line);
+    benchmark::DoNotOptimize(request.design_text.data());
+  }
+  state.counters["line_bytes"] = static_cast<double>(line.size());
+}
+BENCHMARK(BM_RequestFromJson);
+
+/// The wire codec's write of a lint response with diagnostics (ctrl(4, 8)
+/// with the electrical checks: nine findings, about 4 KB of JSON).
+void BM_ResponseToJson(benchmark::State& state) {
+  const api::response_v1 response =
+      api::handle(netlist_request(frontend::make_ctrl(4, 8), "lint"));
+  for (auto _ : state) {
+    const std::string line = api::to_json(response);
+    benchmark::DoNotOptimize(line.data());
+    benchmark::ClobberMemory();
+  }
+  state.counters["diagnostics"] =
+      static_cast<double>(response.diagnostics.size());
+}
+BENCHMARK(BM_ResponseToJson);
 
 /// Shared design for the parallel-stage benchmarks below.
 const core::synthesis_result& comparator_design() {

@@ -15,7 +15,8 @@ void write_dot(const manager& m, const std::vector<node_handle>& roots,
   os << "  rankdir=TB;\n";
   for (std::size_t i = 0; i < roots.size(); ++i) {
     const std::string name =
-        root_names.empty() ? "f" + std::to_string(i) : root_names[i];
+        root_names.empty() ? std::string("f").append(std::to_string(i))
+                           : root_names[i];
     os << "  \"" << name << "\" [shape=plaintext];\n";
     os << "  \"" << name << "\" -> n" << roots[i] << ";\n";
   }

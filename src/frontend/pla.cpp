@@ -99,7 +99,7 @@ network parse_pla(std::istream& is) {
   for (int i = 0; i < num_inputs; ++i) {
     const std::string name = i < static_cast<int>(input_labels.size())
                                  ? input_labels[i]
-                                 : "i" + std::to_string(i);
+                                 : std::string("i").append(std::to_string(i));
     inputs.push_back(net.add_input(name));
   }
 
@@ -109,7 +109,7 @@ network parse_pla(std::istream& is) {
       if (outs[static_cast<std::size_t>(o)] == '1') cubes.push_back(cube);
     const std::string name = o < static_cast<int>(output_labels.size())
                                  ? output_labels[o]
-                                 : "o" + std::to_string(o);
+                                 : std::string("o").append(std::to_string(o));
     const int gate = net.add_gate(name, inputs, cubes);
     net.set_output(gate, name);
   }

@@ -26,7 +26,7 @@ vertex_cover_result min_vertex_cover_ilp(const undirected_graph& g,
                                          const std::vector<edge>& not_both) {
   milp::model m;
   for (node_id v = 0; v < static_cast<node_id>(g.node_count()); ++v)
-    m.add_binary(1.0, "x" + std::to_string(v));
+    m.add_binary(1.0, std::string("x").append(std::to_string(v)));
   for (const edge& e : g.edges())
     m.add_constraint({{e.u, 1.0}, {e.v, 1.0}}, milp::relation::greater_equal,
                      1.0);

@@ -1,8 +1,6 @@
 #include "util/telemetry.hpp"
 
-#include <cmath>
-#include <cstdio>
-
+#include "util/json.hpp"
 #include "util/trace.hpp"
 
 namespace compact {
@@ -28,38 +26,14 @@ std::string telemetry_event::attribute_or(const std::string& name,
 
 std::string json_escape(const std::string& text) {
   std::string out;
-  out.reserve(text.size());
-  for (const char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
+  json::append_escaped(out, text);
   return out;
 }
 
 std::string json_number(double value) {
-  if (!std::isfinite(value)) return "null";
-  if (value == std::floor(value) && std::fabs(value) < 1e15) {
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "%lld", static_cast<long long>(value));
-    return buf;
-  }
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.9g", value);
-  return buf;
+  std::string out;
+  json::append_number(out, value);
+  return out;
 }
 
 std::string to_json_line(const telemetry_event& event) {

@@ -91,11 +91,12 @@ class memory_sink final : public telemetry_sink {
   std::vector<telemetry_event> events_;
 };
 
-/// Escape `text` for inclusion inside a double-quoted JSON string.
+/// Escape `text` for inclusion inside a double-quoted JSON string
+/// (json::append_escaped into a new string).
 [[nodiscard]] std::string json_escape(const std::string& text);
 
-/// Render a double as a JSON number ("null" when non-finite; integral
-/// values print without a fraction).
+/// Render a double as a JSON number (json::append_number into a new string:
+/// "null" when non-finite; integral values print without a fraction).
 [[nodiscard]] std::string json_number(double value);
 
 /// Render one event as a single-line JSON object (no trailing newline).

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "bdd/manager.hpp"
+#include "util/telemetry.hpp"  // json_escape
 #include "util/trace.hpp"
 #include "verify/extract.hpp"
 
@@ -161,21 +162,6 @@ criticality_report analyze(const xbar::partitioned_design& design,
                             b.affected_outputs.size();
                    });
   return report;
-}
-
-std::string json_escape(const std::string& text) {
-  std::string out;
-  for (const char ch : text) {
-    if (ch == '"' || ch == '\\') {
-      out += '\\';
-      out += ch;
-    } else if (static_cast<unsigned char>(ch) < 0x20) {
-      out += ' ';
-    } else {
-      out += ch;
-    }
-  }
-  return out;
 }
 
 std::string device_text(xbar::literal_kind kind, int variable) {

@@ -92,7 +92,7 @@ void crossbar::print(std::ostream& os,
         std::string name =
             d.variable < static_cast<std::int32_t>(variable_names.size())
                 ? variable_names[static_cast<std::size_t>(d.variable)]
-                : "x" + std::to_string(d.variable);
+                : std::string("x").append(std::to_string(d.variable));
         return d.kind == literal_kind::negative ? "!" + name : name;
       }
     }

@@ -266,7 +266,7 @@ void write_design_dot(const crossbar& design, std::ostream& os,
                     static_cast<std::size_t>(d.variable) <
                         variable_names.size()
                 ? variable_names[static_cast<std::size_t>(d.variable)]
-                : "x" + std::to_string(d.variable);
+                : std::string("x").append(std::to_string(d.variable));
         return d.kind == literal_kind::negative ? "!" + name : name;
       }
       case literal_kind::off:

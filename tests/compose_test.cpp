@@ -65,7 +65,8 @@ TEST(ComposeTest, ManyBlocksScaleLinearly) {
   std::vector<xbar::crossbar> blocks;
   std::vector<const xbar::crossbar*> pointers;
   for (int i = 0; i < 10; ++i)
-    blocks.push_back(literal_block(i, i % 2 == 0, "f" + std::to_string(i)));
+    blocks.push_back(literal_block(
+        i, i % 2 == 0, std::string("f").append(std::to_string(i))));
   for (const xbar::crossbar& b : blocks) pointers.push_back(&b);
   const xbar::crossbar composed = compose_diagonal(pointers);
   EXPECT_EQ(composed.rows(), 11);
@@ -76,7 +77,8 @@ TEST(ComposeTest, ManyBlocksScaleLinearly) {
     const bool expected = i % 2 == 0 ? in[static_cast<std::size_t>(i)]
                                      : !in[static_cast<std::size_t>(i)];
     EXPECT_EQ(
-        xbar::evaluate_output(composed, in, "f" + std::to_string(i)),
+        xbar::evaluate_output(composed, in,
+                              std::string("f").append(std::to_string(i))),
         expected);
   }
 }

@@ -269,7 +269,8 @@ TEST(ElectricalTest, ParallelPathsMatchBruteForceAcrossBridges) {
       if (a == 0)
         x.set_input_row(static_cast<int>(
             random.next_below(static_cast<std::uint64_t>(rows))));
-      add_random_outputs(random, x, "a" + std::to_string(a) + "_");
+      add_random_outputs(
+          random, x, std::string("a").append(std::to_string(a)).append("_"));
       design.add_fragment(std::move(x));
     }
     const int bridges = 1 + static_cast<int>(random.next_below(3));

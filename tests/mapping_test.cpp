@@ -95,8 +95,9 @@ TEST(MappingTest, RejectsUnalignedLabeling) {
   const oct_label_result r = label_minimal_semiperimeter(g, options);
   const bool root_has_row = r.l.has_row(g.outputs[0].node);
   const bool terminal_has_row = r.l.has_row(g.terminal_node);
-  if (!root_has_row || !terminal_has_row)
+  if (!root_has_row || !terminal_has_row) {
     EXPECT_THROW((void)map_to_crossbar(g, r.l), error);
+  }
 }
 
 TEST(MappingTest, ConstantOutputsCarriedThrough) {

@@ -174,7 +174,9 @@ TEST(MetricsRegistryTest, SeriesRetentionDownsamplesDeterministically) {
   EXPECT_EQ(points.front().first, 0.0);
   for (std::size_t i = 0; i < points.size(); ++i) {
     EXPECT_EQ(points[i].first, points[i].second);  // value tracked seconds
-    if (i > 0) EXPECT_LT(points[i - 1].first, points[i].first);
+    if (i > 0) {
+      EXPECT_LT(points[i - 1].first, points[i].first);
+    }
   }
 
   s.reset();

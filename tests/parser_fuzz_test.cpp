@@ -2,6 +2,7 @@
 // crash, hang or accept garbage silently.
 #include <gtest/gtest.h>
 
+#include "api/compact_api.hpp"
 #include "frontend/blif.hpp"
 #include "frontend/pla.hpp"
 #include "frontend/verilog.hpp"
@@ -9,6 +10,8 @@
 #include "xbar/serialize.hpp"
 
 #include <sstream>
+#include <string>
+#include <vector>
 
 namespace compact {
 namespace {
@@ -38,7 +41,8 @@ std::string random_text(rng& random, int length, bool structured) {
 }
 
 template <typename Parser>
-void fuzz(Parser&& parse, std::uint64_t seed) {
+void fuzz(Parser&& parse, std::uint64_t seed,
+          const std::vector<std::string>& lines = {}) {
   rng random(seed);
   int accepted = 0;
   for (int trial = 0; trial < 200; ++trial) {
@@ -51,10 +55,56 @@ void fuzz(Parser&& parse, std::uint64_t seed) {
       ++accepted;  // structurally valid by luck — fine, must not crash
     } catch (const error&) {
       // expected for garbage
+    } catch (const api::parse_error&) {
     }
   }
   // Random garbage overwhelmingly fails to parse.
   EXPECT_LT(accepted, 40);
+
+  // Valid one-line documents: every strict prefix is incomplete and must be
+  // rejected; with bytes overwritten they must parse or be rejected, never
+  // crash.
+  for (const std::string& line : lines) {
+    (void)parse(line);
+    for (std::size_t cut = 0; cut < line.size(); ++cut)
+      EXPECT_THROW((void)parse(line.substr(0, cut)), api::parse_error)
+          << line.substr(0, cut);
+    for (int trial = 0; trial < 200; ++trial) {
+      std::string text = line;
+      for (int flips = 1 + static_cast<int>(random.next_below(3)); flips > 0;
+           --flips)
+        text[random.next_below(text.size())] =
+            static_cast<char>(random.next_below(256));
+      try {
+        (void)parse(text);
+      } catch (const api::parse_error&) {
+      }
+    }
+  }
+}
+
+/// Wire lines of the three operations, as a client sends them and as
+/// the daemon answers.
+std::vector<std::string> request_lines() {
+  api::request_v1 synthesize;
+  synthesize.id = "s1";
+  synthesize.source.text =
+      ".model m\n.inputs a b\n.outputs f\n.names a b f\n11 1\n.end\n";
+  api::request_v1 lint = synthesize;
+  lint.op = "lint";
+  lint.lint.electrical = true;
+  api::request_v1 evaluate;
+  evaluate.op = "evaluate";
+  evaluate.design_text = api::handle(synthesize).design_text;
+  evaluate.assignment = "11";
+  return {api::to_json(synthesize), api::to_json(lint), api::to_json(evaluate)};
+}
+
+std::vector<std::string> response_lines() {
+  std::vector<std::string> lines;
+  for (const std::string& request : request_lines())
+    lines.push_back(api::to_json(api::handle(api::request_from_json(request))));
+  return lines;
 }
 
 TEST(ParserFuzzTest, Blif) {
@@ -79,6 +129,16 @@ TEST(ParserFuzzTest, XbarDesigns) {
         return xbar::read_design(is);
       },
       404);
+}
+
+TEST(ParserFuzzTest, RequestJson) {
+  fuzz([](const std::string& t) { return api::request_from_json(t); }, 505,
+       request_lines());
+}
+
+TEST(ParserFuzzTest, ResponseJson) {
+  fuzz([](const std::string& t) { return api::response_from_json(t); }, 606,
+       response_lines());
 }
 
 // Regression: numeric header fields used to reach std::stoi unguarded, so

@@ -105,7 +105,7 @@ TEST(PresolveTest, SolveMipAgreesWithAndWithoutPresolve) {
     for (int j = 0; j < n; ++j) {
       const double c =
           static_cast<double>(random.next_below(11)) - 5.0;  // [-5, 5]
-      m.add_binary(c, "x" + std::to_string(j));
+      m.add_binary(c, std::string("x").append(std::to_string(j)));
     }
     const int rows = 2 + static_cast<int>(random.next_below(3));
     for (int r = 0; r < rows; ++r) {
@@ -127,8 +127,9 @@ TEST(PresolveTest, SolveMipAgreesWithAndWithoutPresolve) {
     const mip_result a = solve_mip(m, with);
     const mip_result b = solve_mip(m, without);
     EXPECT_EQ(a.status, b.status) << "trial " << trial;
-    if (a.status == mip_status::optimal && b.status == mip_status::optimal)
+    if (a.status == mip_status::optimal && b.status == mip_status::optimal) {
       EXPECT_NEAR(a.objective, b.objective, 1e-6) << "trial " << trial;
+    }
   }
 }
 

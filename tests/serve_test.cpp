@@ -3,11 +3,13 @@
 // the stream transport, and bit-identical designs at any thread count.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <future>
 #include <map>
 #include <mutex>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "api/compact_api.hpp"
@@ -45,6 +47,8 @@ TEST(ServeTest, RequestJsonRoundTrips) {
   request.deadline_seconds = 2.5;
   request.fail_on = "error";
   request.assignment = "101";
+  // Above 2^53: a detour through double would drop the last bit.
+  request.synthesis.memory_limit_bytes = (std::uint64_t{1} << 60) + 1;
 
   const std::string json = api::to_json(request);
   const api::request_v1 parsed = api::request_from_json(json);
@@ -59,6 +63,7 @@ TEST(ServeTest, RequestJsonRoundTrips) {
   EXPECT_DOUBLE_EQ(parsed.deadline_seconds, 2.5);
   EXPECT_EQ(parsed.fail_on, "error");
   EXPECT_EQ(parsed.assignment, "101");
+  EXPECT_EQ(parsed.synthesis.memory_limit_bytes, (std::uint64_t{1} << 60) + 1);
   // Serializing the parsed value must reproduce the exact line.
   EXPECT_EQ(api::to_json(parsed), json);
 }
@@ -73,6 +78,23 @@ TEST(ServeTest, RequestParsingIsStrict) {
       (void)api::request_from_json(
           "{\"op\":\"synthesize\",\"synthesis\":{\"gama\":0.5}}"),
       api::parse_error);
+  // Integer fields are checked for integrality and range before any cast,
+  // and the error names the field.
+  for (const auto& [line, field] :
+       std::vector<std::pair<std::string, std::string>>{
+           {R"({"op":"synthesize","synthesis":{"threads":1e10}})", "threads"},
+           {R"({"op":"synthesize","synthesis":{"memory_limit_bytes":1e30}})",
+            "memory_limit_bytes"},
+           {R"({"op":"synthesize","synthesis":{"memory_limit_bytes":1.5}})",
+            "memory_limit_bytes"}}) {
+    try {
+      (void)api::request_from_json(line);
+      ADD_FAILURE() << "accepted " << line;
+    } catch (const api::parse_error& e) {
+      EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(ServeTest, ResponseJsonRoundTripsAndParsesLeniently) {
@@ -206,7 +228,8 @@ TEST(ServeTest, DesignsBitIdenticalAcrossThreadCounts) {
     for (int r = 0; r < kRepeat; ++r) {
       for (std::size_t i = 0; i < std::size(kTexts); ++i) {
         api::request_v1 request;
-        request.id = "t" + std::to_string(i);  // repeats share the id on purpose
+        // Repeats share the id on purpose.
+        request.id = std::string("t").append(std::to_string(i));
         request.op = "synthesize";
         request.source.text = kTexts[i];
         request.synthesis.labeler = "oct";
@@ -215,8 +238,9 @@ TEST(ServeTest, DesignsBitIdenticalAcrossThreadCounts) {
           const std::lock_guard<std::mutex> lock(mutex);
           const auto [it, inserted] =
               designs.emplace(resp.id, resp.design_text);
-          if (!inserted)  // cache hit or recompute: same bytes either way
+          if (!inserted) {  // cache hit or recompute: same bytes either way
             EXPECT_EQ(it->second, resp.design_text) << resp.id;
+          }
         });
       }
     }

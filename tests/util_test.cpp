@@ -1,10 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdlib>
+#include <cstring>
 #include <limits>
 #include <sstream>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "util/error.hpp"
+#include "util/json.hpp"
 #include "util/rng.hpp"
 #include "util/stopwatch.hpp"
 #include "util/strings.hpp"
@@ -147,6 +153,10 @@ TEST(JsonEscapeTest, EscapesQuotesBackslashesAndControlCharacters) {
   EXPECT_EQ(json_escape(std::string(1, '\x01')), "\\u0001");
   EXPECT_EQ(json_escape(std::string(1, '\x1f')), "\\u001f");
   EXPECT_EQ(json_escape(""), "");
+  // DEL and multi-byte UTF-8 pass through; appends keep what is there.
+  std::string out = "x";
+  json::append_escaped(out, "\x7f\xc3\xa9\"");
+  EXPECT_EQ(out, "x\x7f\xc3\xa9\\\"");
 }
 
 TEST(JsonNumberTest, IntegralValuesPrintWithoutFraction) {
@@ -154,12 +164,117 @@ TEST(JsonNumberTest, IntegralValuesPrintWithoutFraction) {
   EXPECT_EQ(json_number(7.0), "7");
   EXPECT_EQ(json_number(-3.0), "-3");
   EXPECT_EQ(json_number(2.5), "2.5");
+  // Integral below 1e15 prints as an integer; everything else as %.9g.
+  EXPECT_EQ(json_number(1e15 - 1), "999999999999999");
+  EXPECT_EQ(json_number(1e15), "1e+15");
+  EXPECT_EQ(json_number(-0.0), "0");
+  EXPECT_EQ(json_number(1e-7), "1e-07");
+  EXPECT_EQ(json_number(123456789.123), "123456789");
 }
 
 TEST(JsonNumberTest, NonFiniteValuesRenderAsNull) {
   EXPECT_EQ(json_number(std::numeric_limits<double>::infinity()), "null");
   EXPECT_EQ(json_number(-std::numeric_limits<double>::infinity()), "null");
   EXPECT_EQ(json_number(std::numeric_limits<double>::quiet_NaN()), "null");
+}
+
+// --- json::reader and json::parse --------------------------------------------
+
+TEST(JsonReaderTest, ReadsEveryKindWithWhitespaceAroundTokens) {
+  const std::string text =
+      " { \"s\" : \"a\\\"b\\\\c\\u00e9\\n\" , \"n\" : -1.5e2 ,\n"
+      "\"t\":true,\"f\" :false , \"z\": null ,\"a\" : [ 1 , [ ] , { } ] ,"
+      " \"k\\u0065y\" : { \"x\" : [ \"y\" ] } } ";
+  json::reader in(text);
+  std::vector<std::string> keys;
+  in.object([&](std::string_view key) {
+    keys.emplace_back(key);
+    if (key == "s")
+      EXPECT_EQ(in.string(), "a\"b\\c\xc3\xa9\n");
+    else if (key == "n")
+      EXPECT_EQ(in.number(), -150.0);
+    else if (key == "t")
+      EXPECT_TRUE(in.boolean());
+    else if (key == "f")
+      EXPECT_FALSE(in.boolean());
+    else if (key == "z")
+      in.null();
+    else
+      in.skip();
+  });
+  in.end();
+  EXPECT_EQ(keys,
+            (std::vector<std::string>{"s", "n", "t", "f", "z", "a", "key"}));
+}
+
+TEST(JsonReaderTest, NumbersReadAsStrtodReadsTheirToken) {
+  const auto bits = [](double v) {
+    std::uint64_t b = 0;
+    std::memcpy(&b, &v, sizeof b);
+    return b;
+  };
+  const auto expect_strtod = [&](const std::string& token) {
+    json::reader in(token);
+    const double got = in.number();
+    in.end();
+    EXPECT_EQ(bits(got), bits(std::strtod(token.c_str(), nullptr))) << token;
+  };
+  for (const char* token :
+       {"0", "-0", "+5", ".5", "1.", "0.1", "1e-7", "123456789.123",
+        "9007199254740993", "1e22", "1e23", "4.35", "-2.5E+3", "1e-400",
+        "00012", "0.000000000000000000000001"})
+    expect_strtod(token);
+  // Random decimals, inside and outside the range read without strtod.
+  rng random(99);
+  for (int i = 0; i < 20000; ++i) {
+    std::string token = random.next_bool() ? "-" : "";
+    token += std::to_string(random.next_below(100000000));
+    if (random.next_bool()) {
+      token += '.';
+      token += std::to_string(random.next_below(1000000000));
+    }
+    if (random.next_bool()) {
+      token += 'e';
+      token += std::to_string(static_cast<int>(random.next_below(61)) - 30);
+    }
+    expect_strtod(token);
+  }
+  for (const char* bad :
+       {"-", "1e999", "-1e999", "1-2", "e5", "--1", "1e", ".", "+"}) {
+    json::reader in(bad);
+    EXPECT_THROW((void)in.number(), parse_error) << bad;
+  }
+}
+
+TEST(JsonReaderTest, ErrorsNameWhatAndTheOffset) {
+  const auto message = [](const std::string& text) {
+    try {
+      (void)json::parse(text);
+    } catch (const parse_error& e) {
+      return std::string(e.what());
+    }
+    return std::string("accepted");
+  };
+  EXPECT_EQ(message("{\"a\":tru}"), "json: invalid literal at offset 5");
+  EXPECT_EQ(message("\"abc"), "json: unexpected end of input at offset 4");
+  EXPECT_EQ(message("1 2"),
+            "json: trailing characters after document at offset 2");
+  EXPECT_EQ(message("[1,]"), "json: expected a value at offset 3");
+  EXPECT_EQ(message("\"\\x\""), "json: invalid escape at offset 3");
+  json::reader in("{\"a\":1}");
+  EXPECT_THROW((void)in.string(), parse_error);
+}
+
+TEST(JsonParseTest, BuildsTheTreeAndTheLastCopyOfAKeyWins) {
+  const json::value_ptr doc =
+      json::parse(R"({"a":1,"b":[true,null,"x"],"a":{"c":2.5}})");
+  ASSERT_EQ(doc->as_object().size(), 2U);
+  EXPECT_DOUBLE_EQ(doc->at("a").at("c").as_number(), 2.5);
+  const std::vector<json::value_ptr>& b = doc->at("b").as_array();
+  ASSERT_EQ(b.size(), 3U);
+  EXPECT_TRUE(b[0]->as_bool());
+  EXPECT_TRUE(b[1]->is_null());
+  EXPECT_EQ(b[2]->as_string(), "x");
 }
 
 }  // namespace

@@ -151,11 +151,13 @@ void print_attribution(const std::string& baseline_path,
   for (std::size_t i = 0; i < deltas.size() && i < max_rows; ++i) {
     const delta& d = deltas[i];
     std::string rendered;
-    if (std::isinf(d.relative))
+    if (std::isinf(d.relative)) {
       rendered = "new";
-    else
-      rendered = (d.relative >= 0.0 ? "+" : "") + cell(100.0 * d.relative, 1) +
-                 "%";
+    } else {
+      rendered = d.relative >= 0.0 ? "+" : "";
+      rendered += cell(100.0 * d.relative, 1);
+      rendered += "%";
+    }
     t.add_row({d.bench, d.counter, json_number(d.baseline),
                json_number(d.current), rendered});
   }

@@ -26,6 +26,7 @@
 #include "verify/electrical.hpp"
 #include "xbar/evaluate.hpp"
 #include "xbar/faults.hpp"
+#include "xbar/serialize.hpp"
 #include "xbar/validate.hpp"
 
 namespace {
@@ -271,6 +272,34 @@ void BM_ResponseToJson(benchmark::State& state) {
       static_cast<double>(response.diagnostics.size());
 }
 BENCHMARK(BM_ResponseToJson);
+
+/// The BLIF reader on a netlist as a served synthesize or lint carries it:
+/// router(4) as write_blif prints it, about 1.9 KB.
+void BM_ParseBlif(benchmark::State& state) {
+  const std::string text =
+      netlist_request(frontend::make_router(4), "synthesize").source.text;
+  for (auto _ : state) {
+    const frontend::network net = frontend::parse_blif(text);
+    benchmark::DoNotOptimize(net.node_count());
+  }
+  state.counters["netlist_bytes"] = static_cast<double>(text.size());
+}
+BENCHMARK(BM_ParseBlif);
+
+/// The .xbar reader on that circuit's synthesized design, as a served lint
+/// or evaluate reads it.
+void BM_ReadDesign(benchmark::State& state) {
+  const std::string text =
+      api::handle(netlist_request(frontend::make_router(4), "synthesize"))
+          .design_text;
+  for (auto _ : state) {
+    const xbar::loaded_partitioned_design loaded =
+        xbar::read_partitioned_design(text);
+    benchmark::DoNotOptimize(loaded.design.array_count());
+  }
+  state.counters["design_bytes"] = static_cast<double>(text.size());
+}
+BENCHMARK(BM_ReadDesign);
 
 /// Shared design for the parallel-stage benchmarks below.
 const core::synthesis_result& comparator_design() {

@@ -92,6 +92,7 @@ auto translated(F&& f) -> decltype(f()) {
     if (!file) throw parse_error("cannot open " + source.path);
     return parse(file);
   }
+  if (format == "blif") return frontend::parse_blif(source.text);
   std::istringstream text(source.text);
   return parse(text);
 }
@@ -207,10 +208,10 @@ std::string design::to_text() const {
 
 design design::from_text(const std::string& text) {
   return translated([&] {
-    std::istringstream is(text);
-    xbar::loaded_partitioned_design loaded = xbar::read_partitioned_design(is);
+    xbar::loaded_partitioned_design loaded =
+        xbar::read_partitioned_design(text);
     design d;
-    d.impl_->variable_names = loaded.variable_names;
+    d.impl_->variable_names = std::move(loaded.variable_names);
     // A one-array document with no bridges is a plain design; keep it in the
     // single-array representation so it round-trips as version 1.
     if (loaded.design.array_count() == 1 && loaded.design.connections().empty())

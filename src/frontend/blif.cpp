@@ -1,83 +1,166 @@
 #include "frontend/blif.hpp"
 
-#include <map>
-#include <sstream>
+#include <cstdint>
+#include <functional>
 
 #include "util/strings.hpp"
 
 namespace compact::frontend {
 namespace {
 
+/// One logical line: the physical pieces it folds (trimmed, comment and
+/// continuation backslash removed) and their tokens, all views of the text.
+struct logical_line {
+  std::vector<std::string_view> pieces;
+  std::vector<std::string_view> tokens;
+
+  /// The line as error messages quote it: the pieces joined by one space.
+  [[nodiscard]] std::string text() const {
+    std::string joined;
+    for (std::size_t i = 0; i < pieces.size(); ++i) {
+      if (i > 0) joined += ' ';
+      joined.append(pieces[i]);
+    }
+    return joined;
+  }
+};
+
+/// Reads logical lines, folding '\' continuations, stripping '#' comments
+/// and skipping blank lines.
+class line_reader {
+ public:
+  explicit line_reader(std::string_view text) : text_(text) {}
+
+  bool next(logical_line& line) {
+    line.pieces.clear();
+    line.tokens.clear();
+    while (pos_ < text_.size()) {
+      std::string_view piece = next_line(text_, pos_);
+      piece = trim(piece.substr(0, piece.find('#')));
+      const bool continued = !piece.empty() && piece.back() == '\\';
+      if (continued) piece.remove_suffix(1);
+      // Empty pieces before the first non-empty one add nothing; after it,
+      // each piece adds a separating space to the quoted line.
+      if (!line.pieces.empty() || !piece.empty()) {
+        line.pieces.push_back(piece);
+        append_split_ws(piece, line.tokens);
+      }
+      if (!continued && !line.pieces.empty()) return true;
+    }
+    return !line.pieces.empty();
+  }
+
+ private:
+  std::string_view text_;
+  std::size_t pos_ = 0;
+};
+
+/// A signal name and everything the parser knows about it.
+struct signal {
+  std::string_view name;
+  int node = -1;          // network node, once added
+  int gate = -1;          // the .names block defining it
+  bool visiting = false;  // on the emission stack
+};
+
+/// Open-addressing map from a signal name (a view of the text) to its id.
+class name_table {
+ public:
+  name_table() : slots_(64, -1) {}
+
+  int intern(std::string_view name) {
+    if (2 * (signals_.size() + 1) > slots_.size()) grow();
+    std::size_t slot = std::hash<std::string_view>{}(name) & mask();
+    while (slots_[slot] >= 0) {
+      if (signals_[static_cast<std::size_t>(slots_[slot])].name == name)
+        return slots_[slot];
+      slot = (slot + 1) & mask();
+    }
+    slots_[slot] = static_cast<int>(signals_.size());
+    signals_.push_back({name});
+    return slots_[slot];
+  }
+
+  signal& operator[](int id) { return signals_[static_cast<std::size_t>(id)]; }
+
+ private:
+  [[nodiscard]] std::size_t mask() const { return slots_.size() - 1; }
+
+  void grow() {
+    slots_.assign(2 * slots_.size(), -1);
+    for (std::size_t id = 0; id < signals_.size(); ++id) {
+      std::size_t slot =
+          std::hash<std::string_view>{}(signals_[id].name) & mask();
+      while (slots_[slot] >= 0) slot = (slot + 1) & mask();
+      slots_[slot] = static_cast<int>(id);
+    }
+  }
+
+  std::vector<signal> signals_;
+  std::vector<int> slots_;  // signal id or -1; size a power of two
+};
+
+/// A .names block: ranges of the parser's flat fanin and cover-row arrays.
 struct raw_gate {
-  std::vector<std::string> fanin_names;
-  std::vector<std::string> cubes;
+  int output = -1;
+  std::uint32_t first_fanin = 0;
+  std::uint32_t fanin_count = 0;
+  std::uint32_t first_row = 0;
+  std::uint32_t row_count = 0;
   char output_polarity = '1';  // '1' = on-set cover, '0' = off-set cover
 };
 
-/// Read one logical line, folding '\' continuations and stripping comments.
-bool next_line(std::istream& is, std::string& line) {
-  line.clear();
-  std::string piece;
-  while (std::getline(is, piece)) {
-    if (const auto hash = piece.find('#'); hash != std::string::npos)
-      piece.erase(hash);
-    bool continued = false;
-    std::string_view trimmed = trim(piece);
-    if (!trimmed.empty() && trimmed.back() == '\\') {
-      continued = true;
-      trimmed.remove_suffix(1);
-    }
-    if (!line.empty()) line += ' ';
-    line.append(trimmed);
-    if (continued) continue;
-    if (!trim(line).empty()) return true;
-    line.clear();
-  }
-  return !trim(line).empty();
-}
-
 }  // namespace
 
-network parse_blif(std::istream& is) {
-  std::string model_name = "top";
-  std::vector<std::string> input_names;
-  std::vector<std::string> output_names;
-  std::map<std::string, raw_gate> gates;  // by output signal name
-  std::vector<std::string> gate_order;    // declaration order
+network parse_blif(std::string_view text) {
+  std::string_view model_name = "top";
+  name_table names;
+  std::vector<int> inputs;
+  std::vector<int> outputs;
+  std::vector<raw_gate> gates;  // declaration order
+  std::vector<int> fanins;      // signal ids, gate by gate
+  std::vector<std::string_view> rows;  // cover cubes, gate by gate
 
-  std::string line;
-  raw_gate* current = nullptr;
+  line_reader reader(text);
+  logical_line line;
+  int current = -1;  // gate receiving cover rows
   bool saw_end = false;
-  while (!saw_end && next_line(is, line)) {
-    const std::vector<std::string> tokens = split_ws(line);
-    if (tokens.empty()) continue;
-    const std::string& head = tokens[0];
+  while (!saw_end && reader.next(line)) {
+    const std::vector<std::string_view>& tokens = line.tokens;
+    const std::string_view head = tokens[0];
 
     if (head[0] == '.') {
-      current = nullptr;
+      current = -1;
       if (head == ".model") {
         if (tokens.size() >= 2) model_name = tokens[1];
       } else if (head == ".inputs") {
-        input_names.insert(input_names.end(), tokens.begin() + 1,
-                           tokens.end());
+        for (std::size_t i = 1; i < tokens.size(); ++i)
+          inputs.push_back(names.intern(tokens[i]));
       } else if (head == ".outputs") {
-        output_names.insert(output_names.end(), tokens.begin() + 1,
-                            tokens.end());
+        for (std::size_t i = 1; i < tokens.size(); ++i)
+          outputs.push_back(names.intern(tokens[i]));
       } else if (head == ".names") {
         if (tokens.size() < 2)
           throw parse_error("blif: .names needs at least an output signal");
-        const std::string& out = tokens.back();
-        if (gates.contains(out))
-          throw parse_error("blif: signal defined twice: " + out);
+        const int out = names.intern(tokens.back());
+        if (names[out].gate >= 0)
+          throw parse_error("blif: signal defined twice: " +
+                            std::string(tokens.back()));
         raw_gate g;
-        g.fanin_names.assign(tokens.begin() + 1, tokens.end() - 1);
-        gate_order.push_back(out);
-        current = &gates.emplace(out, std::move(g)).first->second;
+        g.output = out;
+        g.first_fanin = static_cast<std::uint32_t>(fanins.size());
+        g.fanin_count = static_cast<std::uint32_t>(tokens.size() - 2);
+        g.first_row = static_cast<std::uint32_t>(rows.size());
+        for (std::size_t i = 1; i + 1 < tokens.size(); ++i)
+          fanins.push_back(names.intern(tokens[i]));
+        current = static_cast<int>(gates.size());
+        names[out].gate = current;
+        gates.push_back(g);
       } else if (head == ".end") {
         saw_end = true;
       } else if (head == ".latch" || head == ".subckt" || head == ".gate") {
-        throw parse_error("blif: unsupported construct " + head +
-                          " (combinational subset only)");
+        throw parse_error("blif: unsupported construct " +
+                          std::string(head) + " (combinational subset only)");
       } else {
         // Unknown dot-directives (e.g. .default_input_arrival) are ignored.
       }
@@ -85,98 +168,125 @@ network parse_blif(std::istream& is) {
     }
 
     // Cover row of the current .names block.
-    if (current == nullptr)
-      throw parse_error("blif: cover row outside a .names block: " + line);
-    std::string cube;
+    if (current < 0)
+      throw parse_error("blif: cover row outside a .names block: " +
+                        line.text());
+    raw_gate& g = gates[static_cast<std::size_t>(current)];
+    std::string_view cube;
     char output_value = '1';
-    if (current->fanin_names.empty()) {
+    if (g.fanin_count == 0) {
       if (tokens.size() != 1 || (tokens[0] != "0" && tokens[0] != "1"))
-        throw parse_error("blif: bad constant row: " + line);
+        throw parse_error("blif: bad constant row: " + line.text());
       output_value = tokens[0][0];
     } else {
       if (tokens.size() != 2)
-        throw parse_error("blif: cover row needs cube and output: " + line);
+        throw parse_error("blif: cover row needs cube and output: " +
+                          line.text());
       cube = tokens[0];
-      if (cube.size() != current->fanin_names.size())
-        throw parse_error("blif: cube width mismatch: " + line);
+      if (cube.size() != g.fanin_count)
+        throw parse_error("blif: cube width mismatch: " + line.text());
       if (tokens[1] != "0" && tokens[1] != "1")
-        throw parse_error("blif: output value must be 0 or 1: " + line);
+        throw parse_error("blif: output value must be 0 or 1: " +
+                          line.text());
       output_value = tokens[1][0];
     }
-    if (!current->cubes.empty() && current->output_polarity != output_value)
+    if (g.row_count > 0 && g.output_polarity != output_value)
       throw parse_error("blif: mixed on-set/off-set rows in one .names");
-    current->output_polarity = output_value;
-    current->cubes.push_back(cube);
+    g.output_polarity = output_value;
+    rows.push_back(cube);
+    ++g.row_count;
   }
 
-  if (input_names.empty() && gates.empty())
+  if (inputs.empty() && gates.empty())
     throw parse_error("blif: no .inputs or .names found");
 
   // Build the network: inputs first, then gates in dependency order.
-  network net(model_name);
-  std::map<std::string, int> node_of;
-  for (const std::string& name : input_names) {
-    if (node_of.contains(name))
-      throw parse_error("blif: duplicate input " + name);
-    node_of[name] = net.add_input(name);
+  network net{std::string(model_name)};
+  for (const int id : inputs) {
+    signal& s = names[id];
+    if (s.node >= 0)
+      throw parse_error("blif: duplicate input " + std::string(s.name));
+    s.node = net.add_input(std::string(s.name));
   }
 
-  // Iterative DFS-based topological emission over the gate dependency graph.
-  enum class mark : char { unvisited, visiting, done };
-  std::map<std::string, mark> state;
-  auto emit = [&](const std::string& root, auto&& self) -> int {
-    if (const auto it = node_of.find(root); it != node_of.end())
-      return it->second;
-    const auto git = gates.find(root);
-    if (git == gates.end())
-      throw parse_error("blif: undefined signal " + root);
-    if (state[root] == mark::visiting)
-      throw parse_error("blif: combinational cycle through " + root);
-    state[root] = mark::visiting;
-
-    const raw_gate& g = git->second;
-    std::vector<int> fanins;
-    fanins.reserve(g.fanin_names.size());
-    for (const std::string& in : g.fanin_names)
-      fanins.push_back(self(in, self));
-
-    int node;
-    if (g.output_polarity == '1') {
-      std::vector<std::string> cubes = g.cubes;
-      if (!g.fanin_names.empty()) {
-        // drop constant-0 convention: no rows = constant 0 handled below
-      } else if (!cubes.empty()) {
-        cubes.assign(1, "");  // ".names x" + row "1": constant one
+  // Depth-first post-order emission with an explicit stack, so netlist
+  // depth is bounded by memory, not by the thread's stack. Each frame's
+  // resolved fanin nodes sit on `resolved` above its parent's.
+  struct frame {
+    int gate;
+    std::uint32_t next_fanin;
+    std::size_t first_resolved;
+  };
+  std::vector<frame> stack;
+  std::vector<int> resolved;
+  // The signal's node when it has one; otherwise opens a frame for it and
+  // returns -1.
+  const auto resolve = [&](int id) -> int {
+    signal& s = names[id];
+    if (s.node >= 0) return s.node;
+    if (s.gate < 0)
+      throw parse_error("blif: undefined signal " + std::string(s.name));
+    if (s.visiting)
+      throw parse_error("blif: combinational cycle through " +
+                        std::string(s.name));
+    s.visiting = true;
+    stack.push_back({s.gate, 0, resolved.size()});
+    return -1;
+  };
+  const auto emit = [&](int root) {
+    if (resolve(root) >= 0) return;
+    while (!stack.empty()) {
+      frame& top = stack.back();
+      const raw_gate& g = gates[static_cast<std::size_t>(top.gate)];
+      if (top.next_fanin < g.fanin_count) {
+        const int fanin = fanins[g.first_fanin + top.next_fanin++];
+        if (const int node = resolve(fanin); node >= 0)
+          resolved.push_back(node);
+        continue;
       }
-      node = net.add_gate(root, fanins, cubes);
-    } else {
-      // Off-set cover: named gate is the complement of the cover.
-      const int on = net.add_gate(root + "_offset", fanins, g.cubes);
-      node = net.add_not(on, root);
+      std::vector<int> gate_fanins(
+          resolved.begin() + static_cast<std::ptrdiff_t>(top.first_resolved),
+          resolved.end());
+      resolved.resize(top.first_resolved);
+      stack.pop_back();
+
+      signal& s = names[g.output];
+      const auto row = rows.begin() + g.first_row;
+      int node;
+      if (g.output_polarity == '1') {
+        std::vector<std::string> cubes;
+        if (g.fanin_count > 0)
+          cubes.assign(row, row + g.row_count);
+        else if (g.row_count > 0)
+          cubes.assign(1, "");  // ".names x" + row "1": constant one
+        node = net.add_gate(std::string(s.name), std::move(gate_fanins),
+                            std::move(cubes));
+      } else {
+        // Off-set cover: named gate is the complement of the cover.
+        std::string offset_name(s.name);
+        offset_name += "_offset";
+        const int on = net.add_gate(
+            std::move(offset_name), std::move(gate_fanins),
+            std::vector<std::string>(row, row + g.row_count));
+        node = net.add_not(on, std::string(s.name));
+      }
+      s.node = node;
+      s.visiting = false;
+      if (!stack.empty()) resolved.push_back(node);
     }
-    node_of[root] = node;
-    state[root] = mark::done;
-    return node;
   };
 
   // Emit every declared gate (outputs first ensures reachability; remaining
   // gates are emitted afterwards so a round-trip preserves them).
-  for (const std::string& name : output_names) emit(name, emit);
-  for (const std::string& name : gate_order) emit(name, emit);
+  for (const int id : outputs) emit(id);
+  for (const raw_gate& g : gates) emit(g.output);
 
-  for (const std::string& name : output_names) {
-    const auto it = node_of.find(name);
-    if (it == node_of.end())
-      throw parse_error("blif: undefined output " + name);
-    net.set_output(it->second, name);
-  }
+  for (const int id : outputs)
+    net.set_output(names[id].node, std::string(names[id].name));
   return net;
 }
 
-network parse_blif_string(const std::string& text) {
-  std::istringstream is(text);
-  return parse_blif(is);
-}
+network parse_blif(std::istream& is) { return parse_blif(read_stream(is)); }
 
 void write_blif(const network& net, std::ostream& os) {
   os << ".model " << net.name() << '\n';

@@ -8,17 +8,20 @@
 
 #include <istream>
 #include <ostream>
-#include <string>
+#include <string_view>
 
 #include "frontend/network.hpp"
 
 namespace compact::frontend {
 
-/// Parse a single .model from `is`.
-[[nodiscard]] network parse_blif(std::istream& is);
+/// Parse a single .model from `text` in one pass: tokens stay views of the
+/// text until they become node names and cubes, and gates are emitted with
+/// an explicit stack, so any netlist depth parses. Malformed input throws
+/// parse_error.
+[[nodiscard]] network parse_blif(std::string_view text);
 
-/// Parse from a string (convenience for tests and generators).
-[[nodiscard]] network parse_blif_string(const std::string& text);
+/// Read all of `is`, then parse it as above.
+[[nodiscard]] network parse_blif(std::istream& is);
 
 /// Serialize `net` as BLIF. Round-trips through parse_blif.
 void write_blif(const network& net, std::ostream& os);

@@ -9,6 +9,7 @@
 #include <string>
 #include <utility>
 
+#include "util/json.hpp"
 #include "util/metrics.hpp"
 #include "util/thread_pool.hpp"
 
@@ -180,6 +181,28 @@ server_stats server::stats() const {
 
 api::service& server::service() { return impl_->service; }
 
+api::response_v1 parse_failure(std::string_view line,
+                               std::string_view message) {
+  api::response_v1 resp;
+  resp.ok = false;
+  resp.code = api::error_code_v1::parse;
+  resp.error_message = message;
+  try {  // the id is best effort: scan members until the first syntax error
+    json::reader in(line);
+    bool found = false;
+    in.object([&](std::string_view key) {
+      if (!found && key == "id" && in.peek() == json::kind::string) {
+        resp.id = in.string();
+        found = true;
+      } else {
+        in.skip();
+      }
+    });
+  } catch (const compact::parse_error&) {
+  }
+  return resp;
+}
+
 std::size_t run_stream(server& s, std::istream& in, std::ostream& out,
                        std::size_t max_requests) {
   std::mutex write_mutex;
@@ -198,11 +221,7 @@ std::size_t run_stream(server& s, std::istream& in, std::ostream& out,
     try {
       request = api::request_from_json(line);
     } catch (const api::parse_error& e) {
-      api::response_v1 resp;
-      resp.ok = false;
-      resp.code = api::error_code_v1::parse;
-      resp.error_message = e.what();
-      emit(resp);
+      emit(parse_failure(line, e.what()));
       continue;
     }
     s.submit(std::move(request), emit);

@@ -26,6 +26,7 @@
 #include <functional>
 #include <iosfwd>
 #include <memory>
+#include <string_view>
 
 #include "api/compact_api.hpp"
 
@@ -83,10 +84,17 @@ class server {
   std::unique_ptr<impl> impl_;
 };
 
+/// The answer to a request line that failed to parse with `message`: code
+/// `parse`, carrying the line's top-level "id" when it is a string the JSON
+/// reader reaches before any syntax error, so a client with several
+/// requests in flight can tell which one failed. Both transports send it.
+[[nodiscard]] api::response_v1 parse_failure(std::string_view line,
+                                             std::string_view message);
+
 /// Drive a server from a JSON-lines stream: one request per input line, one
 /// response per output line (completion order, matched by id; interleaved
 /// writes are serialized). Unparseable lines are answered immediately with
-/// code `parse`. Stops after max_requests lines (0 = until EOF), drains,
+/// parse_failure(). Stops after max_requests lines (0 = until EOF), drains,
 /// and returns the number of lines consumed. This is the daemon's stdin
 /// mode and the in-process transport tests use.
 std::size_t run_stream(server& s, std::istream& in, std::ostream& out,

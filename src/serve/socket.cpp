@@ -173,12 +173,8 @@ std::size_t serve_unix(server& s, const socket_options& options,
         try {
           request = api::request_from_json(line);
         } catch (const api::parse_error& e) {
-          api::response_v1 resp;
-          resp.ok = false;
-          resp.code = api::error_code_v1::parse;
-          resp.error_message = e.what();
           const std::lock_guard<std::mutex> lock(conn->write_mutex);
-          write_line(conn->fd, api::to_json(resp));
+          write_line(conn->fd, api::to_json(parse_failure(line, e.what())));
           continue;
         }
         s.submit(std::move(request),

@@ -21,10 +21,10 @@ const device& crossbar::at(int row, int column) const {
 void crossbar::set(int row, int column, device d) {
   check(row >= 0 && row < rows_ && column >= 0 && column < columns_,
         "crossbar: junction out of range");
-  check((d.kind != literal_kind::positive &&
-         d.kind != literal_kind::negative) ||
-            d.variable >= 0,
-        "crossbar: literal device needs a variable");
+  if (d.kind == literal_kind::positive || d.kind == literal_kind::negative) {
+    check(d.variable >= 0, "crossbar: literal device needs a variable");
+    max_variable_ = std::max(max_variable_, d.variable);
+  }
   devices_[static_cast<std::size_t>(row) *
                static_cast<std::size_t>(columns_) +
            static_cast<std::size_t>(column)] = d;
@@ -59,6 +59,13 @@ int crossbar::active_device_count() const {
     if (d.kind == literal_kind::positive || d.kind == literal_kind::negative)
       ++count;
   return count;
+}
+
+void check_assignment(const crossbar& design, std::size_t bits) {
+  const int v = design.max_variable();
+  if (v >= 0 && static_cast<std::size_t>(v) >= bits)
+    throw error("evaluate: a device reads variable " + std::to_string(v) +
+                ", beyond the " + std::to_string(bits) + "-bit assignment");
 }
 
 crossbar remap_variables(const crossbar& design,

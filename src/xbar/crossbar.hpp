@@ -57,6 +57,10 @@ class crossbar {
 
   [[nodiscard]] const device& at(int row, int column) const;
   void set(int row, int column, device d);
+  /// The highest variable index set on any junction so far (-1 when none),
+  /// so evaluation checks an assignment's length once, not per device.
+  /// Setting a junction again never lowers it.
+  [[nodiscard]] int max_variable() const { return max_variable_; }
   void set_literal(int row, int column, int variable, bool positive);
   void set_on(int row, int column);
 
@@ -102,10 +106,16 @@ class crossbar {
   int rows_ = 0;
   int columns_ = 0;
   int input_row_ = -1;
+  int max_variable_ = -1;
   std::vector<device> devices_;  // row-major
   std::vector<output_port> outputs_;
   std::vector<std::pair<std::string, bool>> constant_outputs_;
 };
+
+/// Throw compact::error, naming the variable, when a device of `design`
+/// reads beyond an assignment of `bits` values. Evaluation calls it once per
+/// assignment, so devices never index past one.
+void check_assignment(const crossbar& design, std::size_t bits);
 
 /// Rewrite every literal device's variable index through `mapping`
 /// (mapping[old] = new). Used after synthesizing under a permuted BDD

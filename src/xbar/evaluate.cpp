@@ -7,6 +7,7 @@ namespace compact::xbar {
 std::vector<bool> reachable_rows(const crossbar& design,
                                  const std::vector<bool>& assignment) {
   check(design.input_row() >= 0, "evaluate: design has no input row");
+  check_assignment(design, assignment.size());
   const int rows = design.rows();
   const int cols = design.columns();
 

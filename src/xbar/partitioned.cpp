@@ -157,6 +157,8 @@ std::vector<std::vector<bool>> reachable_rows(
     const partitioned_design& design, const std::vector<bool>& assignment) {
   const int input = design.input_array();
   check(input >= 0, "partitioned evaluate: design has no input row");
+  for (const crossbar& frag : design.fragments())
+    check_assignment(frag, assignment.size());
 
   wire_index index(design);
   // Adjacency over nets: conducting devices join a fragment's row and

@@ -1,95 +1,124 @@
 #include "xbar/serialize.hpp"
 
-#include <map>
+#include <algorithm>
+#include <charconv>
+#include <utility>
 
 #include "util/strings.hpp"
 
 namespace compact::xbar {
 namespace {
 
-/// Comment-stripping, blank-skipping line tokenizer shared by both format
-/// versions. `line` keeps the raw text of the last tokenized line for error
-/// messages.
-struct line_reader {
-  std::istream& is;
-  std::string line;
+/// Comment-stripping, blank-skipping line tokenizer over the whole text,
+/// shared by both format versions. Tokens are views of the text.
+class line_reader {
+ public:
+  explicit line_reader(std::string_view text) : text_(text) {}
 
-  bool next(std::vector<std::string>& tokens) {
-    while (std::getline(is, line)) {
-      if (const auto hash = line.find('#'); hash != std::string::npos)
-        line.erase(hash);
-      tokens = split_ws(line);
-      if (!tokens.empty()) return true;
+  /// Advance to the next line holding a token; false at the end of the text.
+  bool next() {
+    while (pos_ < text_.size()) {
+      line_ = next_line(text_, pos_);
+      line_ = line_.substr(0, line_.find('#'));
+      tokens_.clear();
+      append_split_ws(line_, tokens_);
+      if (!tokens_.empty()) return true;
     }
     return false;
   }
+
+  /// Tokens on the current line.
+  [[nodiscard]] std::size_t size() const { return tokens_.size(); }
+  [[nodiscard]] std::string_view operator[](std::size_t i) const {
+    return tokens_[i];
+  }
+  /// The current line, comment stripped, as error messages quote it.
+  [[nodiscard]] std::string line() const { return std::string(line_); }
+
+  /// A token of the current line as an int: the whole token must be an
+  /// optional '-' then decimal digits, within range.
+  [[nodiscard]] int number(std::string_view token) const {
+    int value = 0;
+    const char* end = token.data() + token.size();
+    const auto [ptr, ec] = std::from_chars(token.data(), end, value);
+    if (ec != std::errc() || ptr != end)
+      throw parse_error("xbar: malformed number in: " + line());
+    return value;
+  }
+
+ private:
+  std::string_view text_;
+  std::size_t pos_ = 0;
+  std::string_view line_;
+  std::vector<std::string_view> tokens_;
 };
 
-int parse_int(const std::string& token, const std::string& line) {
-  try {  // non-numeric / out-of-range must not escape as raw stoi errors
-    return std::stoi(token);
-  } catch (const std::logic_error&) {
-    throw parse_error("xbar: malformed number in: " + line);
-  }
+/// `var` lines in document order; a later line for an index wins.
+using name_lines = std::vector<std::pair<int, std::string_view>>;
+
+/// Record the `var` line the reader is on.
+void read_var(const line_reader& in, name_lines& names) {
+  const int index = in.number(in[1]);
+  if (index < 0)
+    throw parse_error("xbar: negative variable index in: " + in.line());
+  names.emplace_back(index, in[2]);
 }
 
 /// One crossbar body: the dim line through `terminator`. `names` collects
 /// var lines when non-null (version 1); version-2 array blocks pass null
 /// because variable names are global there.
-crossbar read_body(line_reader& in, const std::string& terminator,
-                   std::map<int, std::string>* names) {
-  std::vector<std::string> tokens;
-  if (!in.next(tokens) || tokens.size() != 3 || tokens[0] != "dim")
+crossbar read_body(line_reader& in, std::string_view terminator,
+                   name_lines* names) {
+  if (!in.next() || in.size() != 3 || in[0] != "dim")
     throw parse_error("xbar: missing dim line");
-  const int rows = parse_int(tokens[1], in.line);
-  const int cols = parse_int(tokens[2], in.line);
+  const int rows = in.number(in[1]);
+  const int cols = in.number(in[2]);
   if (rows < 1 || cols < 0) throw parse_error("xbar: bad dimensions");
 
   crossbar design(rows, cols);
-  while (in.next(tokens)) {
-    if (tokens[0] == terminator) return design;
-    try {
-      if (tokens[0] == "input" && tokens.size() == 2) {
-        design.set_input_row(std::stoi(tokens[1]));
-      } else if (tokens[0] == "output" && tokens.size() == 3) {
-        design.add_output(std::stoi(tokens[1]), tokens[2]);
-      } else if (tokens[0] == "const" && tokens.size() == 3) {
-        design.add_constant_output(tokens[2] == "1", tokens[1]);
-      } else if (tokens[0] == "var" && tokens.size() == 3 &&
-                 names != nullptr) {
-        (*names)[std::stoi(tokens[1])] = tokens[2];
-      } else if (tokens[0] == "d" && tokens.size() == 4) {
-        const int r = std::stoi(tokens[1]);
-        const int c = std::stoi(tokens[2]);
-        const std::string& spec = tokens[3];
-        if (spec == "on") {
-          design.set_on(r, c);
-        } else if (spec.size() >= 2 && (spec[0] == '+' || spec[0] == '-')) {
-          design.set_literal(r, c, std::stoi(spec.substr(1)), spec[0] == '+');
-        } else {
-          throw parse_error("xbar: bad device spec " + spec);
-        }
+  while (in.next()) {
+    const std::string_view head = in[0];
+    if (head == terminator) return design;
+    if (head == "input" && in.size() == 2) {
+      design.set_input_row(in.number(in[1]));
+    } else if (head == "output" && in.size() == 3) {
+      design.add_output(in.number(in[1]), std::string(in[2]));
+    } else if (head == "const" && in.size() == 3) {
+      design.add_constant_output(in[2] == "1", std::string(in[1]));
+    } else if (head == "var" && in.size() == 3 && names != nullptr) {
+      read_var(in, *names);
+    } else if (head == "d" && in.size() == 4) {
+      const int r = in.number(in[1]);
+      const int c = in.number(in[2]);
+      const std::string_view spec = in[3];
+      if (spec == "on") {
+        design.set_on(r, c);
+      } else if (spec.size() >= 2 && (spec[0] == '+' || spec[0] == '-')) {
+        design.set_literal(r, c, in.number(spec.substr(1)), spec[0] == '+');
       } else {
-        throw parse_error("xbar: unrecognized line: " + in.line);
+        throw parse_error("xbar: bad device spec " + std::string(spec));
       }
-    } catch (const error&) {
-      throw;
-    } catch (const std::logic_error&) {  // stoi: invalid_argument/out_of_range
-      throw parse_error("xbar: malformed number in: " + in.line);
+    } else {
+      throw parse_error("xbar: unrecognized line: " + in.line());
     }
   }
-  throw parse_error("xbar: missing " + terminator + " marker");
+  throw parse_error("xbar: missing " + std::string(terminator) + " marker");
 }
 
-std::vector<std::string> pack_names(const std::map<int, std::string>& names) {
+std::vector<std::string> pack_names(const name_lines& names) {
   std::vector<std::string> packed;
-  if (!names.empty()) {
-    const int max_var = names.rbegin()->first;
-    packed.resize(static_cast<std::size_t>(max_var) + 1);
-    for (const auto& [v, n] : names)
-      packed[static_cast<std::size_t>(v)] = n;
-  }
+  int max_var = -1;
+  for (const auto& [v, n] : names) max_var = std::max(max_var, v);
+  packed.resize(static_cast<std::size_t>(max_var) + 1);  // -1 + 1 wraps to 0
+  for (const auto& [v, n] : names) packed[static_cast<std::size_t>(v)] = n;
   return packed;
+}
+
+/// The header line: its format version token.
+std::string_view read_header(line_reader& in) {
+  if (!in.next() || in.size() != 2 || in[0] != "xbar")
+    throw parse_error("xbar: missing header");
+  return in[1];
 }
 
 void write_ports_and_devices(const crossbar& design, std::ostream& os) {
@@ -125,21 +154,20 @@ const char* wire_kind_name(wire_kind kind) {
   return kind == wire_kind::row ? "row" : "col";
 }
 
-wire_ref parse_wire_ref(const std::string& array_token,
-                        const std::string& kind_token,
-                        const std::string& index_token,
-                        const std::string& line) {
+/// The wire named by tokens first..first+2 of a connect line.
+wire_ref read_wire_ref(const line_reader& in, std::size_t first) {
   wire_ref ref;
-  ref.array = parse_int(array_token, line);
-  if (kind_token == "row") {
+  ref.array = in.number(in[first]);
+  const std::string_view kind = in[first + 1];
+  if (kind == "row") {
     ref.kind = wire_kind::row;
-  } else if (kind_token == "col") {
+  } else if (kind == "col") {
     ref.kind = wire_kind::column;
   } else {
-    throw parse_error("xbar: bad wire kind '" + kind_token +
-                      "' (expected row or col) in: " + line);
+    throw parse_error("xbar: bad wire kind '" + std::string(kind) +
+                      "' (expected row or col) in: " + in.line());
   }
-  ref.index = parse_int(index_token, line);
+  ref.index = in.number(in[first + 2]);
   return ref;
 }
 
@@ -156,17 +184,20 @@ void write_design(const crossbar& design, std::ostream& os,
   os << "end\n";
 }
 
-loaded_design read_design(std::istream& is) {
-  line_reader in{is, {}};
-  std::vector<std::string> tokens;
-  if (!in.next(tokens) || tokens.size() != 2 || tokens[0] != "xbar")
-    throw parse_error("xbar: missing header");
-  if (tokens[1] != "1")
-    throw parse_error("xbar: unsupported format version " + tokens[1]);
+loaded_design read_design(std::string_view text) {
+  line_reader in(text);
+  const std::string_view version = read_header(in);
+  if (version != "1")
+    throw parse_error("xbar: unsupported format version " +
+                      std::string(version));
 
-  std::map<int, std::string> names;
+  name_lines names;
   crossbar design = read_body(in, "end", &names);
   return {std::move(design), pack_names(names)};
+}
+
+loaded_design read_design(std::istream& is) {
+  return read_design(read_stream(is));
 }
 
 void write_partitioned_design(const partitioned_design& design,
@@ -199,58 +230,59 @@ void write_partitioned_design(const partitioned_design& design,
   os << "end\n";
 }
 
-loaded_partitioned_design read_partitioned_design(std::istream& is) {
-  line_reader in{is, {}};
-  std::vector<std::string> tokens;
-  if (!in.next(tokens) || tokens.size() != 2 || tokens[0] != "xbar")
-    throw parse_error("xbar: missing header");
-
-  if (tokens[1] == "1") {
-    std::map<int, std::string> names;
+loaded_partitioned_design read_partitioned_design(std::string_view text) {
+  line_reader in(text);
+  const std::string_view version = read_header(in);
+  name_lines names;
+  if (version == "1") {
     crossbar design = read_body(in, "end", &names);
     return {wrap_single(std::move(design)), pack_names(names)};
   }
-  if (tokens[1] != "2")
-    throw parse_error("xbar: unsupported format version " + tokens[1]);
+  if (version != "2")
+    throw parse_error("xbar: unsupported format version " +
+                      std::string(version));
 
-  if (!in.next(tokens) || tokens.size() != 2 || tokens[0] != "arrays")
+  if (!in.next() || in.size() != 2 || in[0] != "arrays")
     throw parse_error("xbar: version 2 requires an arrays count after the "
                       "header");
-  const int count = parse_int(tokens[1], in.line);
+  const int count = in.number(in[1]);
   if (count < 1) throw parse_error("xbar: bad arrays count");
 
   partitioned_design design;
-  std::map<int, std::string> names;
   int next_array = 0;
-  while (in.next(tokens)) {
-    if (tokens[0] == "end") {
+  while (in.next()) {
+    const std::string_view head = in[0];
+    if (head == "end") {
       if (next_array != count)
         throw parse_error("xbar: expected " + std::to_string(count) +
                           " arrays, found " + std::to_string(next_array));
       return {std::move(design), pack_names(names)};
     }
-    if (tokens[0] == "var" && tokens.size() == 3) {
-      names[parse_int(tokens[1], in.line)] = tokens[2];
-    } else if (tokens[0] == "array" && tokens.size() == 2) {
-      if (parse_int(tokens[1], in.line) != next_array || next_array >= count)
+    if (head == "var" && in.size() == 3) {
+      read_var(in, names);
+    } else if (head == "array" && in.size() == 2) {
+      if (in.number(in[1]) != next_array || next_array >= count)
         throw parse_error("xbar: arrays must appear once each, in order: " +
-                          in.line);
+                          in.line());
       design.add_fragment(read_body(in, "endarray", nullptr));
       ++next_array;
-    } else if (tokens[0] == "connect" && tokens.size() == 7) {
-      const std::string line = in.line;
-      const wire_ref a = parse_wire_ref(tokens[1], tokens[2], tokens[3], line);
-      const wire_ref b = parse_wire_ref(tokens[4], tokens[5], tokens[6], line);
+    } else if (head == "connect" && in.size() == 7) {
+      const wire_ref a = read_wire_ref(in, 1);
+      const wire_ref b = read_wire_ref(in, 4);
       try {  // reference validation reuses add_connection's checks
         design.add_connection(a, b);
       } catch (const error& e) {
-        throw parse_error(std::string(e.what()) + " in: " + line);
+        throw parse_error(std::string(e.what()) + " in: " + in.line());
       }
     } else {
-      throw parse_error("xbar: unrecognized line: " + in.line);
+      throw parse_error("xbar: unrecognized line: " + in.line());
     }
   }
   throw parse_error("xbar: missing end marker");
+}
+
+loaded_partitioned_design read_partitioned_design(std::istream& is) {
+  return read_partitioned_design(read_stream(is));
 }
 
 void write_design_dot(const crossbar& design, std::ostream& os,

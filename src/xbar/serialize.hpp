@@ -38,11 +38,20 @@
 // Single-array designs keep writing version 1, so unpartitioned output is
 // byte-identical to what pre-partitioning builds produced; the version-2
 // reader accepts both versions.
+//
+// Reading rules, both versions: tokens are separated by spaces and tabs, and
+// `#` starts a comment. A number is a whole token: an optional `-`, then
+// decimal digits, within `int` (so `+3`, `3x` and ` 1e1` are malformed,
+// not 3 and 1). A `var` index must not be negative. Both are parse_errors.
+// A row, column or variable outside the design passes the reader and fails
+// the crossbar's own check (compact::error), as does any device beyond the
+// assignment when the design is evaluated.
 #pragma once
 
 #include <istream>
 #include <ostream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "xbar/crossbar.hpp"
@@ -59,9 +68,12 @@ struct loaded_design {
   std::vector<std::string> variable_names;  // may be empty
 };
 
-/// Parse a version-1 `.xbar` stream; throws parse_error on malformed input
-/// (including version-2 headers — multi-array consumers use
+/// Parse a version-1 `.xbar` text in one pass; throws parse_error on
+/// malformed input (including version-2 headers — multi-array consumers use
 /// read_partitioned_design).
+[[nodiscard]] loaded_design read_design(std::string_view text);
+
+/// Read all of `is`, then parse it as above.
 [[nodiscard]] loaded_design read_design(std::istream& is);
 
 /// Write a partitioned design: format version 2, except that a design of
@@ -80,6 +92,10 @@ struct loaded_partitioned_design {
 /// Parse either format version: version 1 loads as a single-fragment
 /// design, version 2 as written by write_partitioned_design. Throws
 /// parse_error on malformed input.
+[[nodiscard]] loaded_partitioned_design read_partitioned_design(
+    std::string_view text);
+
+/// Read all of `is`, then parse it as above.
 [[nodiscard]] loaded_partitioned_design read_partitioned_design(
     std::istream& is);
 

@@ -238,7 +238,7 @@ TEST(BenchgenTest, SuiteIsWellFormedAndSerializable) {
     // Every circuit must survive a BLIF round trip.
     std::ostringstream os;
     write_blif(spec.net, os);
-    const network reparsed = parse_blif_string(os.str());
+    const network reparsed = parse_blif(os.str());
     EXPECT_EQ(reparsed.input_count(), spec.net.input_count()) << spec.name;
     // Spot-check equivalence on a few random vectors.
     rng random(1);

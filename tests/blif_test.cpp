@@ -8,7 +8,7 @@ namespace compact::frontend {
 namespace {
 
 TEST(BlifTest, ParsesSimpleModel) {
-  const network net = parse_blif_string(R"(
+  const network net = parse_blif(R"(
 .model majority
 .inputs a b c
 .outputs f
@@ -30,7 +30,7 @@ TEST(BlifTest, ParsesSimpleModel) {
 
 TEST(BlifTest, OffSetCoverIsComplemented) {
   // f defined by its off-set: f = 0 iff a=1,b=1 -> f = NAND.
-  const network net = parse_blif_string(R"(
+  const network net = parse_blif(R"(
 .model nand
 .inputs a b
 .outputs f
@@ -44,7 +44,7 @@ TEST(BlifTest, OffSetCoverIsComplemented) {
 }
 
 TEST(BlifTest, ConstantNodes) {
-  const network net = parse_blif_string(R"(
+  const network net = parse_blif(R"(
 .model consts
 .inputs a
 .outputs one zero
@@ -58,7 +58,7 @@ TEST(BlifTest, ConstantNodes) {
 }
 
 TEST(BlifTest, GatesMayBeDeclaredOutOfOrder) {
-  const network net = parse_blif_string(R"(
+  const network net = parse_blif(R"(
 .model ooo
 .inputs a b
 .outputs f
@@ -76,7 +76,7 @@ TEST(BlifTest, GatesMayBeDeclaredOutOfOrder) {
 }
 
 TEST(BlifTest, CommentsAndContinuations) {
-  const network net = parse_blif_string(
+  const network net = parse_blif(
       ".model c # trailing comment\n"
       ".inputs a \\\n b\n"
       ".outputs f\n"
@@ -89,10 +89,10 @@ TEST(BlifTest, CommentsAndContinuations) {
 }
 
 TEST(BlifTest, RejectsLatchesAndCycles) {
-  EXPECT_THROW((void)parse_blif_string(".model m\n.inputs a\n.outputs q\n"
-                                       ".latch a q 0\n.end\n"),
+  EXPECT_THROW((void)parse_blif(".model m\n.inputs a\n.outputs q\n"
+                                ".latch a q 0\n.end\n"),
                parse_error);
-  EXPECT_THROW((void)parse_blif_string(R"(
+  EXPECT_THROW((void)parse_blif(R"(
 .model cyc
 .inputs a
 .outputs f
@@ -106,23 +106,23 @@ TEST(BlifTest, RejectsLatchesAndCycles) {
 }
 
 TEST(BlifTest, RejectsMalformedCovers) {
-  EXPECT_THROW((void)parse_blif_string(".model m\n.inputs a\n.outputs f\n"
-                                       ".names a f\n111 1\n.end\n"),
+  EXPECT_THROW((void)parse_blif(".model m\n.inputs a\n.outputs f\n"
+                                ".names a f\n111 1\n.end\n"),
                parse_error);  // cube width
-  EXPECT_THROW((void)parse_blif_string(".model m\n.inputs a\n.outputs f\n"
-                                       ".names a f\n1 1\n0 0\n.end\n"),
+  EXPECT_THROW((void)parse_blif(".model m\n.inputs a\n.outputs f\n"
+                                ".names a f\n1 1\n0 0\n.end\n"),
                parse_error);  // mixed polarity
-  EXPECT_THROW((void)parse_blif_string(".model m\n.inputs a\n.outputs f\n"
-                                       "1 1\n.end\n"),
+  EXPECT_THROW((void)parse_blif(".model m\n.inputs a\n.outputs f\n"
+                                "1 1\n.end\n"),
                parse_error);  // row outside .names
 }
 
 TEST(BlifTest, UndefinedSignalsAreErrors) {
-  EXPECT_THROW((void)parse_blif_string(".model m\n.inputs a\n.outputs f\n"
-                                       ".names a ghost f\n11 1\n.end\n"),
+  EXPECT_THROW((void)parse_blif(".model m\n.inputs a\n.outputs f\n"
+                                ".names a ghost f\n11 1\n.end\n"),
                parse_error);
-  EXPECT_THROW((void)parse_blif_string(".model m\n.inputs a\n.outputs nope\n"
-                                       ".end\n"),
+  EXPECT_THROW((void)parse_blif(".model m\n.inputs a\n.outputs nope\n"
+                                ".end\n"),
                parse_error);
 }
 
@@ -141,10 +141,10 @@ TEST(BlifTest, RoundTripPreservesSemantics) {
 11 1
 .end
 )";
-  const network original = parse_blif_string(source);
+  const network original = parse_blif(source);
   std::ostringstream os;
   write_blif(original, os);
-  const network reparsed = parse_blif_string(os.str());
+  const network reparsed = parse_blif(os.str());
   ASSERT_EQ(reparsed.input_count(), original.input_count());
   ASSERT_EQ(reparsed.outputs().size(), original.outputs().size());
   for (int v = 0; v < 8; ++v) {
@@ -159,7 +159,7 @@ TEST(BlifTest, OutputAliasGetsBuffer) {
   net.set_output(a, "renamed");
   std::ostringstream os;
   write_blif(net, os);
-  const network reparsed = parse_blif_string(os.str());
+  const network reparsed = parse_blif(os.str());
   EXPECT_EQ(reparsed.outputs()[0].name, "renamed");
   EXPECT_TRUE(reparsed.simulate({true})[0]);
   EXPECT_FALSE(reparsed.simulate({false})[0]);

@@ -26,7 +26,7 @@ core::synthesis_options staircase() {
 }
 
 TEST(IntegrationTest, BlifToValidatedCrossbar) {
-  const frontend::network net = frontend::parse_blif_string(R"(
+  const frontend::network net = frontend::parse_blif(R"(
 .model votes
 .inputs a b c d
 .outputs maj any

@@ -87,7 +87,7 @@ TEST(MinimizeCoverTest, RandomCoversStayEquivalent) {
 
 TEST(MinimizeNetworkTest, PreservesFunctionality) {
   // A deliberately redundant BLIF model.
-  const network net = parse_blif_string(R"(
+  const network net = parse_blif(R"(
 .model redundant
 .inputs a b c
 .outputs f g

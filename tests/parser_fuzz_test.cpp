@@ -24,6 +24,8 @@ std::string random_text(rng& random, int length, bool structured) {
       "1",      "0",       "-",      "a",       "b",      "(",
       ")",      ";",       ",",      "=",       "&",      "|",
       "~",      "\n",      " ",      "11 1",    "1- 1",   "# x",
+      "var",    "arrays",  "array",  "endarray", "connect", "row",
+      "col",    "on",      "+1",     "end",
       // Numeric edge cases: headers like ".i abc" or ".i 99999999999999"
       // must surface as parse_error, never a raw std::stoi exception.
       "99999999999999", "-1", "0x10", "3.5", "abc",
@@ -40,7 +42,10 @@ std::string random_text(rng& random, int length, bool structured) {
   return text;
 }
 
-template <typename Parser>
+/// `Truncated` is what a parser throws for a cut document, `Flipped` for
+/// one with bytes overwritten.
+template <typename Truncated = api::parse_error, typename Flipped = Truncated,
+          typename Parser>
 void fuzz(Parser&& parse, std::uint64_t seed,
           const std::vector<std::string>& lines = {}) {
   rng random(seed);
@@ -61,13 +66,13 @@ void fuzz(Parser&& parse, std::uint64_t seed,
   // Random garbage overwhelmingly fails to parse.
   EXPECT_LT(accepted, 40);
 
-  // Valid one-line documents: every strict prefix is incomplete and must be
-  // rejected; with bytes overwritten they must parse or be rejected, never
-  // crash.
+  // Valid documents (wire lines, designs): every strict prefix is
+  // incomplete and must be rejected; with bytes overwritten they must parse
+  // or be rejected, never crash.
   for (const std::string& line : lines) {
     (void)parse(line);
     for (std::size_t cut = 0; cut < line.size(); ++cut)
-      EXPECT_THROW((void)parse(line.substr(0, cut)), api::parse_error)
+      EXPECT_THROW((void)parse(line.substr(0, cut)), Truncated)
           << line.substr(0, cut);
     for (int trial = 0; trial < 200; ++trial) {
       std::string text = line;
@@ -77,7 +82,7 @@ void fuzz(Parser&& parse, std::uint64_t seed,
             static_cast<char>(random.next_below(256));
       try {
         (void)parse(text);
-      } catch (const api::parse_error&) {
+      } catch (const Flipped&) {
       }
     }
   }
@@ -108,7 +113,7 @@ std::vector<std::string> response_lines() {
 }
 
 TEST(ParserFuzzTest, Blif) {
-  fuzz([](const std::string& t) { return frontend::parse_blif_string(t); },
+  fuzz([](const std::string& t) { return frontend::parse_blif(t); },
        101);
 }
 
@@ -129,6 +134,32 @@ TEST(ParserFuzzTest, XbarDesigns) {
         return xbar::read_design(is);
       },
       404);
+}
+
+/// Synthesized designs of both format versions, without the final newline,
+/// so that every strict prefix lacks the end marker.
+std::vector<std::string> design_documents() {
+  api::request_v1 request;
+  request.source.text =
+      ".model m\n.inputs a b c\n.outputs f g\n.names a b c f\n11- 1\n"
+      "1-1 1\n-11 1\n.names a c g\n10 1\n.end\n";
+  request.synthesis.labeler = "oct";
+  const std::string single = api::handle(request).design_text;
+  request.synthesis.partition = true;
+  request.synthesis.max_rows = 3;
+  request.synthesis.max_columns = 3;
+  const std::string split = api::handle(request).design_text;
+  EXPECT_EQ(split.rfind("xbar 2\n", 0), 0u) << split;
+  return {single.substr(0, single.size() - 1),
+          split.substr(0, split.size() - 1)};
+}
+
+TEST(ParserFuzzTest, XbarPartitionedDesigns) {
+  // A flipped digit may put a device off the grid: a range error of the
+  // crossbar (compact::error), not a parse_error, but still structured.
+  fuzz<parse_error, error>(
+      [](const std::string& t) { return xbar::read_partitioned_design(t); },
+      405, design_documents());
 }
 
 TEST(ParserFuzzTest, RequestJson) {
@@ -163,7 +194,7 @@ TEST(ParserFuzzTest, TruncatedValidInputsRejected) {
   // something consistent — never crash.
   for (std::size_t cut = 1; cut < valid_blif.size(); ++cut) {
     try {
-      (void)frontend::parse_blif_string(valid_blif.substr(0, cut));
+      (void)frontend::parse_blif(valid_blif.substr(0, cut));
     } catch (const error&) {
     }
   }

@@ -5,6 +5,7 @@
 #include "core/compact.hpp"
 #include "frontend/benchgen.hpp"
 #include "xbar/evaluate.hpp"
+#include "xbar/partitioned.hpp"
 #include "xbar/serialize.hpp"
 
 namespace compact::xbar {
@@ -117,6 +118,71 @@ TEST(SerializeTest, MalformedInputsRejected) {
   EXPECT_THROW((void)parse("xbar 1\ndim 2 2\nd 0 0 on\n"), parse_error);
   EXPECT_THROW((void)parse("xbar 1\ndim 2 2\nd 9 0 on\nend\n"), error);
   EXPECT_THROW((void)parse("xbar 1\ndim 2 2\nd x 0 on\nend\n"), parse_error);
+}
+
+// A number is a whole token: an optional '-' then decimal digits, within
+// int. A prefix that std::stoi would have read is no longer enough.
+TEST(SerializeTest, NumbersAreWholeTokens) {
+  for (const char* bad :
+       {"xbar 1\ndim 1 1\ninput 0\nd 0 0 +3x\nend\n",
+        "xbar 1\ndim 9 9\ninput 0\nd 8 7t +2\nend\n",
+        "xbar 1\ndim 1e1 9\nend\n", "xbar 1\ndim 1 1\nd 0 0 -+1\nend\n",
+        "xbar 1\ndim +1 1\nend\n", "xbar 1\ndim 2147483648 1\nend\n",
+        "xbar 1\ndim 1 1\ninput \r0\nend\n"}) {
+    try {
+      (void)read_design(std::string_view(bad));
+      ADD_FAILURE() << "accepted: " << bad;
+    } catch (const parse_error& e) {
+      EXPECT_NE(std::string(e.what()).find("malformed number"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  const loaded_design ok =
+      read_design("xbar 1\ndim 02 1\ninput -0\nd 1 0 -007\nend\n");
+  EXPECT_EQ(ok.design.rows(), 2);
+  EXPECT_EQ(ok.design.input_row(), 0);
+  EXPECT_EQ(ok.design.at(1, 0).variable, 7);
+  EXPECT_EQ(ok.design.max_variable(), 7);
+}
+
+// A negative var index is malformed input, in both format versions; an
+// index past the design's variables stays a range error of the crossbar.
+TEST(SerializeTest, NegativeVariableIndexIsParseError) {
+  EXPECT_THROW((void)read_partitioned_design(
+                   "xbar 1\ndim 1 1\nvar -1 x\ninput 0\noutput 0 y\nend\n"),
+               parse_error);
+  EXPECT_THROW((void)read_partitioned_design(
+                   "xbar 2\narrays 1\nvar -3 x\narray 0\ndim 1 1\n"
+                   "input 0\nendarray\nend\n"),
+               parse_error);
+  try {
+    (void)read_design("xbar 1\ndim 1 1\nd 0 0 +-3\nend\n");
+    ADD_FAILURE() << "accepted a negative device variable";
+  } catch (const parse_error&) {
+    ADD_FAILURE() << "a device variable out of range is not a parse error";
+  } catch (const error&) {
+  }
+}
+
+// Evaluation checks the assignment once: a device reading beyond it is an
+// error naming the variable, never a read past the assignment.
+TEST(SerializeTest, EvaluationRejectsShortAssignments) {
+  const loaded_partitioned_design loaded = read_partitioned_design(
+      "xbar 1\ndim 1 1\ninput 0\noutput 0 y\nd 0 0 +1000000000\nend\n");
+  try {
+    (void)evaluate(loaded.design, {true});
+    ADD_FAILURE() << "evaluated past the assignment";
+  } catch (const error& e) {
+    EXPECT_NE(std::string(e.what()).find("variable 1000000000"),
+              std::string::npos)
+        << e.what();
+  }
+  const loaded_design single =
+      read_design("xbar 1\ndim 1 1\ninput 0\noutput 0 y\nd 0 0 +5\nend\n");
+  EXPECT_THROW((void)evaluate(single.design, {}), error);
+  EXPECT_EQ(evaluate(single.design, std::vector<bool>(6, true)),
+            std::vector<bool>{true});
 }
 
 }  // namespace

@@ -3,17 +3,24 @@
 // the stream transport, and bit-identical designs at any thread count.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <chrono>
 #include <cstdint>
+#include <cstdio>
 #include <future>
 #include <map>
 #include <mutex>
 #include <sstream>
 #include <string>
+#include <thread>
+#include <tuple>
 #include <utility>
 #include <vector>
 
 #include "api/compact_api.hpp"
 #include "serve/server.hpp"
+#include "serve/socket.hpp"
 #include "util/json.hpp"
 
 namespace {
@@ -294,6 +301,122 @@ TEST(ServeTest, RunStreamAnswersEveryLine) {
   EXPECT_TRUE(responses["a"].ok) << responses["a"].error_message;
   EXPECT_TRUE(responses["b"].ok) << responses["b"].error_message;
   EXPECT_EQ(responses["a"].design_text, responses["b"].design_text);
+}
+
+// A parse failure keeps the request's id whenever the JSON reader reaches
+// it as a string before a syntax error, so clients can match the answer.
+std::vector<std::pair<std::string, std::string>> unparseable_lines() {
+  return {
+      {R"({"id":"x7","op":"lint","synthesis":{"gama":1}})", "x7"},
+      {R"({"synthesis":{"gama":1},"id":"x8"})", "x8"},
+      {R"({"id":"x9","op":)", "x9"},
+      {R"({"op":"lint",,"id":"x10"})", ""},
+      {R"({"id":5,"op":"lint"})", ""},
+      {"this is not json", ""},
+  };
+}
+
+TEST(ServeTest, ParseFailureEchoesIdOnTheStream) {
+  server s;
+  std::stringstream in;
+  for (const auto& [line, id] : unparseable_lines()) in << line << "\n";
+  std::stringstream out;
+  EXPECT_EQ(run_stream(s, in, out), unparseable_lines().size());
+  std::string line;
+  for (const auto& [request, id] : unparseable_lines()) {
+    ASSERT_TRUE(std::getline(out, line)) << request;
+    const api::response_v1 resp = api::response_from_json(line);
+    EXPECT_EQ(resp.code, api::error_code_v1::parse) << line;
+    EXPECT_EQ(resp.id, id) << request;
+  }
+}
+
+TEST(ServeTest, ParseFailureEchoesIdOnTheSocket) {
+  const std::string path = testing::TempDir() + "compact_serve_test_" +
+                           std::to_string(::getpid()) + ".sock";
+  const std::vector<std::pair<std::string, std::string>> lines =
+      unparseable_lines();
+  server s;
+  compact::serve::socket_options options;
+  options.path = path;
+  options.max_requests = lines.size();
+  std::thread daemon([&] { (void)compact::serve::serve_unix(s, options); });
+
+  int fd = -1;
+  for (int attempt = 0; fd < 0 && attempt < 500; ++attempt) {
+    try {
+      fd = compact::serve::connect_unix(path);
+    } catch (const compact::error&) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+  }
+  ASSERT_GE(fd, 0) << "the daemon never listened on " << path;
+  // Parse failures are answered on the reader thread, in line order.
+  std::string buffer;
+  std::string line;
+  for (const auto& [request, id] : lines) {
+    ASSERT_TRUE(compact::serve::write_line(fd, request));
+    ASSERT_TRUE(compact::serve::read_line(fd, buffer, line)) << request;
+    const api::response_v1 resp = api::response_from_json(line);
+    EXPECT_EQ(resp.code, api::error_code_v1::parse) << line;
+    EXPECT_EQ(resp.id, id) << request;
+  }
+  compact::serve::close_fd(fd);
+  daemon.join();
+  std::remove(path.c_str());
+}
+
+// Request lines that crashed the daemon or were misread by the text
+// readers get structured answers.
+TEST(ServeTest, ReaderCrashLinesGetStructuredAnswers) {
+  // A 200,000-gate buffer chain: the BLIF reader emits gates with an
+  // explicit stack, so depth costs memory, not thread stack.
+  constexpr int depth = 200000;
+  std::string chain = ".model chain\n.inputs g0\n.outputs y\n";
+  for (int i = 1; i <= depth; ++i)
+    chain += ".names g" + std::to_string(i - 1) + " g" + std::to_string(i) +
+             "\n1 1\n";
+  chain += ".names g" + std::to_string(depth) + " y\n1 1\n.end\n";
+  api::request_v1 deep;
+  deep.source.text = chain;
+  deep.synthesis.labeler = "oct";
+  const api::response_v1 built = api::handle(deep);
+  ASSERT_TRUE(built.ok) << built.error_message;
+  EXPECT_EQ(built.stats.rows, 2);
+  EXPECT_EQ(built.stats.columns, 1);
+
+  const auto evaluate = [](const std::string& design,
+                           const std::string& assignment) {
+    api::request_v1 request;
+    request.op = "evaluate";
+    request.design_text = design;
+    request.assignment = assignment;
+    return api::handle(request);
+  };
+  // A negative variable index: a parse error, not a write to names[-1].
+  EXPECT_EQ(evaluate("xbar 1\ndim 1 1\nvar -1 x\ninput 0\noutput 0 y\nend\n",
+                     "1")
+                .code,
+            api::error_code_v1::parse);
+  // A device variable beyond the assignment: the request is invalid and the
+  // answer names the variable, instead of reading past the assignment.
+  for (const auto& [device, assignment, variable] :
+       std::vector<std::tuple<std::string, std::string, std::string>>{
+           {"+5", "", "variable 5"},
+           {"+1000000000", "1", "variable 1000000000"}}) {
+    const api::response_v1 out = evaluate(
+        "xbar 1\ndim 1 1\ninput 0\noutput 0 y\nd 0 0 " + device + "\nend\n",
+        assignment);
+    EXPECT_EQ(out.code, api::error_code_v1::invalid_request) << device;
+    EXPECT_NE(out.error_message.find(variable), std::string::npos)
+        << out.error_message;
+  }
+  // A number with trailing garbage is malformed, not variable 3.
+  const api::response_v1 garbage = evaluate(
+      "xbar 1\ndim 1 1\ninput 0\noutput 0 y\nd 0 0 +3x\nend\n", "0001");
+  EXPECT_EQ(garbage.code, api::error_code_v1::parse);
+  EXPECT_NE(garbage.error_message.find("malformed number"), std::string::npos)
+      << garbage.error_message;
 }
 
 TEST(ServeTest, ServerSharesCachesAcrossRequests) {

@@ -27,7 +27,6 @@
 #include "xbar/evaluate.hpp"
 #include "xbar/faults.hpp"
 #include "xbar/serialize.hpp"
-#include "xbar/validate.hpp"
 
 namespace {
 
@@ -325,24 +324,6 @@ void BM_ParallelYield(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ParallelYield)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->UseRealTime();
-
-/// Arg = worker threads over 4000 sampled validity checks.
-void BM_ParallelSampledValidate(benchmark::State& state) {
-  const core::synthesis_result& r = comparator_design();
-  const frontend::network net = frontend::make_comparator(8);
-  bdd::manager m(net.input_count());
-  const frontend::sbdd built = frontend::build_sbdd(net, m);
-  xbar::validation_options options;
-  options.exhaustive_limit = 0;  // force the sampled path
-  options.samples = 4000;
-  options.parallel.threads = static_cast<int>(state.range(0));
-  for (auto _ : state) {
-    const xbar::validation_report report = xbar::validate_against_bdd(
-        r.design, m, built.roots, built.names, net.input_count(), options);
-    benchmark::DoNotOptimize(report.checked_assignments);
-  }
-}
-BENCHMARK(BM_ParallelSampledValidate)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->UseRealTime();
 
 /// The labeling hot path end to end: weighted-MIP synthesis (kernelized OCT
 /// warm start + presolve + round-based parallel branch-and-bound) under

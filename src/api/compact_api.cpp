@@ -22,10 +22,10 @@
 #include "util/telemetry.hpp"
 #include "util/watchdog.hpp"
 #include "verify/analyzer.hpp"
+#include "xbar/equivalence.hpp"
 #include "xbar/evaluate.hpp"
 #include "xbar/partitioned.hpp"
 #include "xbar/serialize.hpp"
-#include "xbar/validate.hpp"
 
 namespace compact::api {
 namespace {
@@ -401,23 +401,18 @@ run_result synthesize_run(const netlist_source& source,
     checks.add_pass("validate", [&](core::synthesis_context& c) {
       // Validation runs in BDD-variable space (the space the design was
       // synthesized in), before any remapping.
-      xbar::validation_options validation_options;
-      validation_options.parallel = core.parallel;
       const design::impl& d = result.mapped.internals();
       result.validation =
           d.partitioned
-              ? xbar::validate_against_bdd(*d.partitioned, spec.manager,
-                                           spec.built.roots, spec.built.names,
-                                           spec.net.input_count(),
-                                           validation_options)
-              : xbar::validate_against_bdd(d.mapped, spec.manager,
-                                           spec.built.roots, spec.built.names,
-                                           spec.net.input_count(),
-                                           validation_options);
-      c.attribute("verdict", result.validation->valid ? "pass" : "fail");
-      c.metric("checked_assignments",
-               static_cast<double>(result.validation->checked_assignments));
-      c.metric("exhaustive", result.validation->exhaustive ? 1.0 : 0.0);
+              ? xbar::validate(*d.partitioned, spec.manager, spec.built.roots,
+                               spec.built.names, spec.net.input_count())
+              : xbar::validate(d.mapped, spec.manager, spec.built.roots,
+                               spec.built.names, spec.net.input_count());
+      c.attribute("verdict", result.validation->equivalent ? "pass" : "fail");
+      c.metric("fixpoint_iterations",
+               static_cast<double>(result.validation->fixpoint_iterations));
+      c.metric("extraction_nodes",
+               static_cast<double>(result.validation->extraction_nodes));
     });
   if (analysis != nullptr)
     checks.add_pass("verify", [&](core::synthesis_context& c) {

@@ -176,8 +176,8 @@ struct synthesis_options_v1 {
   /// degree-<=2 vertices) before the exact solvers run. Lossless; disable
   /// only to A/B the reductions.
   bool kernelize = true;
-  /// Check the design against the source BDDs (exhaustive or sampled) and
-  /// record the verdict in response_v1::validation.
+  /// Check the design against the source BDDs symbolically (exact over
+  /// every assignment) and record the verdict in response_v1::validation.
   bool validate = false;
   /// Run the static analyzer over the design and record its verdict in
   /// response_v1::verification / diagnostics. The analyzer switches

@@ -16,7 +16,7 @@
 #include "frontend/network.hpp"
 #include "frontend/to_bdd.hpp"
 #include "verify/checks.hpp"
-#include "xbar/validate.hpp"
+#include "xbar/equivalence.hpp"
 
 namespace compact::api {
 
@@ -51,8 +51,8 @@ struct run_result {
   /// Synthesis stats; stage_seconds ends with the validate / verify stages
   /// when they ran. Default-initialized for design-only lint runs.
   core::synthesis_stats stats;
-  /// Digital validity check (synthesis.validate).
-  std::optional<xbar::validation_report> validation;
+  /// Symbolic validity check (synthesis.validate).
+  std::optional<xbar::equivalence_report> validation;
   /// Analyzer report (synthesis.verify, and every lint run); the engine
   /// results behind the ELC / FLT families land in `analysis`.
   std::optional<verify::report> verification;
@@ -81,7 +81,7 @@ struct run_result {
 /// Result conversions shared by service::handle and the CLI.
 [[nodiscard]] synthesis_stats_v1 to_stats(const core::synthesis_stats& s);
 [[nodiscard]] check_result_v1 to_check_result(
-    const xbar::validation_report& r);
+    const xbar::equivalence_report& r);
 [[nodiscard]] check_result_v1 to_check_result(const verify::report& r);
 
 }  // namespace compact::api

@@ -191,14 +191,11 @@ synthesis_stats_v1 to_stats(const core::synthesis_stats& s) {
   return out;
 }
 
-check_result_v1 to_check_result(const xbar::validation_report& r) {
+check_result_v1 to_check_result(const xbar::equivalence_report& r) {
   check_result_v1 out;
   out.ran = true;
-  out.passed = r.valid;
-  out.detail = r.valid ? std::to_string(r.checked_assignments) +
-                             " assignments (" +
-                             (r.exhaustive ? "exhaustive" : "sampled") + ")"
-                       : r.first_failure;
+  out.passed = r.equivalent;
+  out.detail = xbar::verdict_text(r);
   return out;
 }
 

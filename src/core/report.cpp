@@ -2,6 +2,7 @@
 
 #include <array>
 #include <cmath>
+#include <sstream>
 
 #include "util/error.hpp"
 #include "util/strings.hpp"
@@ -79,12 +80,15 @@ void write_report(const report_inputs& inputs, std::ostream& os) {
   }
 
   if (inputs.validation != nullptr) {
-    const xbar::validation_report& v = *inputs.validation;
+    // The verdict text opens with PASS or FAIL; each later line names a
+    // failing output.
+    std::istringstream verdict(xbar::verdict_text(*inputs.validation));
+    std::string line;
+    std::getline(verdict, line);
     os << "## Validation\n\n";
-    os << "- verdict: **" << (v.valid ? "PASS" : "FAIL") << "**\n";
-    os << "- assignments checked: " << v.checked_assignments << " ("
-       << (v.exhaustive ? "exhaustive" : "sampled") << ")\n";
-    if (!v.valid) os << "- first failure: " << v.first_failure << "\n";
+    os << "- verdict: **" << line.substr(0, 4) << "**" << line.substr(4)
+       << "\n";
+    while (std::getline(verdict, line)) os << "- " << line << "\n";
     os << "\n";
   }
 }

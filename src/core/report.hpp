@@ -10,15 +10,15 @@
 #include <string>
 
 #include "core/compact.hpp"
-#include "xbar/validate.hpp"
+#include "xbar/equivalence.hpp"
 
 namespace compact::core {
 
 struct report_inputs {
   std::string circuit_name;
-  const synthesis_stats* stats = nullptr;               // required
-  const labeling* labels = nullptr;                     // optional
-  const xbar::validation_report* validation = nullptr;  // optional
+  const synthesis_stats* stats = nullptr;                // required
+  const labeling* labels = nullptr;                      // optional
+  const xbar::equivalence_report* validation = nullptr;  // optional
 };
 
 /// Write a markdown report for one synthesis run.

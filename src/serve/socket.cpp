@@ -77,13 +77,17 @@ bool write_line(int fd, const std::string& line) {
 }
 
 bool read_line(int fd, std::string& buffer, std::string& line) {
+  // Only the bytes appended since the last search can hold the newline, so
+  // each byte is searched once and a long line costs linear time.
+  std::size_t searched = 0;
   for (;;) {
-    const std::size_t newline = buffer.find('\n');
+    const std::size_t newline = buffer.find('\n', searched);
     if (newline != std::string::npos) {
       line.assign(buffer, 0, newline);
       buffer.erase(0, newline + 1);
       return true;
     }
+    searched = buffer.size();
     char chunk[4096];
     const ssize_t n = ::read(fd, chunk, sizeof(chunk));
     if (n < 0) {

@@ -1,6 +1,6 @@
 // Deterministic pseudo-random number generation.
 //
-// All randomized components (sampled validity checking, workload generators,
+// All randomized components (Monte-Carlo fault yield, workload generators,
 // property tests) take an explicit rng so experiments are reproducible.
 // The generator is xoshiro256** (Blackman & Vigna), seeded via splitmix64.
 //

@@ -1,10 +1,10 @@
 // Deterministic parallel execution primitives.
 //
 // The COMPACT flow has several embarrassingly parallel stages (per-output
-// ROBDD synthesis, Monte-Carlo fault trials, sampled validity checks,
-// per-circuit benchmark sweeps). This module provides a fixed-size worker
-// pool plus parallel_for/parallel_map helpers that fan such stages out while
-// keeping results *bit-identical* for every thread count: work items are
+// ROBDD synthesis, Monte-Carlo fault trials, per-circuit benchmark sweeps).
+// This module provides a fixed-size worker pool plus parallel_for/
+// parallel_map helpers that fan such stages out while keeping results
+// *bit-identical* for every thread count: work items are
 // independent (randomness comes from rng::substream per item, see
 // util/rng.hpp), results are merged back in item order, and a failing item
 // always reports the exception of the lowest-indexed failure.

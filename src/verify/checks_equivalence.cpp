@@ -1,12 +1,12 @@
 // Symbolic-equivalence checks (EQVxxx): extract the crossbar's sneak-path
 // function back into a BDD manager and compare canonical ROBDD roots
-// against the specification. This is the no-simulation replacement for
-// exhaustive/sampled validation — it is exact at any variable count.
+// against the specification — the same checker behind xbar::validate, exact
+// at any variable count.
 #include <string>
 #include <unordered_set>
 
 #include "verify/checks.hpp"
-#include "verify/extract.hpp"
+#include "xbar/equivalence.hpp"
 
 namespace compact::verify {
 namespace {
@@ -26,9 +26,9 @@ std::string witness_text(const std::vector<bool>& bits) {
 // compute exactly the spec function. Mismatches come with a satisfying
 // counterexample of the XOR of the two functions.
 void check_output_functions(const artifacts& a, report& out) {
-  const equivalence_report eq = check_symbolic_equivalence(
+  const xbar::equivalence_report eq = xbar::check_symbolic_equivalence(
       *a.design, *a.spec, *a.spec_roots, *a.spec_names);
-  for (const output_equivalence& o : eq.outputs) {
+  for (const xbar::output_equivalence& o : eq.outputs) {
     if (!o.found) {
       diagnostic d;
       d.check_id = "EQV002";

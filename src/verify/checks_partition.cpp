@@ -7,7 +7,7 @@
 #include <vector>
 
 #include "verify/checks.hpp"
-#include "verify/extract.hpp"
+#include "xbar/equivalence.hpp"
 
 namespace compact::verify {
 namespace {
@@ -155,9 +155,9 @@ void check_bridges(const artifacts& a, report& out) {
 // PAR003 — stitched equivalence: each spec output's reachability function
 // over the union conduction graph must equal its spec BDD.
 void check_stitched_equivalence(const artifacts& a, report& out) {
-  const equivalence_report eq = check_partitioned_equivalence(
+  const xbar::equivalence_report eq = xbar::check_partitioned_equivalence(
       *a.partitioned, *a.spec, *a.spec_roots, *a.spec_names);
-  for (const output_equivalence& o : eq.outputs) {
+  for (const xbar::output_equivalence& o : eq.outputs) {
     if (!o.found) {
       diagnostic d;
       d.check_id = "PAR003";

@@ -5,7 +5,7 @@
 #include "bdd/manager.hpp"
 #include "util/telemetry.hpp"  // json_escape
 #include "util/trace.hpp"
-#include "verify/extract.hpp"
+#include "xbar/equivalence.hpp"
 
 namespace compact::verify {
 namespace {
@@ -27,7 +27,7 @@ std::vector<sensed_ref> sensed_outputs(const xbar::partitioned_design& design) {
 }
 
 std::vector<bdd::node_handle> output_functions(
-    const stitched_extraction_result& extracted,
+    const xbar::stitched_extraction_result& extracted,
     const std::vector<sensed_ref>& outputs) {
   std::vector<bdd::node_handle> fns;
   fns.reserve(outputs.size());
@@ -56,8 +56,8 @@ criticality_report analyze(const xbar::partitioned_design& design,
   const std::vector<sensed_ref> outputs = sensed_outputs(work);
   for (const sensed_ref& o : outputs) report.outputs.push_back(o.name);
 
-  const stitched_extraction_result base =
-      extract_stitched_functions(work, scratch);
+  const xbar::stitched_extraction_result base =
+      xbar::extract_stitched_functions(work, scratch);
   report.fixpoint_iterations += base.fixpoint_iterations;
   const std::vector<bdd::node_handle> base_fns =
       output_functions(base, outputs);
@@ -80,8 +80,8 @@ criticality_report analyze(const xbar::partitioned_design& design,
     xbar::crossbar& fragment = work.fragment(array);
     const xbar::device original = fragment.at(row, column);
     fragment.set(row, column, forced);
-    const stitched_extraction_result faulted =
-        extract_stitched_functions(work, scratch);
+    const xbar::stitched_extraction_result faulted =
+        xbar::extract_stitched_functions(work, scratch);
     fragment.set(row, column, original);
     report.fixpoint_iterations += faulted.fixpoint_iterations;
     ++report.faults_analyzed;

@@ -4,7 +4,7 @@
 // device permanently blocks) or a stuck-closed fault (it permanently
 // conducts) can flip any output — not by enumerating input vectors like
 // xbar/faults, but symbolically: re-run the sneak-path reachability
-// fixpoint (verify/extract) on the faulted design inside one shared scratch
+// fixpoint (xbar/equivalence) on the faulted design inside one shared scratch
 // manager and compare each output's reachability function against the
 // fault-free baseline by canonical handle equality. A junction neither
 // fault can expose is provably masked over all 2^n assignments.

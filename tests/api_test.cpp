@@ -103,27 +103,35 @@ TEST(ApiTest, ValidateAndVerifyReportClean) {
 }
 
 TEST(ApiTest, VerifyReportsOnEveryShape) {
-  // The analyzer runs once per synthesize request, whatever the shape: the
-  // single SBDD, the composed separate-ROBDD design, and a stitched
-  // multi-array design.
+  // The analyzer and the validity check run once per synthesize request,
+  // whatever the shape: the single SBDD, the composed separate-ROBDD
+  // design, and a stitched multi-array design. 14 inputs: validity is
+  // decided symbolically over all 2^14 assignments, not sampled.
+  std::string inputs;
+  for (int i = 0; i < 14; ++i) inputs += " x" + std::to_string(i);
   api::request_v1 request = majority_request();
-  request.source.text =
-      ".model dec2\n.inputs a b\n.outputs y0 y1 y2 y3\n"
-      ".names a b y0\n00 1\n.names a b y1\n01 1\n"
-      ".names a b y2\n10 1\n.names a b y3\n11 1\n.end\n";
+  request.source.text = ".model wide\n.inputs" + inputs +
+                        "\n.outputs f g\n.names" + inputs + " f\n" +
+                        std::string(14, '1') +
+                        " 1\n.names x0 x13 g\n10 1\n01 1\n.end\n";
   request.synthesis.labeler = "oct";
+  request.synthesis.validate = true;
   request.synthesis.verify = true;
   api::request_v1 separate = request;
   separate.synthesis.separate_robdds = true;
   api::request_v1 partitioned = request;
   partitioned.synthesis.partition = true;
-  partitioned.synthesis.max_rows = 3;
-  partitioned.synthesis.max_columns = 3;
+  partitioned.synthesis.max_rows = 8;
+  partitioned.synthesis.max_columns = 8;
   for (const api::request_v1& r : {request, separate, partitioned}) {
     const api::response_v1 out = api::handle(r);
     ASSERT_TRUE(out.ok) << out.error_message;
     EXPECT_TRUE(out.verification.ran);
     EXPECT_TRUE(out.verification.passed) << out.verification.detail;
+    EXPECT_TRUE(out.validation.ran);
+    EXPECT_TRUE(out.validation.passed) << out.validation.detail;
+    EXPECT_EQ(out.validation.detail.rfind("PASS (symbolic, ", 0), 0u)
+        << out.validation.detail;
   }
   EXPECT_GE(api::handle(partitioned).stats.arrays, 2);
 }

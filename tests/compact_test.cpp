@@ -3,7 +3,7 @@
 #include "core/compact.hpp"
 #include "frontend/benchgen.hpp"
 #include "frontend/to_bdd.hpp"
-#include "xbar/validate.hpp"
+#include "xbar/equivalence.hpp"
 
 namespace compact::core {
 namespace {
@@ -30,9 +30,9 @@ TEST(CompactTest, PaperRunningExample) {
   // Graph: 4 nodes (a, b, c, 1). A valid minimal design has S <= 2n.
   EXPECT_EQ(r.stats.graph_nodes, 4u);
   EXPECT_LT(r.stats.semiperimeter, 8);
-  const xbar::validation_report report =
-      xbar::validate_against_bdd(r.design, m, {f}, {"f"}, 3);
-  EXPECT_TRUE(report.valid) << report.first_failure;
+  const xbar::equivalence_report report =
+      xbar::validate(r.design, m, {f}, {"f"}, 3);
+  EXPECT_TRUE(report.equivalent) << xbar::verdict_text(report);
 }
 
 TEST(CompactTest, NetworksSynthesizeValidDesignsOctMethod) {
@@ -43,9 +43,10 @@ TEST(CompactTest, NetworksSynthesizeValidDesignsOctMethod) {
     const frontend::sbdd built = frontend::build_sbdd(net, m);
     const synthesis_result r =
         synthesize(m, built.roots, built.names, oct_method());
-    const xbar::validation_report report = xbar::validate_against_bdd(
+    const xbar::equivalence_report report = xbar::validate(
         r.design, m, built.roots, built.names, net.input_count());
-    EXPECT_TRUE(report.valid) << net.name() << ": " << report.first_failure;
+    EXPECT_TRUE(report.equivalent)
+        << net.name() << ": " << xbar::verdict_text(report);
     EXPECT_GT(r.stats.rows, 0) << net.name();
     EXPECT_EQ(r.stats.delay_steps, r.stats.rows + 1);
   }
@@ -58,9 +59,10 @@ TEST(CompactTest, NetworksSynthesizeValidDesignsMipMethod) {
     const frontend::sbdd built = frontend::build_sbdd(net, m);
     const synthesis_result r =
         synthesize(m, built.roots, built.names, quick_mip());
-    const xbar::validation_report report = xbar::validate_against_bdd(
+    const xbar::equivalence_report report = xbar::validate(
         r.design, m, built.roots, built.names, net.input_count());
-    EXPECT_TRUE(report.valid) << net.name() << ": " << report.first_failure;
+    EXPECT_TRUE(report.equivalent)
+        << net.name() << ": " << xbar::verdict_text(report);
   }
 }
 
@@ -93,9 +95,9 @@ TEST(CompactTest, SeparateRobddsStillValid) {
   // Validate against a fresh SBDD of the same network.
   bdd::manager m(net.input_count());
   const frontend::sbdd built = frontend::build_sbdd(net, m);
-  const xbar::validation_report report = xbar::validate_against_bdd(
+  const xbar::equivalence_report report = xbar::validate(
       r.design, m, built.roots, built.names, net.input_count());
-  EXPECT_TRUE(report.valid) << report.first_failure;
+  EXPECT_TRUE(report.equivalent) << xbar::verdict_text(report);
 }
 
 TEST(CompactTest, ConstantOutputsHandled) {
@@ -117,9 +119,9 @@ TEST(CompactTest, OutputThatIsAnotherOutputsSubfunction) {
   const bdd::node_handle g = m.apply_and(m.var(0), m.var(1));
   const bdd::node_handle f = m.apply_or(g, m.var(2));
   const synthesis_result r = synthesize(m, {f, g}, {"f", "g"}, oct_method());
-  const xbar::validation_report report =
-      xbar::validate_against_bdd(r.design, m, {f, g}, {"f", "g"}, 3);
-  EXPECT_TRUE(report.valid) << report.first_failure;
+  const xbar::equivalence_report report =
+      xbar::validate(r.design, m, {f, g}, {"f", "g"}, 3);
+  EXPECT_TRUE(report.equivalent) << xbar::verdict_text(report);
 }
 
 TEST(CompactTest, DuplicateOutputsShareOneWordline) {
@@ -130,9 +132,9 @@ TEST(CompactTest, DuplicateOutputsShareOneWordline) {
   ASSERT_EQ(r.design.outputs().size(), 3u);
   EXPECT_EQ(r.design.outputs()[0].row, r.design.outputs()[1].row);
   EXPECT_EQ(r.design.outputs()[0].row, r.design.outputs()[2].row);
-  const xbar::validation_report report = xbar::validate_against_bdd(
+  const xbar::equivalence_report report = xbar::validate(
       r.design, m, {f, f, f}, {"f1", "f2", "f3"}, 2);
-  EXPECT_TRUE(report.valid) << report.first_failure;
+  EXPECT_TRUE(report.equivalent) << xbar::verdict_text(report);
 }
 
 TEST(CompactTest, ComplementaryOutputs) {
@@ -142,9 +144,9 @@ TEST(CompactTest, ComplementaryOutputs) {
       m.apply_or(m.apply_and(m.var(0), m.var(1)), m.var(2));
   const bdd::node_handle nf = m.apply_not(f);
   const synthesis_result r = synthesize(m, {f, nf}, {"f", "nf"}, oct_method());
-  const xbar::validation_report report =
-      xbar::validate_against_bdd(r.design, m, {f, nf}, {"f", "nf"}, 3);
-  EXPECT_TRUE(report.valid) << report.first_failure;
+  const xbar::equivalence_report report =
+      xbar::validate(r.design, m, {f, nf}, {"f", "nf"}, 3);
+  EXPECT_TRUE(report.equivalent) << xbar::verdict_text(report);
 }
 
 TEST(CompactTest, MipTraceExposedInStats) {

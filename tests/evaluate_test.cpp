@@ -1,8 +1,8 @@
 #include <gtest/gtest.h>
 
 #include "bdd/manager.hpp"
+#include "xbar/equivalence.hpp"
 #include "xbar/evaluate.hpp"
-#include "xbar/validate.hpp"
 
 namespace compact::xbar {
 namespace {
@@ -88,47 +88,77 @@ TEST(ValidateTest, AcceptsCorrectDesign) {
   bdd::manager m(3);
   const bdd::node_handle f =
       m.apply_or(m.apply_and(m.var(0), m.var(1)), m.var(2));
-  const validation_report report =
-      validate_against_bdd(example_design(), m, {f}, {"f"}, 3);
-  EXPECT_TRUE(report.valid);
-  EXPECT_TRUE(report.exhaustive);
-  EXPECT_EQ(report.checked_assignments, 8);
+  const equivalence_report report =
+      validate(example_design(), m, {f}, {"f"}, 3);
+  EXPECT_TRUE(report.equivalent);
+  EXPECT_EQ(verdict_text(report).rfind("PASS (symbolic, ", 0), 0u)
+      << verdict_text(report);
 }
 
 TEST(ValidateTest, RejectsWrongDesign) {
   bdd::manager m(3);
   const bdd::node_handle wrong = m.apply_and(m.var(0), m.var(2));
-  const validation_report report =
-      validate_against_bdd(example_design(), m, {wrong}, {"f"}, 3);
-  EXPECT_FALSE(report.valid);
-  EXPECT_FALSE(report.first_failure.empty());
+  const equivalence_report report =
+      validate(example_design(), m, {wrong}, {"f"}, 3);
+  EXPECT_FALSE(report.equivalent);
+  ASSERT_EQ(report.outputs.size(), 1u);
+  const std::vector<bool>& witness = report.outputs[0].counterexample;
+  ASSERT_EQ(witness.size(), 3u);
+  EXPECT_NE(evaluate_output(example_design(), witness, "f"),
+            m.evaluate(wrong, witness));
+  EXPECT_NE(verdict_text(report).find(
+                "\noutput 'f' differs from its specification under "
+                "assignment "),
+            std::string::npos)
+      << verdict_text(report);
 }
 
 TEST(ValidateTest, RejectsMissingOutputName) {
   bdd::manager m(3);
   const bdd::node_handle f = m.var(0);
-  const validation_report report =
-      validate_against_bdd(example_design(), m, {f}, {"ghost"}, 3);
-  EXPECT_FALSE(report.valid);
-  EXPECT_NE(report.first_failure.find("ghost"), std::string::npos);
+  const equivalence_report report =
+      validate(example_design(), m, {f}, {"ghost"}, 3);
+  EXPECT_FALSE(report.equivalent);
+  EXPECT_NE(verdict_text(report).find("output 'ghost' is missing"),
+            std::string::npos);
 }
 
-TEST(ValidateTest, SamplingModeAboveLimit) {
+TEST(ValidateTest, RefusesDevicesBeyondTheInputs) {
+  // Evaluation would refuse such a design; so does validation, rather than
+  // report a counterexample that evaluate cannot replay.
   bdd::manager m(20);
-  // f = x0: build a 2-row design: input row bridged through x0 to output.
   crossbar x(2, 1);
   x.set_input_row(1);
   x.add_output(0, "f");
-  x.set_on(1, 0);
-  x.set_literal(0, 0, 0, true);
-  validation_options options;
-  options.exhaustive_limit = 12;
-  options.samples = 300;
-  const validation_report report =
-      validate_against_bdd(x, m, {m.var(0)}, {"f"}, 20, options);
-  EXPECT_TRUE(report.valid);
-  EXPECT_FALSE(report.exhaustive);
-  EXPECT_EQ(report.checked_assignments, 300);
+  x.set_literal(0, 0, 25, true);
+  EXPECT_THROW((void)validate(x, m, {m.var(0)}, {"f"}, 20), error);
+}
+
+TEST(ValidateTest, ChecksEveryBindingOfAName) {
+  // f = a AND b on row 0.
+  bdd::manager m(2);
+  const bdd::node_handle f = m.apply_and(m.var(0), m.var(1));
+  crossbar x(2, 1);
+  x.set_input_row(1);
+  x.add_output(0, "f");
+  x.set_literal(0, 0, 1, true);
+  x.set_literal(1, 0, 0, true);
+
+  crossbar same_row = x;  // .outputs f f: both ports sense one row
+  same_row.add_output(0, "f");
+  EXPECT_TRUE(validate(same_row, m, {f, f}, {"f", "f"}, 2).equivalent);
+
+  crossbar input_row = x;  // the second 'f' senses the always-on input row
+  input_row.add_output(1, "f");
+  const equivalence_report report = validate(input_row, m, {f}, {"f"}, 2);
+  EXPECT_FALSE(report.equivalent);
+  ASSERT_EQ(report.outputs.size(), 1u);
+  EXPECT_TRUE(report.outputs[0].found);
+  EXPECT_FALSE(report.outputs[0].counterexample.empty());
+
+  crossbar constant = x;  // a constant of the same name disagrees too
+  constant.add_constant_output(false, "f");
+  EXPECT_FALSE(validate(constant, m, {f}, {"f"}, 2).equivalent);
 }
 
 }  // namespace

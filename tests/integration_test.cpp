@@ -12,8 +12,8 @@
 #include "frontend/to_bdd.hpp"
 #include "magic/contra.hpp"
 #include "util/rng.hpp"
+#include "xbar/equivalence.hpp"
 #include "xbar/evaluate.hpp"
-#include "xbar/validate.hpp"
 
 namespace compact {
 namespace {
@@ -50,10 +50,9 @@ TEST(IntegrationTest, BlifToValidatedCrossbar) {
   const frontend::sbdd built = frontend::build_sbdd(net, m);
   const core::synthesis_result r =
       core::synthesize(m, built.roots, built.names, options);
-  const xbar::validation_report report = xbar::validate_against_bdd(
+  const xbar::equivalence_report report = xbar::validate(
       r.design, m, built.roots, built.names, net.input_count());
-  EXPECT_TRUE(report.valid) << report.first_failure;
-  EXPECT_EQ(report.checked_assignments, 16);
+  EXPECT_TRUE(report.equivalent) << xbar::verdict_text(report);
 }
 
 TEST(IntegrationTest, PlaToValidatedCrossbar) {
@@ -69,9 +68,9 @@ TEST(IntegrationTest, PlaToValidatedCrossbar) {
   const frontend::sbdd built = frontend::build_sbdd(net, m);
   const core::synthesis_result r =
       core::synthesize(m, built.roots, built.names, options);
-  const xbar::validation_report report = xbar::validate_against_bdd(
+  const xbar::equivalence_report report = xbar::validate(
       r.design, m, built.roots, built.names, net.input_count());
-  EXPECT_TRUE(report.valid) << report.first_failure;
+  EXPECT_TRUE(report.equivalent) << xbar::verdict_text(report);
 }
 
 TEST(IntegrationTest, AnalogSignoffAgreesWithDigital) {
@@ -102,17 +101,15 @@ TEST(IntegrationTest, WholeSuiteSynthesizesAndValidates) {
   core::synthesis_options options;
   options.method = core::labeling_method::minimal_semiperimeter;
   options.time_limit_seconds = 8.0;
-  xbar::validation_options validation;
-  validation.samples = 400;
   for (const frontend::benchmark_spec& spec : frontend::benchmark_suite()) {
     bdd::manager m(spec.net.input_count());
     const frontend::sbdd built = frontend::build_sbdd(spec.net, m);
     const core::synthesis_result r =
         core::synthesize(m, built.roots, built.names, options);
-    const xbar::validation_report report = xbar::validate_against_bdd(
-        r.design, m, built.roots, built.names, spec.net.input_count(),
-        validation);
-    EXPECT_TRUE(report.valid) << spec.name << ": " << report.first_failure;
+    const xbar::equivalence_report report = xbar::validate(
+        r.design, m, built.roots, built.names, spec.net.input_count());
+    EXPECT_TRUE(report.equivalent)
+        << spec.name << ": " << xbar::verdict_text(report);
     // Headline shape: S = n + k stays well below the staircase 2n.
     EXPECT_LT(r.stats.semiperimeter,
               2 * static_cast<int>(r.stats.graph_nodes))

@@ -4,7 +4,7 @@
 #include "core/mapping.hpp"
 #include "frontend/benchgen.hpp"
 #include "frontend/to_bdd.hpp"
-#include "xbar/validate.hpp"
+#include "xbar/equivalence.hpp"
 
 namespace compact::core {
 namespace {
@@ -71,10 +71,9 @@ TEST(MappingTest, MappedDesignIsValid) {
   const bdd_graph g = build_bdd_graph(m, built.roots, built.names);
   const oct_label_result r = label_minimal_semiperimeter(g);
   const mapping_result mapped = map_to_crossbar(g, r.l);
-  const xbar::validation_report report = xbar::validate_against_bdd(
+  const xbar::equivalence_report report = xbar::validate(
       mapped.design, m, built.roots, built.names, net.input_count());
-  EXPECT_TRUE(report.valid) << report.first_failure;
-  EXPECT_TRUE(report.exhaustive);
+  EXPECT_TRUE(report.equivalent) << xbar::verdict_text(report);
 }
 
 TEST(MappingTest, RejectsInfeasibleLabeling) {

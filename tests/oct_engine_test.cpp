@@ -5,7 +5,7 @@
 #include "core/compact.hpp"
 #include "frontend/benchgen.hpp"
 #include "frontend/to_bdd.hpp"
-#include "xbar/validate.hpp"
+#include "xbar/equivalence.hpp"
 
 namespace compact::core {
 namespace {
@@ -20,9 +20,9 @@ TEST(OctEngineTest, IlpEngineSynthesizesValidDesigns) {
   bdd::manager m(net.input_count());
   const frontend::sbdd built = frontend::build_sbdd(net, m);
   const synthesis_result r = synthesize(m, built.roots, built.names, options);
-  const xbar::validation_report report = xbar::validate_against_bdd(
+  const xbar::equivalence_report report = xbar::validate(
       r.design, m, built.roots, built.names, net.input_count());
-  EXPECT_TRUE(report.valid) << report.first_failure;
+  EXPECT_TRUE(report.equivalent) << xbar::verdict_text(report);
 }
 
 TEST(OctEngineTest, EnginesAgreeOnSemiperimeterWhenBothProve) {

@@ -16,7 +16,6 @@
 #include "util/thread_pool.hpp"
 #include "xbar/faults.hpp"
 #include "xbar/serialize.hpp"
-#include "xbar/validate.hpp"
 
 namespace compact {
 namespace {
@@ -168,83 +167,6 @@ TEST(ParallelDeterminismTest, YieldReportBitIdenticalAcrossThreadCounts) {
     EXPECT_EQ(parallel_report.yield, serial.yield) << "threads=" << threads;
     EXPECT_EQ(parallel_report.average_faults, serial.average_faults)
         << "threads=" << threads;
-  }
-}
-
-TEST(ParallelDeterminismTest, SampledValidationBitIdenticalAcrossThreadCounts) {
-  const core::synthesis_result& r = shared_design();
-  const frontend::network net = frontend::make_comparator(3);
-  bdd::manager m(net.input_count());
-  const frontend::sbdd built = frontend::build_sbdd(net, m);
-
-  xbar::validation_options options;
-  options.exhaustive_limit = 0;  // force the sampled path on 6 variables
-  options.samples = 500;
-  options.parallel.threads = 1;
-  const xbar::validation_report serial = xbar::validate_against_bdd(
-      r.design, m, built.roots, built.names, net.input_count(), options);
-  EXPECT_TRUE(serial.valid);
-  EXPECT_FALSE(serial.exhaustive);
-  EXPECT_EQ(serial.checked_assignments, 500);
-  for (const int threads : {2, 8}) {
-    options.parallel.threads = threads;
-    const xbar::validation_report parallel_report = xbar::validate_against_bdd(
-        r.design, m, built.roots, built.names, net.input_count(), options);
-    EXPECT_EQ(parallel_report.valid, serial.valid) << "threads=" << threads;
-    EXPECT_EQ(parallel_report.checked_assignments, serial.checked_assignments)
-        << "threads=" << threads;
-    EXPECT_EQ(parallel_report.first_failure, serial.first_failure)
-        << "threads=" << threads;
-  }
-}
-
-TEST(ParallelDeterminismTest, FailingValidationReportsTheSameFirstFailure) {
-  const core::synthesis_result& r = shared_design();
-  const frontend::network net = frontend::make_comparator(3);
-  bdd::manager m(net.input_count());
-  const frontend::sbdd built = frontend::build_sbdd(net, m);
-  // Break the design so sampled validation fails somewhere mid-stream.
-  xbar::crossbar broken = r.design;
-  broken.set(broken.outputs()[0].row, 0, {xbar::literal_kind::on, -1});
-
-  xbar::validation_options options;
-  options.exhaustive_limit = 0;
-  options.samples = 500;
-  options.parallel.threads = 1;
-  const xbar::validation_report serial = xbar::validate_against_bdd(
-      broken, m, built.roots, built.names, net.input_count(), options);
-  EXPECT_FALSE(serial.valid);
-  EXPECT_FALSE(serial.first_failure.empty());
-  for (const int threads : {2, 8}) {
-    options.parallel.threads = threads;
-    const xbar::validation_report parallel_report = xbar::validate_against_bdd(
-        broken, m, built.roots, built.names, net.input_count(), options);
-    EXPECT_EQ(parallel_report.valid, serial.valid) << "threads=" << threads;
-    EXPECT_EQ(parallel_report.checked_assignments, serial.checked_assignments)
-        << "threads=" << threads;
-    EXPECT_EQ(parallel_report.first_failure, serial.first_failure)
-        << "threads=" << threads;
-  }
-}
-
-TEST(ParallelDeterminismTest, ExhaustiveValidationMatchesAcrossThreadCounts) {
-  const core::synthesis_result& r = shared_design();
-  const frontend::network net = frontend::make_comparator(3);
-  bdd::manager m(net.input_count());
-  const frontend::sbdd built = frontend::build_sbdd(net, m);
-  xbar::validation_options options;  // 6 variables -> exhaustive
-  options.parallel.threads = 1;
-  const xbar::validation_report serial = xbar::validate_against_bdd(
-      r.design, m, built.roots, built.names, net.input_count(), options);
-  EXPECT_TRUE(serial.exhaustive);
-  EXPECT_EQ(serial.checked_assignments, 64);
-  for (const int threads : {2, 8}) {
-    options.parallel.threads = threads;
-    const xbar::validation_report parallel_report = xbar::validate_against_bdd(
-        r.design, m, built.roots, built.names, net.input_count(), options);
-    EXPECT_EQ(parallel_report.valid, serial.valid);
-    EXPECT_EQ(parallel_report.checked_assignments, serial.checked_assignments);
-    EXPECT_EQ(parallel_report.exhaustive, serial.exhaustive);
   }
 }
 

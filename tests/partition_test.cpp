@@ -15,7 +15,7 @@
 #include "frontend/benchgen.hpp"
 #include "frontend/to_bdd.hpp"
 #include "util/error.hpp"
-#include "verify/extract.hpp"
+#include "xbar/equivalence.hpp"
 #include "xbar/serialize.hpp"
 
 namespace compact::core {
@@ -219,9 +219,9 @@ void expect_partitioned_acceptance(const frontend::network& net, int budget) {
     if (threads != 1) continue;
     bdd::manager m(net.input_count());
     const frontend::sbdd built = frontend::build_sbdd(net, m);
-    const verify::equivalence_report eq = verify::check_partitioned_equivalence(
-        r.design, m, built.roots, built.names);
-    EXPECT_TRUE(eq.equivalent) << net.name();
+    const xbar::equivalence_report eq = xbar::validate(
+        r.design, m, built.roots, built.names, net.input_count());
+    EXPECT_TRUE(eq.equivalent) << net.name() << ": " << xbar::verdict_text(eq);
   }
   EXPECT_EQ(serialized[1], serialized[0]) << net.name() << " threads 2 vs 1";
   EXPECT_EQ(serialized[2], serialized[0]) << net.name() << " threads 8 vs 1";

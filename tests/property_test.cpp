@@ -7,7 +7,7 @@
 #include "core/labelers.hpp"
 #include "core/mapping.hpp"
 #include "util/rng.hpp"
-#include "xbar/validate.hpp"
+#include "xbar/equivalence.hpp"
 
 namespace compact {
 namespace {
@@ -68,9 +68,9 @@ TEST_P(ValiditySweep, OctMethodProducesValidDesign) {
   options.method = core::labeling_method::minimal_semiperimeter;
   const core::synthesis_result r =
       core::synthesize(fn.m, fn.roots, fn.names, options);
-  const xbar::validation_report report = xbar::validate_against_bdd(
+  const xbar::equivalence_report report = xbar::validate(
       r.design, fn.m, fn.roots, fn.names, inputs);
-  EXPECT_TRUE(report.valid) << report.first_failure;
+  EXPECT_TRUE(report.equivalent) << xbar::verdict_text(report);
 }
 
 TEST_P(ValiditySweep, MipMethodProducesValidDesign) {
@@ -81,9 +81,9 @@ TEST_P(ValiditySweep, MipMethodProducesValidDesign) {
   options.time_limit_seconds = 5.0;
   const core::synthesis_result r =
       core::synthesize(fn.m, fn.roots, fn.names, options);
-  const xbar::validation_report report = xbar::validate_against_bdd(
+  const xbar::equivalence_report report = xbar::validate(
       r.design, fn.m, fn.roots, fn.names, inputs);
-  EXPECT_TRUE(report.valid) << report.first_failure;
+  EXPECT_TRUE(report.equivalent) << xbar::verdict_text(report);
 }
 
 TEST_P(ValiditySweep, StaircaseProducesValidDesign) {
@@ -91,9 +91,9 @@ TEST_P(ValiditySweep, StaircaseProducesValidDesign) {
   random_function fn(inputs, outputs, seed);
   const core::synthesis_result r =
       core::synthesize(fn.m, fn.roots, fn.names, staircase());
-  const xbar::validation_report report = xbar::validate_against_bdd(
+  const xbar::equivalence_report report = xbar::validate(
       r.design, fn.m, fn.roots, fn.names, inputs);
-  EXPECT_TRUE(report.valid) << report.first_failure;
+  EXPECT_TRUE(report.equivalent) << xbar::verdict_text(report);
 }
 
 TEST_P(ValiditySweep, CompactNeverLargerThanStaircase) {
@@ -150,9 +150,10 @@ TEST(PropertyTest, DeepChainFunctions) {
     core::synthesis_options options;
     options.method = core::labeling_method::minimal_semiperimeter;
     const core::synthesis_result r = core::synthesize(m, {f}, {"f"}, options);
-    const xbar::validation_report report =
-        xbar::validate_against_bdd(r.design, m, {f}, {"f"}, n);
-    EXPECT_TRUE(report.valid) << "n=" << n << ": " << report.first_failure;
+    const xbar::equivalence_report report =
+        xbar::validate(r.design, m, {f}, {"f"}, n);
+    EXPECT_TRUE(report.equivalent)
+        << "n=" << n << ": " << xbar::verdict_text(report);
   }
 }
 
@@ -165,9 +166,10 @@ TEST(PropertyTest, ParityFunctions) {
     core::synthesis_options options;
     options.method = core::labeling_method::minimal_semiperimeter;
     const core::synthesis_result r = core::synthesize(m, {f}, {"f"}, options);
-    const xbar::validation_report report =
-        xbar::validate_against_bdd(r.design, m, {f}, {"f"}, n);
-    EXPECT_TRUE(report.valid) << "n=" << n << ": " << report.first_failure;
+    const xbar::equivalence_report report =
+        xbar::validate(r.design, m, {f}, {"f"}, n);
+    EXPECT_TRUE(report.equivalent)
+        << "n=" << n << ": " << xbar::verdict_text(report);
     // Parity still beats the staircase.
     EXPECT_LT(r.stats.semiperimeter,
               2 * static_cast<int>(r.stats.graph_nodes));
@@ -183,9 +185,9 @@ TEST(PropertyTest, SingleLiteralFunctions) {
       options.method = core::labeling_method::minimal_semiperimeter;
       const core::synthesis_result r =
           core::synthesize(m, {f}, {"f"}, options);
-      const xbar::validation_report report =
-          xbar::validate_against_bdd(r.design, m, {f}, {"f"}, n);
-      EXPECT_TRUE(report.valid) << report.first_failure;
+      const xbar::equivalence_report report =
+          xbar::validate(r.design, m, {f}, {"f"}, n);
+      EXPECT_TRUE(report.equivalent) << xbar::verdict_text(report);
     }
   }
 }

@@ -17,7 +17,7 @@ TEST(ReportTest, ContainsAllSections) {
   bdd::manager m(net.input_count());
   const frontend::sbdd built = frontend::build_sbdd(net, m);
   const synthesis_result r = synthesize(m, built.roots, built.names, options);
-  const xbar::validation_report validation = xbar::validate_against_bdd(
+  const xbar::equivalence_report validation = xbar::validate(
       r.design, m, built.roots, built.names, net.input_count());
 
   report_inputs inputs;

@@ -3,6 +3,7 @@
 // the stream transport, and bit-identical designs at any thread count.
 #include <gtest/gtest.h>
 
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <chrono>
@@ -364,6 +365,36 @@ TEST(ServeTest, ParseFailureEchoesIdOnTheSocket) {
   compact::serve::close_fd(fd);
   daemon.join();
   std::remove(path.c_str());
+}
+
+// read_line frames across reads: a 4 MB line (about a thousand 4 KB reads)
+// comes back whole, and so does the short line behind it.
+TEST(ServeTest, ReadLineFramesALongLineAcrossManyReads) {
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  std::string long_line(std::size_t{4} << 20, 'x');
+  for (std::size_t i = 0; i < long_line.size(); i += 4093)
+    long_line[i] = static_cast<char>('a' + i % 26);
+  std::thread writer([&] {
+    EXPECT_TRUE(compact::serve::write_line(fds[1], long_line));
+    EXPECT_TRUE(compact::serve::write_line(fds[1], "short"));
+    compact::serve::close_fd(fds[1]);
+  });
+  std::string buffer;
+  std::string first;
+  std::string second;
+  std::string after;
+  const bool read_first = compact::serve::read_line(fds[0], buffer, first);
+  const bool read_second = compact::serve::read_line(fds[0], buffer, second);
+  const bool read_after = compact::serve::read_line(fds[0], buffer, after);
+  writer.join();
+  compact::serve::close_fd(fds[0]);
+  ASSERT_TRUE(read_first);
+  EXPECT_EQ(first.size(), long_line.size());
+  EXPECT_TRUE(first == long_line);
+  ASSERT_TRUE(read_second);
+  EXPECT_EQ(second, "short");
+  EXPECT_FALSE(read_after);
 }
 
 // Request lines that crashed the daemon or were misread by the text

@@ -6,7 +6,7 @@
 #include "core/compact.hpp"
 #include "frontend/benchgen.hpp"
 #include "frontend/to_bdd.hpp"
-#include "xbar/validate.hpp"
+#include "xbar/equivalence.hpp"
 
 namespace compact::core {
 namespace {
@@ -36,9 +36,10 @@ TEST(StaircaseTest, DesignsAreValid) {
     const frontend::sbdd built = frontend::build_sbdd(net, m);
     const synthesis_result r =
         synthesize(m, built.roots, built.names, staircase());
-    const xbar::validation_report report = xbar::validate_against_bdd(
+    const xbar::equivalence_report report = xbar::validate(
         r.design, m, built.roots, built.names, net.input_count());
-    EXPECT_TRUE(report.valid) << net.name() << ": " << report.first_failure;
+    EXPECT_TRUE(report.equivalent)
+        << net.name() << ": " << xbar::verdict_text(report);
   }
 }
 
@@ -48,9 +49,9 @@ TEST(StaircaseTest, NetworkFlowValidAndBiggerThanCompact) {
 
   bdd::manager m(net.input_count());
   const frontend::sbdd built = frontend::build_sbdd(net, m);
-  const xbar::validation_report report = xbar::validate_against_bdd(
+  const xbar::equivalence_report report = xbar::validate(
       stair.design, m, built.roots, built.names, net.input_count());
-  EXPECT_TRUE(report.valid) << report.first_failure;
+  EXPECT_TRUE(report.equivalent) << xbar::verdict_text(report);
 
   synthesis_options oct;
   oct.method = labeling_method::minimal_semiperimeter;

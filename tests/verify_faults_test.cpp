@@ -9,9 +9,10 @@
 #include "frontend/benchgen.hpp"
 #include "frontend/to_bdd.hpp"
 #include "verify/analyzer.hpp"
-#include "verify/extract.hpp"
+#include "xbar/equivalence.hpp"
 #include "xbar/faults.hpp"
-#include "xbar/validate.hpp"
+
+#include "exhaustive_oracle.hpp"
 
 namespace compact::verify {
 namespace {
@@ -57,18 +58,13 @@ TEST(VerifyFaultsTest, EveryStuckFaultIsDetectedOrProvablyMasked) {
     const xbar::crossbar& design = s.ctx.mapped->design;
     ASSERT_LE(s.net.input_count(), 16);
 
-    xbar::validation_options exhaustive;
-    exhaustive.exhaustive_limit = 16;
-
     for (const xbar::fault& f : effective_faults(design)) {
       const xbar::crossbar faulty = xbar::inject_faults(design, {f});
 
-      const xbar::validation_report truth = xbar::validate_against_bdd(
-          faulty, s.m, s.built.roots, s.built.names, s.net.input_count(),
-          exhaustive);
-      ASSERT_TRUE(truth.exhaustive);
+      const oracle::exhaustive_verdict truth = oracle::exhaustive_validation(
+          faulty, s.m, s.built.roots, s.built.names, s.net.input_count());
 
-      const equivalence_report eq = check_symbolic_equivalence(
+      const xbar::equivalence_report eq = xbar::check_symbolic_equivalence(
           faulty, s.m, s.built.roots, s.built.names);
       EXPECT_EQ(truth.valid, eq.equivalent)
           << s.net.name() << ": fault at (" << f.row << ", " << f.column
@@ -104,7 +100,7 @@ TEST(VerifyFaultsTest, CriticalFaultsAreNeverEquivalent) {
   ASSERT_FALSE(critical.empty());
   for (const xbar::fault& f : critical) {
     const xbar::crossbar faulty = xbar::inject_faults(design, {f});
-    const equivalence_report eq = check_symbolic_equivalence(
+    const xbar::equivalence_report eq = xbar::check_symbolic_equivalence(
         faulty, s.m, s.built.roots, s.built.names);
     EXPECT_FALSE(eq.equivalent)
         << "fault observed by sampling but symbolically equivalent at ("
@@ -119,23 +115,19 @@ TEST(VerifyFaultsTest, StuckOnSneakPathsAreCaughtSymbolically) {
   const synthesized s(frontend::make_parity(5));
   const xbar::crossbar& design = s.ctx.mapped->design;
 
-  xbar::validation_options exhaustive;
-  exhaustive.exhaustive_limit = 16;
-
   bool saw_sneak = false;
   for (int r = 0; r < design.rows() && !saw_sneak; ++r)
     for (int c = 0; c < design.columns() && !saw_sneak; ++c) {
       if (design.at(r, c).kind != xbar::literal_kind::off) continue;
       const xbar::fault f{r, c, xbar::fault_kind::stuck_on};
       const xbar::crossbar faulty = xbar::inject_faults(design, {f});
-      const xbar::validation_report truth = xbar::validate_against_bdd(
-          faulty, s.m, s.built.roots, s.built.names, s.net.input_count(),
-          exhaustive);
+      const oracle::exhaustive_verdict truth = oracle::exhaustive_validation(
+          faulty, s.m, s.built.roots, s.built.names, s.net.input_count());
       if (truth.valid) continue;
-      const equivalence_report eq = check_symbolic_equivalence(
+      const xbar::equivalence_report eq = xbar::check_symbolic_equivalence(
           faulty, s.m, s.built.roots, s.built.names);
       EXPECT_FALSE(eq.equivalent);
-      for (const output_equivalence& o : eq.outputs) {
+      for (const xbar::output_equivalence& o : eq.outputs) {
         if (o.found && !o.equivalent) {
           EXPECT_EQ(o.counterexample.size(),
                     static_cast<std::size_t>(s.net.input_count()));

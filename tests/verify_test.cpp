@@ -15,9 +15,10 @@
 #include "frontend/to_bdd.hpp"
 #include "util/error.hpp"
 #include "verify/analyzer.hpp"
-#include "verify/extract.hpp"
+#include "xbar/equivalence.hpp"
 #include "xbar/evaluate.hpp"
-#include "xbar/validate.hpp"
+
+#include "exhaustive_oracle.hpp"
 
 namespace compact::verify {
 namespace {
@@ -89,8 +90,8 @@ TEST(ExtractTest, AgreesWithPathEvaluationEverywhere) {
   const synthesized s(frontend::make_comparator(3));  // 6 variables
   const xbar::crossbar& design = s.ctx.mapped->design;
   bdd::manager scratch(s.net.input_count());
-  const extraction_result extracted =
-      extract_sneak_functions(design, scratch);
+  const xbar::extraction_result extracted =
+      xbar::extract_sneak_functions(design, scratch);
 
   const int n = s.net.input_count();
   for (int bits = 0; bits < (1 << n); ++bits) {
@@ -109,7 +110,7 @@ TEST(ExtractTest, SymbolicEquivalencePassesOnSynthesizedDesigns) {
   for (auto make : {frontend::make_mux_tree(2), frontend::make_parity(6),
                     frontend::make_decoder(3)}) {
     const synthesized s(std::move(make));
-    const equivalence_report eq = check_symbolic_equivalence(
+    const xbar::equivalence_report eq = xbar::check_symbolic_equivalence(
         s.ctx.mapped->design, s.m, s.built.roots, s.built.names);
     EXPECT_TRUE(eq.equivalent) << s.net.name();
     EXPECT_GT(eq.fixpoint_iterations, 0);
@@ -130,11 +131,11 @@ TEST(ExtractTest, MismatchYieldsCounterexample) {
     }
   ASSERT_TRUE(flipped);
 
-  const equivalence_report eq = check_symbolic_equivalence(
+  const xbar::equivalence_report eq = xbar::check_symbolic_equivalence(
       broken, s.m, s.built.roots, s.built.names);
   EXPECT_FALSE(eq.equivalent);
   bool witnessed = false;
-  for (const output_equivalence& o : eq.outputs) {
+  for (const xbar::output_equivalence& o : eq.outputs) {
     if (o.equivalent || o.counterexample.empty()) continue;
     witnessed = true;
     // The witness must actually separate design from spec.
@@ -161,17 +162,13 @@ TEST(ExtractTest, AgreesWithExhaustiveValidation) {
     const synthesized s(std::move(make));
     ASSERT_LE(s.net.input_count(), 16);
 
-    xbar::validation_options exhaustive;
-    exhaustive.exhaustive_limit = 16;
-
     const auto agree = [&](const xbar::crossbar& design) {
-      const xbar::validation_report sampled = xbar::validate_against_bdd(
-          design, s.m, s.built.roots, s.built.names, s.net.input_count(),
-          exhaustive);
-      ASSERT_TRUE(sampled.exhaustive);
-      const equivalence_report eq = check_symbolic_equivalence(
+      const oracle::exhaustive_verdict exhaustive =
+          oracle::exhaustive_validation(design, s.m, s.built.roots,
+                                        s.built.names, s.net.input_count());
+      const xbar::equivalence_report eq = xbar::check_symbolic_equivalence(
           design, s.m, s.built.roots, s.built.names);
-      EXPECT_EQ(sampled.valid, eq.equivalent) << s.net.name();
+      EXPECT_EQ(exhaustive.valid, eq.equivalent) << s.net.name();
     };
 
     agree(s.ctx.mapped->design);  // pristine: both must pass
@@ -187,32 +184,6 @@ TEST(ExtractTest, AgreesWithExhaustiveValidation) {
     ASSERT_TRUE(dropped);
     agree(broken);
   }
-}
-
-// --- exhaustive-validation refusal (xbar/validate) --------------------------
-
-TEST(ValidateLimitTest, RefusesExhaustiveScansBeyondTheCeiling) {
-  const synthesized s(frontend::make_parity(4));
-  xbar::validation_options options;
-  options.exhaustive_limit = 30;  // would be 2^25 evaluations
-  bdd::manager wide(25);
-  std::vector<bdd::node_handle> roots{wide.var(24)};
-  std::vector<std::string> names{"f"};
-  xbar::crossbar dummy(2, 2);
-  dummy.set_input_row(1);
-  try {
-    (void)xbar::validate_against_bdd(dummy, wide, roots, names, 25, options);
-    FAIL() << "expected refusal";
-  } catch (const error& e) {
-    EXPECT_NE(std::string(e.what()).find("symbolic"), std::string::npos);
-  }
-  // At or below the ceiling the same options are honored.
-  options.exhaustive_limit = xbar::max_exhaustive_variables;
-  const xbar::validation_report report = xbar::validate_against_bdd(
-      s.ctx.mapped->design, s.m, s.built.roots, s.built.names,
-      s.net.input_count(), options);
-  EXPECT_TRUE(report.exhaustive);
-  EXPECT_TRUE(report.valid);
 }
 
 // --- check registry ---------------------------------------------------------

@@ -3,7 +3,7 @@
 //   compact_cli info <netlist>                     network & BDD statistics
 //   compact_cli synthesize <netlist> [options]     netlist -> crossbar
 //   compact_cli evaluate <design.xbar> <bits>      program + sense a design
-//   compact_cli validate <design.xbar> <netlist>   check design vs netlist
+//   compact_cli validate <design.xbar> <netlist>   symbolic validity check
 //   compact_cli margins <design.xbar> --inputs N   analog sensing margins
 //
 // Netlist formats are chosen by extension: .blif, .pla, .v / .verilog.
@@ -33,7 +33,7 @@
 //                          memory accounts, metrics) if the run fails
 //   --report FILE.md       markdown synthesis report (implies --validate)
 //   --print                pretty-print the crossbar
-//   --validate             digital validity check before reporting
+//   --validate             symbolic validity check before reporting
 //   --verify               static analyzer over the design
 //   --verify-electrical    --verify plus the ELC electrical checks
 //
@@ -73,11 +73,10 @@
 #include "util/table.hpp"
 #include "util/trace.hpp"
 #include "verify/analyzer.hpp"
-#include "verify/extract.hpp"
 #include "verify/mutate.hpp"
+#include "xbar/equivalence.hpp"
 #include "xbar/evaluate.hpp"
 #include "xbar/serialize.hpp"
-#include "xbar/validate.hpp"
 
 namespace {
 
@@ -98,8 +97,7 @@ using namespace compact;
       "      [--verify-electrical]\n"
       "  compact_cli stats <netlist> [synthesize options]\n"
       "  compact_cli evaluate <design.xbar> <assignment-bits>\n"
-      "  compact_cli validate <design.xbar> <netlist> [--samples N]\n"
-      "      [--threads N] [--symbolic]\n"
+      "  compact_cli validate <design.xbar> <netlist>\n"
       "  compact_cli equiv <netlist-a> <netlist-b>\n"
       "  compact_cli margins <design.xbar> --inputs N\n"
       "  compact_cli lint <netlist> [--method oct|mip|staircase] [--gamma G]\n"
@@ -479,8 +477,7 @@ int cmd_synthesize(const std::vector<std::string>& args) {
   }
   if (result.validation) {
     const api::check_result_v1 v = api::to_check_result(*result.validation);
-    std::cout << "\nvalidity: " << (v.passed ? "PASS" : "FAIL") << " ("
-              << v.detail << ")\n";
+    std::cout << "\nvalidity: " << v.detail << "\n";
     if (!v.passed) return 1;
   }
   if (report_path) {
@@ -567,59 +564,15 @@ int cmd_validate(const std::vector<std::string>& args) {
   if (args.size() < 2) usage("validate needs a design and a netlist");
   const xbar::loaded_partitioned_design loaded = load_partitioned(args[0]);
   const frontend::network net = load_netlist(args[1]);
-  xbar::validation_options options;
-  bool symbolic = false;
-  for (std::size_t i = 2; i < args.size(); ++i) {
-    if (args[i] == "--samples" && i + 1 < args.size())
-      options.samples = parse_positive_flag("--samples", args[++i]);
-    else if (args[i] == "--threads" && i + 1 < args.size())
-      options.parallel.threads = parse_positive_flag("--threads", args[++i]);
-    else if (args[i] == "--symbolic")
-      symbolic = true;
-    else
-      usage("unknown option " + args[i]);
-  }
-  // Single-array documents (format 1, or a degenerate format 2) validate
-  // through the plain crossbar checkers; real multi-array designs route to
-  // the stitched overloads, which merge bridged wires into one net.
-  const bool multi =
-      loaded.design.array_count() > 1 || !loaded.design.connections().empty();
+  // Validation is always symbolic; --symbolic is accepted as a no-op.
+  for (std::size_t i = 2; i < args.size(); ++i)
+    if (args[i] != "--symbolic") usage("unknown option " + args[i]);
   bdd::manager m(net.input_count());
   const frontend::sbdd built = frontend::build_sbdd(net, m);
-  if (symbolic || net.input_count() > xbar::max_exhaustive_variables) {
-    // Wide supports route to symbolic equivalence: exact at any width, no
-    // assignment enumeration at all.
-    const verify::equivalence_report eq =
-        multi ? verify::check_partitioned_equivalence(loaded.design, m,
-                                                      built.roots, built.names)
-              : verify::check_symbolic_equivalence(loaded.design.fragment(0),
-                                                   m, built.roots, built.names);
-    std::cout << (eq.equivalent ? "PASS" : "FAIL") << " (symbolic, "
-              << eq.fixpoint_iterations << " fixpoint iterations)\n";
-    for (const verify::output_equivalence& o : eq.outputs) {
-      if (o.found && o.equivalent) continue;
-      std::cout << "output '" << o.name << "' "
-                << (o.found ? "differs from its specification" : "is missing");
-      if (!o.counterexample.empty()) {
-        std::cout << " under assignment ";
-        for (const bool b : o.counterexample) std::cout << (b ? '1' : '0');
-      }
-      std::cout << "\n";
-    }
-    return eq.equivalent ? 0 : 1;
-  }
-  const xbar::validation_report report =
-      multi ? xbar::validate_against_bdd(loaded.design, m, built.roots,
-                                         built.names, net.input_count(),
-                                         options)
-            : xbar::validate_against_bdd(loaded.design.fragment(0), m,
-                                         built.roots, built.names,
-                                         net.input_count(), options);
-  std::cout << (report.valid ? "PASS" : "FAIL") << " ("
-            << report.checked_assignments << " assignments, "
-            << (report.exhaustive ? "exhaustive" : "sampled") << ")\n";
-  if (!report.valid) std::cout << report.first_failure << "\n";
-  return report.valid ? 0 : 1;
+  const xbar::equivalence_report report = xbar::validate(
+      loaded.design, m, built.roots, built.names, net.input_count());
+  std::cout << xbar::verdict_text(report) << "\n";
+  return report.equivalent ? 0 : 1;
 }
 
 /// `compact_cli lint` — run the static analyzer (src/verify) without

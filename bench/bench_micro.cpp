@@ -21,6 +21,8 @@
 #include "graph/oct.hpp"
 #include "graph/product.hpp"
 #include "milp/branch_and_bound.hpp"
+#include "util/memtrack.hpp"
+#include "util/metrics.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 #include "verify/electrical.hpp"
@@ -299,6 +301,53 @@ void BM_ReadDesign(benchmark::State& state) {
   state.counters["design_bytes"] = static_cast<double>(text.size());
 }
 BENCHMARK(BM_ReadDesign);
+
+/// One flow-serve session on a flow-serve-sized circuit (parity(12, 2),
+/// Method 2 at gamma 0.5, about 40 SBDD nodes): one service handles a
+/// synthesize, a lint of the returned design with the electrical checks,
+/// and four evaluates of it, with metrics and byte accounting on as in
+/// compact-serve. The label cache is warm after the first iteration, so
+/// what is timed is each request's fixed cost: its BDD managers (the spec,
+/// and the lint's extraction), the metrics it publishes, parse and serde.
+void BM_ServeSmallSession(benchmark::State& state) {
+  set_metrics_enabled(true);
+  set_memtrack_enabled(true);
+  const frontend::network net = frontend::make_parity(12, 2);
+  api::service service;
+  api::request_v1 synthesize = netlist_request(net, "synthesize");
+  synthesize.synthesis.labeler = "mip";
+  synthesize.synthesis.gamma = 0.5;
+  api::request_v1 lint = synthesize;
+  lint.op = "lint";
+  lint.lint.labeler = "mip";
+  lint.lint.gamma = 0.5;
+  lint.design_text = service.handle(synthesize).design_text;
+  std::vector<api::request_v1> session{synthesize, lint};
+  for (int i = 0; i < 4; ++i) {
+    api::request_v1 evaluate;
+    evaluate.id = "flow-1";
+    evaluate.op = "evaluate";
+    evaluate.design_text = lint.design_text;
+    for (int bit = 0; bit < net.input_count(); ++bit)
+      evaluate.assignment += (bit * 7 + i) % 3 == 0 ? '1' : '0';
+    session.push_back(std::move(evaluate));
+  }
+  for (const api::request_v1& request : session)
+    if (const api::response_v1 r = service.handle(request); !r.ok) {
+      set_metrics_enabled(false);
+      set_memtrack_enabled(false);
+      state.SkipWithError((request.op + ": " + r.error_message).c_str());
+      return;
+    }
+  for (auto _ : state)
+    for (const api::request_v1& request : session) {
+      const api::response_v1 response = service.handle(request);
+      benchmark::DoNotOptimize(response.ok);
+    }
+  set_metrics_enabled(false);
+  set_memtrack_enabled(false);
+}
+BENCHMARK(BM_ServeSmallSession);
 
 /// Shared design for the parallel-stage benchmarks below.
 const core::synthesis_result& comparator_design() {

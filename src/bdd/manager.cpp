@@ -22,7 +22,8 @@ constexpr std::size_t initial_table_capacity = 1u << 10;
 // Computed-table sizing: starts small, doubles under sustained miss
 // pressure (one miss per entry since the last resize), and never exceeds
 // the cap — beyond that collisions evict, which costs recomputation only.
-constexpr std::size_t initial_ite_cache_capacity = 1u << 12;
+// The start fits a served request's SBDD (tens of nodes) in 16 KiB.
+constexpr std::size_t initial_ite_cache_capacity = 1u << 10;
 constexpr std::size_t max_ite_cache_capacity = 1u << 21;
 
 std::uint64_t mix64(std::uint64_t z) {
@@ -60,7 +61,7 @@ manager::manager(int variable_count, std::size_t node_limit)
             variable_count <= static_cast<int>(max_variables),
         "bdd::manager supports at most 1023 variables");
   check(node_limit >= 2, "bdd::manager node limit below the two terminals");
-  chunks_.push_back(std::make_unique<chunk>());
+  chunks_.push_back(std::make_unique_for_overwrite<chunk>());
   live_bits_.assign((chunk_capacity + 63) / 64, 0);
   // Terminal slots 0 and 1 (var = terminal_var; children self-describe).
   chunks_[0]->var[0] = terminal_var;
@@ -119,7 +120,7 @@ node_handle manager::allocate_slot() {
     // after the new chunk lands. Overshoot past a memory limit is bounded
     // by one chunk per trip.
     (void)resource_checkpoint("bdd.arena_growth");
-    chunks_.push_back(std::make_unique<chunk>());
+    chunks_.push_back(std::make_unique_for_overwrite<chunk>());
     live_bits_.resize((chunks_.size() * chunk_capacity + 63) / 64, 0);
     account_memory();
   }
@@ -258,38 +259,43 @@ node_handle manager::ite(node_handle f, node_handle g, node_handle h) {
 
 void manager::publish_metrics() const {
   if (!metrics_enabled()) return;
+  // Handles resolved once per process: a registry lookup per name at every
+  // stage boundary cost more than the counters it published.
   metrics_registry& registry = global_metrics();
+  static metric_counter& ite_calls = registry.counter("bdd.ite_calls");
+  static metric_counter& hits = registry.counter("bdd.ite_cache_hits");
+  static metric_counter& misses = registry.counter("bdd.ite_cache_misses");
+  static metric_counter& evictions =
+      registry.counter("bdd.ite_cache_evictions");
+  static metric_counter& inserts = registry.counter("bdd.unique_inserts");
+  static metric_counter& restricts = registry.counter("bdd.restrict_calls");
+  static metric_counter& gc_runs = registry.counter("bdd.gc_runs");
+  static metric_counter& gc_reclaimed = registry.counter("bdd.gc_reclaimed");
+  static metric_gauge& table_size = registry.gauge("bdd.unique_table_size");
+  static metric_gauge& table_load = registry.gauge("bdd.unique_table_load");
   const auto delta = [](std::uint64_t now, std::uint64_t& prev) {
     const std::uint64_t d = now - prev;
     prev = now;
     return d;
   };
-  registry.counter("bdd.ite_calls")
-      .add(delta(stats_.ite_calls, published_.ite_calls));
-  registry.counter("bdd.ite_cache_hits")
-      .add(delta(stats_.ite_cache_hits, published_.ite_cache_hits));
-  registry.counter("bdd.ite_cache_misses")
-      .add(delta(stats_.ite_cache_misses, published_.ite_cache_misses));
-  registry.counter("bdd.ite_cache_evictions")
-      .add(delta(stats_.ite_cache_evictions, published_.ite_cache_evictions));
-  registry.counter("bdd.unique_inserts")
-      .add(delta(stats_.unique_inserts, published_.unique_inserts));
-  registry.counter("bdd.restrict_calls")
-      .add(delta(stats_.restrict_calls, published_.restrict_calls));
-  registry.counter("bdd.gc_runs").add(delta(stats_.gc_runs, published_.gc_runs));
-  registry.counter("bdd.gc_reclaimed")
-      .add(delta(stats_.gc_reclaimed, published_.gc_reclaimed));
-  registry.gauge("bdd.unique_table_size")
-      .set(static_cast<double>(live_count_));
-  registry.gauge("bdd.unique_table_load").set(unique_table_load());
+  ite_calls.add(delta(stats_.ite_calls, published_.ite_calls));
+  hits.add(delta(stats_.ite_cache_hits, published_.ite_cache_hits));
+  misses.add(delta(stats_.ite_cache_misses, published_.ite_cache_misses));
+  evictions.add(
+      delta(stats_.ite_cache_evictions, published_.ite_cache_evictions));
+  inserts.add(delta(stats_.unique_inserts, published_.unique_inserts));
+  restricts.add(delta(stats_.restrict_calls, published_.restrict_calls));
+  gc_runs.add(delta(stats_.gc_runs, published_.gc_runs));
+  gc_reclaimed.add(delta(stats_.gc_reclaimed, published_.gc_reclaimed));
+  table_size.set(static_cast<double>(live_count_));
+  table_load.set(unique_table_load());
   // Per-interval watermark, not the lifetime max: observing the cumulative
   // max at every stage boundary re-counted the same deep chain once per
   // stage and skewed the histogram's quantiles.
   if (interval_max_ite_depth_ > 0) {
-    registry
-        .histogram("bdd.max_ite_depth",
-                   {4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0})
-        .observe(static_cast<double>(interval_max_ite_depth_));
+    static metric_histogram& depth = registry.histogram(
+        "bdd.max_ite_depth", {4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0});
+    depth.observe(static_cast<double>(interval_max_ite_depth_));
     interval_max_ite_depth_ = 0;
   }
 }

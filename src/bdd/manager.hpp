@@ -174,8 +174,11 @@ class manager {
 
  private:
   // Arena geometry: 8192 nodes per chunk keeps each chunk's three arrays
-  // (~128 KiB total) L2-resident while bounding growth steps; chunks never
-  // move, so handles are stable for the life of the manager.
+  // (~96 KiB total) L2-resident while bounding growth steps; chunks never
+  // move, so handles are stable for the life of the manager. Chunks are
+  // allocated uninitialized: make_node writes every slot below slot_count_
+  // before anything reads it, and nothing reads at or past slot_count_, so
+  // a small manager touches only the pages its nodes occupy.
   static constexpr int chunk_shift = 13;
   static constexpr std::size_t chunk_capacity = std::size_t{1} << chunk_shift;
   static constexpr std::size_t chunk_mask = chunk_capacity - 1;

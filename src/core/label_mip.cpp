@@ -83,10 +83,11 @@ bool certifies_optimum(const bdd_graph& graph, const oct_label_result& warm,
         const labeling l = label_transversal(anchored, transversal, true);
         return objective(s, compute_stats(l).max_dimension) < beats;
       });
-  if (metrics_enabled())
-    global_metrics()
-        .counter("label_mip.certificate_search_nodes")
-        .add(listed.search_nodes);
+  if (metrics_enabled()) {
+    static metric_counter& search_nodes =
+        global_metrics().counter("label_mip.certificate_search_nodes");
+    search_nodes.add(listed.search_nodes);
+  }
   return listed.complete;
 }
 
@@ -159,8 +160,11 @@ mip_label_result label_weighted(const bdd_graph& graph,
       entry.relative_gap = 0.0;
       on_trace(entry);
       milp::publish_solve_effort({});
-      if (metrics_enabled())
-        global_metrics().counter("label_mip.certified").increment();
+      if (metrics_enabled()) {
+        static metric_counter& certified =
+            global_metrics().counter("label_mip.certified");
+        certified.increment();
+      }
       return finish();
     }
   }

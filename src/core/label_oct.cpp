@@ -208,12 +208,11 @@ oct_label_result label_minimal_semiperimeter(const bdd_graph& graph,
       static_cast<double>(transversal.size - transversal.lower_bound) /
       static_cast<double>(g.node_count() + transversal.size);
   if (metrics_enabled()) {
-    metrics_registry& registry = global_metrics();
-    registry.counter("label_oct.runs").increment();
-    registry
-        .histogram("label_oct.oct_size",
-                   {0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0})
-        .observe(static_cast<double>(result.oct_size));
+    static metric_counter& runs = global_metrics().counter("label_oct.runs");
+    static metric_histogram& oct_size = global_metrics().histogram(
+        "label_oct.oct_size", {0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0});
+    runs.increment();
+    oct_size.observe(static_cast<double>(result.oct_size));
   }
 
   // Steps 2-4: colour G + anchor - X, orient and balance its components.

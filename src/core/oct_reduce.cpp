@@ -291,25 +291,33 @@ oct_kernel kernelize_for_oct(const graph::undirected_graph& g,
 
   if (metrics_enabled()) {
     metrics_registry& registry = global_metrics();
-    registry.counter("oct_reduce.runs").increment();
-    registry.counter("oct_reduce.original_nodes")
-        .add(kernel.stats_.original_nodes);
-    registry.counter("oct_reduce.kernel_nodes")
-        .add(kernel.stats_.kernel_nodes);
-    registry.counter("oct_reduce.bipartite_stripped")
-        .add(kernel.stats_.bipartite_stripped);
-    registry.counter("oct_reduce.low_degree_removed")
-        .add(kernel.stats_.low_degree_removed);
-    registry.counter("oct_reduce.folds").add(kernel.stats_.folds);
-    registry.counter("oct_reduce.merges").add(kernel.stats_.merges);
-    registry.counter("oct_reduce.forced").add(kernel.stats_.forced);
-    registry
-        .histogram("oct_reduce.kernel_ratio",
-                   {0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0})
-        .observe(kernel.stats_.original_nodes == 0
-                     ? 0.0
-                     : static_cast<double>(kernel.stats_.kernel_nodes) /
-                           static_cast<double>(kernel.stats_.original_nodes));
+    static metric_counter& runs = registry.counter("oct_reduce.runs");
+    static metric_counter& original_nodes =
+        registry.counter("oct_reduce.original_nodes");
+    static metric_counter& kernel_nodes =
+        registry.counter("oct_reduce.kernel_nodes");
+    static metric_counter& bipartite_stripped =
+        registry.counter("oct_reduce.bipartite_stripped");
+    static metric_counter& low_degree_removed =
+        registry.counter("oct_reduce.low_degree_removed");
+    static metric_counter& folds = registry.counter("oct_reduce.folds");
+    static metric_counter& merges = registry.counter("oct_reduce.merges");
+    static metric_counter& forced = registry.counter("oct_reduce.forced");
+    static metric_histogram& kernel_ratio = registry.histogram(
+        "oct_reduce.kernel_ratio", {0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0});
+    runs.increment();
+    original_nodes.add(kernel.stats_.original_nodes);
+    kernel_nodes.add(kernel.stats_.kernel_nodes);
+    bipartite_stripped.add(kernel.stats_.bipartite_stripped);
+    low_degree_removed.add(kernel.stats_.low_degree_removed);
+    folds.add(kernel.stats_.folds);
+    merges.add(kernel.stats_.merges);
+    forced.add(kernel.stats_.forced);
+    kernel_ratio.observe(
+        kernel.stats_.original_nodes == 0
+            ? 0.0
+            : static_cast<double>(kernel.stats_.kernel_nodes) /
+                  static_cast<double>(kernel.stats_.original_nodes));
   }
   return kernel;
 }

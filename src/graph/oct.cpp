@@ -724,10 +724,11 @@ oct_result odd_cycle_transversal(const undirected_graph& g,
     const oct_result greedy = greedy_odd_cycle_transversal(g, options.anchor);
     oct_search search(g, options.anchor, options.time_limit_seconds);
     result = search.run(greedy.in_transversal);
-    if (metrics_enabled())
-      global_metrics()
-          .counter("graph.oct.search_nodes")
-          .add(result.search_nodes);
+    if (metrics_enabled()) {
+      static metric_counter& search_nodes =
+          global_metrics().counter("graph.oct.search_nodes");
+      search_nodes.add(result.search_nodes);
+    }
   }
   check(is_odd_cycle_transversal(g, result.in_transversal),
         "odd_cycle_transversal produced an invalid transversal");

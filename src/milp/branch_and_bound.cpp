@@ -199,18 +199,29 @@ struct item_outcome {
   std::uint64_t busy_us = 0;
 };
 
+metric_series& gap_over_time() {
+  static metric_series& series = global_metrics().series("milp.gap_over_time");
+  return series;
+}
+
 }  // namespace
 
 void publish_solve_effort(const solve_effort& effort) {
   if (!metrics_enabled()) return;
   metrics_registry& registry = global_metrics();
-  registry.counter("milp.bnb.nodes_explored").add(effort.nodes_explored);
-  registry.counter("milp.bnb.lp_iterations").add(effort.lp_iterations);
-  registry.counter("milp.bnb.dive_lp_iterations")
-      .add(effort.dive_lp_iterations);
-  registry.counter("milp.bnb.incumbents").add(effort.incumbents);
-  registry.counter("milp.bnb.rounds").add(effort.rounds);
-  registry.counter("milp.bnb.solves").add(effort.solves);
+  static metric_counter& nodes = registry.counter("milp.bnb.nodes_explored");
+  static metric_counter& lp = registry.counter("milp.bnb.lp_iterations");
+  static metric_counter& dive_lp =
+      registry.counter("milp.bnb.dive_lp_iterations");
+  static metric_counter& incumbents = registry.counter("milp.bnb.incumbents");
+  static metric_counter& rounds = registry.counter("milp.bnb.rounds");
+  static metric_counter& solves = registry.counter("milp.bnb.solves");
+  nodes.add(effort.nodes_explored);
+  lp.add(effort.lp_iterations);
+  dive_lp.add(effort.dive_lp_iterations);
+  incumbents.add(effort.incumbents);
+  rounds.add(effort.rounds);
+  solves.add(effort.solves);
 }
 
 // Publishes the solve's effort on every exit path of solve_mip (several
@@ -308,14 +319,17 @@ mip_result solve_mip(const model& original, const mip_options& options) {
       ++incumbents;
     }
     if (metrics_enabled()) {
-      metrics_registry& registry = global_metrics();
-      registry.series("milp.gap_over_time")
-          .append(entry.seconds, entry.relative_gap);
-      if (std::isfinite(bound))
-        registry.series("milp.bound_over_time").append(entry.seconds, bound);
-      if (std::isfinite(incumbent_obj))
-        registry.series("milp.incumbent_over_time")
-            .append(entry.seconds, incumbent_obj);
+      gap_over_time().append(entry.seconds, entry.relative_gap);
+      if (std::isfinite(bound)) {
+        static metric_series& bounds =
+            global_metrics().series("milp.bound_over_time");
+        bounds.append(entry.seconds, bound);
+      }
+      if (std::isfinite(incumbent_obj)) {
+        static metric_series& incumbents =
+            global_metrics().series("milp.incumbent_over_time");
+        incumbents.append(entry.seconds, incumbent_obj);
+      }
     }
     if (options.on_trace) options.on_trace(entry);
     if (options.progress)
@@ -495,6 +509,8 @@ mip_result solve_mip(const model& original, const mip_options& options) {
 
   std::vector<bb_node> batch;
   std::vector<bool> dive_flags;
+  // milp.bnb.nodes_by_worker.tid<slot> handles, by thread slot.
+  std::vector<metric_counter*> nodes_by_worker;
   account_guard open_nodes_charge(memtrack_account("milp.bnb_nodes"));
   std::uint64_t open_basis_bytes = 0;
   while (!open.empty()) {
@@ -588,11 +604,15 @@ mip_result solve_mip(const model& original, const mip_options& options) {
       lp_iterations += static_cast<std::uint64_t>(r.iterations);
       dive_lp_iterations += static_cast<std::uint64_t>(r.dive_iterations);
       round_busy_us += r.busy_us;
-      if (metrics_enabled())
-        global_metrics()
-            .counter("milp.bnb.nodes_by_worker.tid" +
-                     std::to_string(r.thread_slot))
-            .increment();
+      if (metrics_enabled()) {
+        const auto slot = static_cast<std::size_t>(r.thread_slot);
+        if (slot >= nodes_by_worker.size())
+          nodes_by_worker.resize(slot + 1, nullptr);
+        if (nodes_by_worker[slot] == nullptr)
+          nodes_by_worker[slot] = &global_metrics().counter(
+              "milp.bnb.nodes_by_worker.tid" + std::to_string(slot));
+        nodes_by_worker[slot]->increment();
+      }
 
       if (r.status == lp_status::unbounded) {
         // Only possible at the root of a minimization with unbounded
@@ -676,14 +696,17 @@ mip_result solve_mip(const model& original, const mip_options& options) {
     // bounds what the pool could have done; the shortfall (merge barrier,
     // LP imbalance, batches smaller than the pool) is idle time.
     if (metrics_enabled() && pool) {
-      metrics_registry& registry = global_metrics();
-      registry.counter("milp.bnb.worker_busy_us").add(round_busy_us);
+      static metric_counter& busy =
+          global_metrics().counter("milp.bnb.worker_busy_us");
+      busy.add(round_busy_us);
       const auto capacity_us = static_cast<std::uint64_t>(
           (clock.seconds() - round_start_seconds) * 1e6 *
           static_cast<double>(thread_count));
-      if (capacity_us > round_busy_us)
-        registry.counter("milp.bnb.worker_idle_us")
-            .add(capacity_us - round_busy_us);
+      if (capacity_us > round_busy_us) {
+        static metric_counter& idle =
+            global_metrics().counter("milp.bnb.worker_idle_us");
+        idle.add(capacity_us - round_busy_us);
+      }
     }
   }
 
@@ -727,9 +750,7 @@ mip_result solve_mip(const model& original, const mip_options& options) {
     entry.best_bound = result.best_bound;
     entry.relative_gap = result.relative_gap;
     if (metrics_enabled())
-      global_metrics()
-          .series("milp.gap_over_time")
-          .append(entry.seconds, entry.relative_gap);
+      gap_over_time().append(entry.seconds, entry.relative_gap);
     if (options.on_trace) options.on_trace(entry);
   }
   return result;

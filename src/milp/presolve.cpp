@@ -187,14 +187,22 @@ presolve_result presolve_model(const model& m, const presolve_options& options) 
 
   if (metrics_enabled()) {
     metrics_registry& registry = global_metrics();
-    registry.counter("milp.presolve.runs").increment();
-    registry.counter("milp.presolve.bounds_tightened")
-        .add(stats.bounds_tightened);
-    registry.counter("milp.presolve.variables_fixed")
-        .add(stats.variables_fixed);
-    registry.counter("milp.presolve.rows_removed").add(stats.rows_removed);
-    if (stats.proved_infeasible)
-      registry.counter("milp.presolve.proved_infeasible").increment();
+    static metric_counter& runs = registry.counter("milp.presolve.runs");
+    static metric_counter& tightened =
+        registry.counter("milp.presolve.bounds_tightened");
+    static metric_counter& fixed =
+        registry.counter("milp.presolve.variables_fixed");
+    static metric_counter& rows_removed =
+        registry.counter("milp.presolve.rows_removed");
+    runs.increment();
+    tightened.add(stats.bounds_tightened);
+    fixed.add(stats.variables_fixed);
+    rows_removed.add(stats.rows_removed);
+    if (stats.proved_infeasible) {
+      static metric_counter& infeasible =
+          registry.counter("milp.presolve.proved_infeasible");
+      infeasible.increment();
+    }
   }
   if (stats.proved_infeasible) return result;
 

@@ -22,23 +22,14 @@ using steady_clock = std::chrono::steady_clock;
   return std::chrono::duration<double>(steady_clock::now() - start).count();
 }
 
-/// Latency buckets spanning sub-millisecond cache hits to minute-class MIP
-/// solves (seconds).
-[[nodiscard]] std::vector<double> latency_bounds() {
-  return {0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25,
-          0.5,   1.0,    2.5,   5.0,  10.0,  30.0, 60.0, 120.0};
-}
-
 void observe_latency(double seconds) {
   if (!metrics_enabled()) return;
-  global_metrics()
-      .histogram("serve.latency_seconds", latency_bounds())
-      .observe(seconds);
-}
-
-void count(const char* name) {
-  if (!metrics_enabled()) return;
-  global_metrics().counter(name).increment();
+  // Buckets span sub-millisecond cache hits to minute-class MIP solves.
+  static metric_histogram& latency = global_metrics().histogram(
+      "serve.latency_seconds", {0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1,
+                                0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 30.0, 60.0,
+                                120.0});
+  latency.observe(seconds);
 }
 
 }  // namespace
@@ -51,7 +42,6 @@ struct server::impl {
 
   server_options options;
   api::service service;
-  thread_pool pool;
 
   std::mutex mutex;
   std::condition_variable idle;
@@ -64,6 +54,11 @@ struct server::impl {
   std::atomic<std::uint64_t> overloaded{0};
   std::atomic<std::uint64_t> shed{0};
   std::atomic<std::uint64_t> designs{0};
+
+  // Declared last so it is destroyed first: its destructor joins the
+  // workers, which use every member above (a worker may still be inside
+  // idle.notify_all() after drain() has seen in_flight reach zero).
+  thread_pool pool;
 
   void finish_one() {
     {
@@ -93,7 +88,11 @@ void server::submit(api::request_v1 request, responder done) {
         state.in_flight >= state.options.queue_limit) {
       lock.unlock();
       state.overloaded.fetch_add(1, std::memory_order_relaxed);
-      count("serve.overload_total");
+      if (metrics_enabled()) {
+        static metric_counter& overloads =
+            global_metrics().counter("serve.overload_total");
+        overloads.increment();
+      }
       api::response_v1 resp;
       resp.id = request.id;
       resp.ok = false;
@@ -105,10 +104,10 @@ void server::submit(api::request_v1 request, responder done) {
       return;
     }
     ++state.in_flight;
-    if (metrics_enabled())
-      global_metrics()
-          .gauge("serve.in_flight")
-          .set(static_cast<double>(state.in_flight));
+    if (metrics_enabled()) {
+      static metric_gauge& gauge = global_metrics().gauge("serve.in_flight");
+      gauge.set(static_cast<double>(state.in_flight));
+    }
   }
 
   state.submitted.fetch_add(1, std::memory_order_relaxed);
@@ -129,7 +128,11 @@ void server::submit(api::request_v1 request, responder done) {
           resp.code = api::error_code_v1::deadline_exceeded;
           resp.error_message = "deadline exceeded while queued";
           state.shed.fetch_add(1, std::memory_order_relaxed);
-          count("serve.shed_total");
+          if (metrics_enabled()) {
+            static metric_counter& sheds =
+                global_metrics().counter("serve.shed_total");
+            sheds.increment();
+          }
         } else {
           resp = state.service.handle(request);
         }
@@ -142,7 +145,11 @@ void server::submit(api::request_v1 request, responder done) {
         } else {
           state.failed.fetch_add(1, std::memory_order_relaxed);
         }
-        count("serve.requests_total");
+        if (metrics_enabled()) {
+          static metric_counter& requests =
+              global_metrics().counter("serve.requests_total");
+          requests.increment();
+        }
         observe_latency(resp.queue_seconds + resp.service_seconds);
         try {
           done(resp);

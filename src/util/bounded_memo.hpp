@@ -66,13 +66,11 @@ class bounded_memo {
         if (e.canonical == canonical) {
           lru_.splice(lru_.end(), lru_, e.lru);
           ++counters_.hits;
-          if (metrics_enabled())
-            global_metrics().counter(metric_prefix_ + ".hits").increment();
+          if (metrics_enabled()) counter(hits_metric_, ".hits").increment();
           return e.payload;
         }
     ++counters_.misses;
-    if (metrics_enabled())
-      global_metrics().counter(metric_prefix_ + ".misses").increment();
+    if (metrics_enabled()) counter(misses_metric_, ".misses").increment();
     return std::nullopt;
   }
 
@@ -179,16 +177,25 @@ class bounded_memo {
       --counters_.entries;
       ++counters_.evictions;
       if (metrics_enabled())
-        global_metrics().counter(metric_prefix_ + ".evictions").increment();
+        counter(evictions_metric_, ".evictions").increment();
     }
   }
 
   void publish() COMPACT_REQUIRES(mutex_) {
     account_set(account_, bytes_accounted_, content_bytes_);
-    if (metrics_enabled())
-      global_metrics()
-          .gauge(metric_prefix_ + ".entries")
-          .set(static_cast<double>(counters_.entries));
+    if (metrics_enabled()) {
+      if (entries_metric_ == nullptr)
+        entries_metric_ = &global_metrics().gauge(metric_prefix_ + ".entries");
+      entries_metric_->set(static_cast<double>(counters_.entries));
+    }
+  }
+
+  /// The prefixed counter `slot` holds, looked up at its first use.
+  metric_counter& counter(metric_counter*& slot, const char* suffix) const
+      COMPACT_REQUIRES(mutex_) {
+    if (slot == nullptr)
+      slot = &global_metrics().counter(metric_prefix_ + suffix);
+    return *slot;
   }
 
   const std::string metric_prefix_;
@@ -202,6 +209,13 @@ class bounded_memo {
   std::uint64_t content_bytes_ COMPACT_GUARDED_BY(mutex_) = 0;
   std::uint64_t bytes_accounted_ COMPACT_GUARDED_BY(mutex_) = 0;
   std::uint64_t capacity_bytes_ COMPACT_GUARDED_BY(mutex_) = 0;
+  // Registry handles of the prefixed metrics, resolved at first publication
+  // so a memo whose metrics stay off registers nothing.
+  mutable metric_counter* hits_metric_ COMPACT_GUARDED_BY(mutex_) = nullptr;
+  mutable metric_counter* misses_metric_ COMPACT_GUARDED_BY(mutex_) = nullptr;
+  mutable metric_counter* evictions_metric_ COMPACT_GUARDED_BY(mutex_) =
+      nullptr;
+  metric_gauge* entries_metric_ COMPACT_GUARDED_BY(mutex_) = nullptr;
 };
 
 }  // namespace compact

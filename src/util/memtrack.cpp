@@ -115,16 +115,24 @@ void memtrack_reset() {
 void publish_memtrack_metrics() {
   if (!memtrack_enabled() || !metrics_enabled()) return;
   metrics_registry& registry = global_metrics();
-  for (const mem_account* account : memtrack_accounts()) {
-    registry.gauge("mem." + account->name() + ".bytes")
-        .set(static_cast<double>(account->live()));
-    registry.gauge("mem." + account->name() + ".peak_bytes")
-        .set(static_cast<double>(account->peak()));
+  {
+    // The store's lock covers the accounts' lazily resolved gauges; the
+    // registry never calls back into memtrack, so the nesting is safe.
+    account_store& s = store();
+    const std::lock_guard<std::mutex> lock(s.mutex);
+    for (const auto& [name, account] : s.accounts) {
+      if (account->bytes_gauge_ == nullptr) {
+        account->bytes_gauge_ = &registry.gauge("mem." + name + ".bytes");
+        account->peak_gauge_ = &registry.gauge("mem." + name + ".peak_bytes");
+      }
+      account->bytes_gauge_->set(static_cast<double>(account->live()));
+      account->peak_gauge_->set(static_cast<double>(account->peak()));
+    }
   }
-  registry.gauge("mem.process.bytes")
-      .set(static_cast<double>(memtrack_process_live()));
-  registry.gauge("mem.process.peak_bytes")
-      .set(static_cast<double>(memtrack_process_peak()));
+  static metric_gauge& process_bytes = registry.gauge("mem.process.bytes");
+  static metric_gauge& process_peak = registry.gauge("mem.process.peak_bytes");
+  process_bytes.set(static_cast<double>(memtrack_process_live()));
+  process_peak.set(static_cast<double>(memtrack_process_peak()));
 }
 
 }  // namespace compact

@@ -22,6 +22,8 @@
 
 namespace compact {
 
+class metric_gauge;
+
 /// Globally enable/disable byte accounting. Off by default.
 void set_memtrack_enabled(bool enabled);
 [[nodiscard]] bool memtrack_enabled();
@@ -48,11 +50,16 @@ class mem_account {
 
  private:
   friend mem_account& memtrack_account(const std::string& name);
+  friend void publish_memtrack_metrics();
   explicit mem_account(std::string name) : name_(std::move(name)) {}
 
   std::string name_;
   std::atomic<std::uint64_t> live_{0};
   std::atomic<std::uint64_t> peak_{0};
+  // The account's mem.<name>.bytes and .peak_bytes gauges, resolved at its
+  // first publication and guarded by the account store's mutex.
+  metric_gauge* bytes_gauge_ = nullptr;
+  metric_gauge* peak_gauge_ = nullptr;
 };
 
 /// Get-or-create an account by dotted name ("bdd.unique_table",

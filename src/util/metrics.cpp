@@ -138,7 +138,7 @@ bool metrics_enabled() {
 }
 
 struct metrics_registry::entry {
-  std::string kind;
+  const char* kind = "";
   std::unique_ptr<metric_counter> counter;
   std::unique_ptr<metric_gauge> gauge;
   std::unique_ptr<metric_histogram> histogram;
@@ -146,46 +146,48 @@ struct metrics_registry::entry {
 };
 
 metrics_registry::entry& metrics_registry::find_or_create(
-    const std::string& name, const char* kind) {
-  for (auto& [existing_name, existing] : entries_)
-    if (existing_name == name) {
-      check(existing->kind == kind,
-            "metrics_registry: '" + name + "' already registered as a " +
-                existing->kind + ", not a " + kind);
-      return *existing;
-    }
+    std::string_view name, const char* kind) {
+  if (const auto it = index_.find(name); it != index_.end()) {
+    entry& existing = *it->second;
+    // The message is built only on the failing path.
+    if (std::string_view(existing.kind) != kind)
+      check(false, "metrics_registry: '" + std::string(name) +
+                       "' already registered as a " + existing.kind +
+                       ", not a " + kind);
+    return existing;
+  }
   // Leak-on-purpose lifetime: handles must survive registry resets and
   // process teardown ordering, so entries are never destroyed.
   auto* fresh = new entry;
   fresh->kind = kind;
-  entries_.emplace_back(name, fresh);
+  entries_.emplace_back(std::string(name), fresh);
+  index_.emplace(entries_.back().first, fresh);
   return *fresh;
 }
 
-metric_counter& metrics_registry::counter(const std::string& name) {
+metric_counter& metrics_registry::counter(std::string_view name) {
   const mutex_lock lock(mutex_);
   entry& e = find_or_create(name, "counter");
   if (!e.counter) e.counter = std::make_unique<metric_counter>();
   return *e.counter;
 }
 
-metric_gauge& metrics_registry::gauge(const std::string& name) {
+metric_gauge& metrics_registry::gauge(std::string_view name) {
   const mutex_lock lock(mutex_);
   entry& e = find_or_create(name, "gauge");
   if (!e.gauge) e.gauge = std::make_unique<metric_gauge>();
   return *e.gauge;
 }
 
-metric_histogram& metrics_registry::histogram(const std::string& name,
-                                              std::vector<double> bounds) {
+metric_histogram& metrics_registry::histogram(
+    std::string_view name, const std::vector<double>& bounds) {
   const mutex_lock lock(mutex_);
   entry& e = find_or_create(name, "histogram");
-  if (!e.histogram)
-    e.histogram = std::make_unique<metric_histogram>(std::move(bounds));
+  if (!e.histogram) e.histogram = std::make_unique<metric_histogram>(bounds);
   return *e.histogram;
 }
 
-metric_series& metrics_registry::series(const std::string& name) {
+metric_series& metrics_registry::series(std::string_view name) {
   const mutex_lock lock(mutex_);
   entry& e = find_or_create(name, "series");
   if (!e.series) e.series = std::make_unique<metric_series>();
@@ -221,11 +223,11 @@ void metrics_registry::write_json(std::ostream& os) const {
     if (!first) os << ",\n";
     first = false;
     os << "  \"" << json_escape(name) << "\": ";
-    if (e->kind == "counter") {
+    if (e->counter) {
       os << e->counter->value();
-    } else if (e->kind == "gauge") {
+    } else if (e->gauge) {
       os << json_number(e->gauge->value());
-    } else if (e->kind == "histogram") {
+    } else if (e->histogram) {
       const metric_histogram& h = *e->histogram;
       os << "{\"type\": \"histogram\", \"count\": " << h.count()
          << ", \"sum\": " << json_number(h.sum()) << ", \"buckets\": [";

@@ -10,12 +10,20 @@
 // Thread-safety: every metric object is internally synchronized and safe to
 // update from pool workers; handles returned by the registry stay valid for
 // the process lifetime (metrics are never deleted, only reset to zero).
+//
+// Cost: looking up an existing metric hashes its name and allocates nothing,
+// but it still takes the registry mutex. Hot publishers resolve each handle
+// once (a function-local static, or a pointer held by the publishing object)
+// and update it directly afterwards.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <ostream>
 #include <string>
+#include <string_view>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -122,14 +130,15 @@ class metrics_registry {
  public:
   /// Get-or-create by name. Handles remain valid for the process lifetime.
   /// Names are conventionally dotted paths: "bdd.ite_cache_hits",
-  /// "milp.bnb.nodes_explored", "thread_pool.queue_depth".
-  [[nodiscard]] metric_counter& counter(const std::string& name);
-  [[nodiscard]] metric_gauge& gauge(const std::string& name);
-  /// `bounds` is used on first creation only; later callers get the
+  /// "milp.bnb.nodes_explored", "thread_pool.queue_depth". Throws
+  /// compact::error when the name is already registered as another kind.
+  [[nodiscard]] metric_counter& counter(std::string_view name);
+  [[nodiscard]] metric_gauge& gauge(std::string_view name);
+  /// `bounds` is copied on first creation only; later callers get the
   /// existing histogram whatever its bounds.
-  [[nodiscard]] metric_histogram& histogram(const std::string& name,
-                                            std::vector<double> bounds);
-  [[nodiscard]] metric_series& series(const std::string& name);
+  [[nodiscard]] metric_histogram& histogram(std::string_view name,
+                                            const std::vector<double>& bounds);
+  [[nodiscard]] metric_series& series(std::string_view name);
 
   /// Registered names in sorted order, as (name, kind) pairs with kind in
   /// {"counter", "gauge", "histogram", "series"}.
@@ -145,12 +154,23 @@ class metrics_registry {
 
  private:
   struct entry;
-  entry& find_or_create(const std::string& name, const char* kind)
+  /// Hashes a name as either std::string or std::string_view, so lookups
+  /// by view never build a key string.
+  struct name_hash {
+    using is_transparent = void;
+    std::size_t operator()(std::string_view name) const {
+      return std::hash<std::string_view>{}(name);
+    }
+  };
+  entry& find_or_create(std::string_view name, const char* kind)
       COMPACT_REQUIRES(mutex_);
 
   mutable annotated_mutex mutex_;
   // Insertion order; entries leak by design (process-lifetime handles).
   std::vector<std::pair<std::string, entry*>> entries_
+      COMPACT_GUARDED_BY(mutex_);
+  // The same entries by name, for lookups.
+  std::unordered_map<std::string, entry*, name_hash, std::equal_to<>> index_
       COMPACT_GUARDED_BY(mutex_);
 };
 

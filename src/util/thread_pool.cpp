@@ -26,10 +26,9 @@ thread_pool::~thread_pool() {
 
 void thread_pool::note_queue_depth(std::size_t depth) {
   if (!metrics_enabled()) return;
-  global_metrics()
-      .histogram("thread_pool.queue_depth",
-                 {1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0})
-      .observe(static_cast<double>(depth));
+  static metric_histogram& queue_depth = global_metrics().histogram(
+      "thread_pool.queue_depth", {1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0});
+  queue_depth.observe(static_cast<double>(depth));
 }
 
 void thread_pool::worker_loop() {

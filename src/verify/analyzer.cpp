@@ -1,6 +1,7 @@
 #include "verify/analyzer.hpp"
 
 #include <algorithm>
+#include <optional>
 
 #include "core/pipeline.hpp"
 #include "util/error.hpp"
@@ -86,15 +87,22 @@ report analyze(const artifacts& a, const analyzer_options& options) {
     if (!applicable(c, a)) continue;
     out.mark_check_run(c.id);
     if (!c.run) continue;  // companion check; its sibling emits the findings
-    const trace_span check_span("verify.check." + c.id, "verify");
+    // The span's name is built only when something records it.
+    std::optional<trace_span> check_span;
+    if (trace_enabled() || span_stack_tracking())
+      check_span.emplace("verify.check." + c.id, "verify");
     c.run(a, out);
-    if (metrics_enabled())
-      global_metrics().counter("verify.checks_run").increment();
+    if (metrics_enabled()) {
+      static metric_counter& checks_run =
+          global_metrics().counter("verify.checks_run");
+      checks_run.increment();
+    }
   }
-  if (metrics_enabled())
-    global_metrics()
-        .counter("verify.diagnostics")
-        .add(static_cast<std::uint64_t>(out.diagnostics().size()));
+  if (metrics_enabled()) {
+    static metric_counter& diagnostics =
+        global_metrics().counter("verify.diagnostics");
+    diagnostics.add(static_cast<std::uint64_t>(out.diagnostics().size()));
+  }
   return out;
 }
 

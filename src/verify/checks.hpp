@@ -30,6 +30,7 @@
 #include "verify/diagnostics.hpp"
 #include "verify/electrical.hpp"
 #include "xbar/crossbar.hpp"
+#include "xbar/equivalence.hpp"
 #include "xbar/partitioned.hpp"
 
 namespace compact::verify {
@@ -41,6 +42,11 @@ namespace compact::verify {
 struct analysis_cache {
   std::optional<electrical_report> electrical;
   std::optional<criticality_report> criticality;
+  /// The design's equivalence against the artifacts' spec, when the caller
+  /// already decided it (the API's validate pass). EQV001 and PAR003 read
+  /// it instead of extracting the design a second time; left empty, they
+  /// extract.
+  std::optional<xbar::equivalence_report> equivalence;
 };
 
 /// Everything the analyzer may look at, all non-owning and optional except

@@ -2,6 +2,7 @@
 // function back into a BDD manager and compare canonical ROBDD roots
 // against the specification — the same checker behind xbar::validate, exact
 // at any variable count.
+#include <optional>
 #include <string>
 #include <unordered_set>
 
@@ -26,8 +27,12 @@ std::string witness_text(const std::vector<bool>& bits) {
 // compute exactly the spec function. Mismatches come with a satisfying
 // counterexample of the XOR of the two functions.
 void check_output_functions(const artifacts& a, report& out) {
-  const xbar::equivalence_report eq = xbar::check_symbolic_equivalence(
-      *a.design, *a.spec, *a.spec_roots, *a.spec_names);
+  std::optional<xbar::equivalence_report> extracted;
+  if (a.cache == nullptr || !a.cache->equivalence)
+    extracted = xbar::check_symbolic_equivalence(*a.design, *a.spec,
+                                                 *a.spec_roots, *a.spec_names);
+  const xbar::equivalence_report& eq =
+      extracted ? *extracted : *a.cache->equivalence;
   for (const xbar::output_equivalence& o : eq.outputs) {
     if (!o.found) {
       diagnostic d;

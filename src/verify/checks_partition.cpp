@@ -2,6 +2,7 @@
 // design — one input array, well-formed bridges, no fragment electrically
 // stranded — plus the stitched symbolic-equivalence check that replays the
 // sneak-path fixpoint over the union conduction graph of every fragment.
+#include <optional>
 #include <string>
 #include <unordered_set>
 #include <vector>
@@ -155,8 +156,12 @@ void check_bridges(const artifacts& a, report& out) {
 // PAR003 — stitched equivalence: each spec output's reachability function
 // over the union conduction graph must equal its spec BDD.
 void check_stitched_equivalence(const artifacts& a, report& out) {
-  const xbar::equivalence_report eq = xbar::check_partitioned_equivalence(
-      *a.partitioned, *a.spec, *a.spec_roots, *a.spec_names);
+  std::optional<xbar::equivalence_report> extracted;
+  if (a.cache == nullptr || !a.cache->equivalence)
+    extracted = xbar::check_partitioned_equivalence(
+        *a.partitioned, *a.spec, *a.spec_roots, *a.spec_names);
+  const xbar::equivalence_report& eq =
+      extracted ? *extracted : *a.cache->equivalence;
   for (const xbar::output_equivalence& o : eq.outputs) {
     if (!o.found) {
       diagnostic d;

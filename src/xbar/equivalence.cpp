@@ -8,6 +8,22 @@
 #include "util/trace.hpp"
 
 namespace compact::xbar {
+namespace {
+
+/// Count one extraction and its fixpoint sweeps (verify.extractions,
+/// verify.fixpoint_iterations).
+void note_extraction(int fixpoint_iterations) {
+  if (!metrics_enabled()) return;
+  static metric_counter& extractions =
+      global_metrics().counter("verify.extractions");
+  static metric_histogram& iterations = global_metrics().histogram(
+      "verify.fixpoint_iterations",
+      {1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0});
+  extractions.increment();
+  iterations.observe(static_cast<double>(fixpoint_iterations));
+}
+
+}  // namespace
 
 bdd::node_handle device_function(const device& d, bdd::manager& m) {
   switch (d.kind) {
@@ -111,13 +127,7 @@ extraction_result extract_sneak_functions(const crossbar& design,
     m.collect_garbage(live);
   }
 
-  if (metrics_enabled()) {
-    global_metrics().counter("verify.extractions").increment();
-    global_metrics()
-        .histogram("verify.fixpoint_iterations",
-                   {1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0})
-        .observe(static_cast<double>(result.fixpoint_iterations));
-  }
+  note_extraction(result.fixpoint_iterations);
   return result;
 }
 
@@ -216,13 +226,7 @@ stitched_extraction_result extract_stitched_functions(
       cols.push_back(fn[static_cast<std::size_t>(of_column(f, c))]);
   }
 
-  if (metrics_enabled()) {
-    global_metrics().counter("verify.extractions").increment();
-    global_metrics()
-        .histogram("verify.fixpoint_iterations",
-                   {1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0})
-        .observe(static_cast<double>(result.fixpoint_iterations));
-  }
+  note_extraction(result.fixpoint_iterations);
   return result;
 }
 

@@ -8,6 +8,7 @@
 #include <string>
 
 #include "api/compact_api.hpp"
+#include "util/metrics.hpp"
 
 namespace {
 
@@ -133,6 +134,55 @@ TEST(ApiTest, VerifyReportsOnEveryShape) {
     EXPECT_EQ(out.validation.detail.rfind("PASS (symbolic, ", 0), 0u)
         << out.validation.detail;
   }
+  EXPECT_GE(api::handle(partitioned).stats.arrays, 2);
+}
+
+TEST(ApiTest, ValidateAndVerifyExtractTheDesignOnce) {
+  // With both passes on, EQV001 and PAR003 read the validate pass's
+  // verdict: one extraction per request, and the same findings as a
+  // verify-only request. Every shape: single SBDD, separate ROBDDs, and a
+  // stitched multi-array design.
+  std::string inputs;
+  for (int i = 0; i < 10; ++i) inputs += " x" + std::to_string(i);
+  api::request_v1 request = majority_request();
+  request.source.text = ".model wide\n.inputs" + inputs +
+                        "\n.outputs f g\n.names" + inputs + " f\n" +
+                        std::string(10, '1') +
+                        " 1\n.names x0 x9 g\n10 1\n01 1\n.end\n";
+  request.synthesis.labeler = "oct";
+  request.synthesis.validate = true;
+  request.synthesis.verify = true;
+  api::request_v1 separate = request;
+  separate.synthesis.separate_robdds = true;
+  api::request_v1 partitioned = request;
+  partitioned.synthesis.partition = true;
+  partitioned.synthesis.max_rows = 8;
+  partitioned.synthesis.max_columns = 8;
+
+  const auto findings = [](const api::response_v1& r) {
+    std::string text;
+    for (const api::diagnostic_v1& d : r.diagnostics)
+      text += d.check + ": " + d.message + " / " + d.fix + "\n";
+    return text;
+  };
+  compact::set_metrics_enabled(true);
+  const compact::metric_counter& extractions =
+      compact::global_metrics().counter("verify.extractions");
+  for (const api::request_v1& both : {request, separate, partitioned}) {
+    api::request_v1 verify_only = both;
+    verify_only.synthesis.validate = false;
+    const std::uint64_t before = extractions.value();
+    const api::response_v1 checked = api::handle(both);
+    EXPECT_EQ(extractions.value() - before, 1u);
+    const api::response_v1 alone = api::handle(verify_only);
+    ASSERT_TRUE(checked.ok) << checked.error_message;
+    ASSERT_TRUE(alone.ok) << alone.error_message;
+    EXPECT_TRUE(checked.validation.passed) << checked.validation.detail;
+    EXPECT_EQ(findings(checked), findings(alone));
+    EXPECT_EQ(checked.verification.detail, alone.verification.detail);
+    EXPECT_EQ(checked.design_text, alone.design_text);
+  }
+  compact::set_metrics_enabled(false);
   EXPECT_GE(api::handle(partitioned).stats.arrays, 2);
 }
 

@@ -143,6 +143,15 @@ TEST(MemtrackTest, BddManagerAccountsDrainToZeroOnDestruction) {
   EXPECT_GT(memtrack_process_peak(), 0u);  // the peak survives as evidence
 }
 
+TEST(MemtrackTest, FreshBddManagerHoldsASmallComputedTable) {
+  // A served request's SBDD holds tens of nodes; its manager's ite() cache
+  // starts at 2^10 entries and grows only under miss pressure.
+  memtrack_sandbox sandbox;
+  set_memtrack_enabled(true);
+  const bdd::manager m(16);
+  EXPECT_LE(memtrack_account("bdd.ite_cache").live(), 16u * 1024u);
+}
+
 TEST(MemtrackTest, GarbageCollectionKeepsAccountsReconciled) {
   memtrack_sandbox sandbox;
   set_memtrack_enabled(true);

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdlib>
+#include <new>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -11,13 +13,48 @@
 
 #include "core/compact.hpp"
 #include "frontend/benchgen.hpp"
+#include "util/error.hpp"
 #include "util/json.hpp"
 #include "util/metrics.hpp"
 #include "util/trace.hpp"
 #include "xbar/serialize.hpp"
 
+namespace {
+// Calls to the global operator new on the calling thread while a test has
+// armed the count (see allocation_count below); other threads and other
+// tests are not counted.
+thread_local bool g_count_allocations = false;
+thread_local std::size_t g_allocations = 0;
+}  // namespace
+
+// This test binary's global allocation functions: malloc and free, plus the
+// count above. Kept out of line so the compiler pairs each new with its
+// delete rather than the malloc and free inside them.
+[[gnu::noinline]] void* operator new(std::size_t size) {
+  if (g_count_allocations) ++g_allocations;
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+
 namespace compact {
 namespace {
+
+/// Counts the calling thread's operator new calls while alive.
+class allocation_count {
+ public:
+  allocation_count() {
+    g_allocations = 0;
+    g_count_allocations = true;
+  }
+  ~allocation_count() { g_count_allocations = false; }
+  allocation_count(const allocation_count&) = delete;
+  allocation_count& operator=(const allocation_count&) = delete;
+  [[nodiscard]] std::size_t seen() const { return g_allocations; }
+};
 
 // Restores the global enabled flags and clears accumulated state so these
 // tests cannot leak observability state into unrelated tests.
@@ -144,6 +181,54 @@ TEST(MetricsRegistryTest, WriteJsonRoundTripsThroughOwnParser) {
   }
   EXPECT_TRUE(saw_counter);
   EXPECT_TRUE(saw_hist);
+}
+
+TEST(MetricsRegistryTest, LookingUpAnExistingMetricAllocatesNothing) {
+  observability_sandbox sandbox;
+  metrics_registry& registry = global_metrics();
+  // Names past the small-string buffer, so a key string built per lookup
+  // would allocate.
+  const std::vector<double> bounds{1.0, 10.0};
+  metric_counter& counter = registry.counter("test.lookup.a_counter_name");
+  metric_gauge& gauge = registry.gauge("test.lookup.a_gauge_name");
+  metric_histogram& histogram =
+      registry.histogram("test.lookup.a_histogram_name", bounds);
+
+  metric_counter* counter_again = nullptr;
+  metric_gauge* gauge_again = nullptr;
+  metric_histogram* histogram_again = nullptr;
+  std::size_t allocations = 0;
+  {
+    const allocation_count count;
+    counter_again = &registry.counter("test.lookup.a_counter_name");
+    gauge_again = &registry.gauge("test.lookup.a_gauge_name");
+    histogram_again =
+        &registry.histogram("test.lookup.a_histogram_name", bounds);
+    allocations = count.seen();
+  }
+  EXPECT_EQ(allocations, 0u);
+  EXPECT_EQ(counter_again, &counter);
+  EXPECT_EQ(gauge_again, &gauge);
+  EXPECT_EQ(histogram_again, &histogram);
+}
+
+TEST(MetricsRegistryTest, RegisteringANameUnderASecondKindThrows) {
+  observability_sandbox sandbox;
+  (void)global_metrics().counter("test.kind_clash");
+  try {
+    (void)global_metrics().gauge("test.kind_clash");
+    FAIL() << "a gauge registered over a counter";
+  } catch (const error& e) {
+    EXPECT_STREQ(e.what(),
+                 "internal check failed: metrics_registry: 'test.kind_clash' "
+                 "already registered as a counter, not a gauge");
+  }
+  // The clash registers nothing: the name keeps its first kind.
+  for (const auto& [name, kind] : global_metrics().names()) {
+    if (name == "test.kind_clash") {
+      EXPECT_EQ(kind, "counter");
+    }
+  }
 }
 
 TEST(MetricsRegistryTest, SeriesRetentionDownsamplesDeterministically) {

@@ -6,6 +6,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -212,6 +213,28 @@ TEST(ServeTest, DefaultDeadlineAppliesToBareRequests) {
   EXPECT_EQ(done.get_future().get().code,
             api::error_code_v1::deadline_exceeded);
   s.drain();
+}
+
+TEST(ServeTest, DestroyingServersWithRequestsInFlightIsSafe) {
+  // ~server drains, then its pool joins the workers before the state they
+  // signal on (the idle condition variable) is destroyed. A worker can still
+  // be inside idle.notify_all() after drain() has seen the last request
+  // finish; a -fsanitize=thread build reports a race here when the pool is
+  // destroyed after that state.
+  for (int round = 0; round < 20; ++round) {
+    std::atomic<int> answered{0};
+    {
+      server_options options;
+      options.threads = 2;
+      server s(options);
+      for (int i = 0; i < 4; ++i)
+        s.submit(majority_request(std::to_string(i)),
+                 [&answered](const api::response_v1& resp) {
+                   if (resp.ok) answered.fetch_add(1);
+                 });
+    }
+    EXPECT_EQ(answered.load(), 4) << "round " << round;
+  }
 }
 
 // --- determinism across thread counts --------------------------------------

@@ -14,6 +14,7 @@
 #include "frontend/blif.hpp"
 #include "frontend/to_bdd.hpp"
 #include "util/error.hpp"
+#include "util/metrics.hpp"
 #include "verify/analyzer.hpp"
 #include "xbar/equivalence.hpp"
 #include "xbar/evaluate.hpp"
@@ -419,6 +420,50 @@ TEST(ChecksTest, EquivalenceCatchesMissingAndExtraOutputs) {
   const report r = analyze(a);
   EXPECT_TRUE(r.has_check("EQV002"));  // the renamed spec output is missing
   EXPECT_TRUE(r.has_check("EQV003"));  // 'imposter' is not in the spec
+}
+
+TEST(ChecksTest, EquivalenceReadsAVerdictTheCallerAlreadyHas) {
+  // The API's validate pass hands its verdict to the verify pass through
+  // the analysis cache: EQV001 reports the same findings from it, and the
+  // design is not extracted a second time.
+  const synthesized s(frontend::make_ripple_adder(3));
+  xbar::crossbar broken = s.ctx.mapped->design;
+  bool dropped = false;
+  for (int r = 0; r < broken.rows() && !dropped; ++r)
+    for (int c = 0; c < broken.columns() && !dropped; ++c)
+      if (broken.at(r, c).kind == xbar::literal_kind::positive) {
+        broken.set(r, c, {xbar::literal_kind::off, -1});
+        dropped = true;
+      }
+  ASSERT_TRUE(dropped);
+  artifacts a;
+  a.design = &broken;
+  a.spec = &s.m;
+  a.spec_roots = &s.built.roots;
+  a.spec_names = &s.built.names;
+  const auto findings = [](const report& r) {
+    std::string text;
+    for (const diagnostic& d : r.diagnostics())
+      text += d.check_id + ": " + d.message + " / " + d.fix + "\n";
+    return text;
+  };
+  const report extracted = analyze(a);
+  ASSERT_TRUE(extracted.has_check("EQV001"));
+
+  analysis_cache cache;
+  cache.equivalence = xbar::validate(broken, s.m, s.built.roots,
+                                     s.built.names, s.net.input_count());
+  a.cache = &cache;
+  set_metrics_enabled(true);
+  const metric_counter& extractions =
+      global_metrics().counter("verify.extractions");
+  const std::uint64_t before = extractions.value();
+  const report reused = analyze(a);
+  const std::uint64_t during = extractions.value() - before;
+  set_metrics_enabled(false);
+  EXPECT_EQ(during, 0u);
+  EXPECT_EQ(findings(reused), findings(extracted));
+  EXPECT_EQ(reused.checks_run(), extracted.checks_run());
 }
 
 }  // namespace

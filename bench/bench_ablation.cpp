@@ -195,7 +195,7 @@ int main(int argc, char** argv) {
     for (const frontend::benchmark_spec& spec : frontend::benchmark_suite()) {
       if (spec.family != "epfl-control-like") continue;
       const core::synthesis_result flow =
-          core::synthesize_network(spec.net, bench::oct_options(5.0));
+          core::synthesize(spec.net, bench::oct_options(5.0));
       const magic::contra_result contra = magic::contra_synthesize(spec.net);
       t.add_row({spec.name, cell(flow.stats.delay_steps),
                  cell(contra.delay_steps), cell(contra.parallel_delay_steps)});

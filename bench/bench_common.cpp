@@ -13,7 +13,7 @@ namespace compact::bench {
 
 core::synthesis_options mip_options(double gamma, double time_limit) {
   core::synthesis_options options;
-  options.method = core::labeling_method::weighted_mip;
+  options.labeler = "mip";
   options.gamma = gamma;
   options.time_limit_seconds = time_limit;
   return options;
@@ -21,7 +21,7 @@ core::synthesis_options mip_options(double gamma, double time_limit) {
 
 core::synthesis_options oct_options(double time_limit) {
   core::synthesis_options options;
-  options.method = core::labeling_method::minimal_semiperimeter;
+  options.labeler = "oct";
   options.time_limit_seconds = time_limit;
   return options;
 }
@@ -222,10 +222,10 @@ std::vector<suite_run> run_suite_vs_baseline(
   // The prior-work flow: per-output ROBDDs under the all-VH labeling.
   core::synthesis_options staircase;
   staircase.labeler = "staircase";
+  staircase.separate_robdds = true;
   return parallel_map(parallel, suite.size(), [&](std::size_t i) {
-    return suite_run{
-        &suite[i], core::synthesize_network(suite[i].net, per_circuit),
-        core::synthesize_separate_robdds(suite[i].net, staircase)};
+    return suite_run{&suite[i], core::synthesize(suite[i].net, per_circuit),
+                     core::synthesize(suite[i].net, staircase)};
   });
 }
 

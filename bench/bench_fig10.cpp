@@ -18,7 +18,7 @@ int main(int argc, char** argv) {
             << " (gamma=0.5) ==\n\n";
 
   const core::synthesis_result r =
-      core::synthesize_network(net, bench::mip_options(0.5, 20.0));
+      core::synthesize(net, bench::mip_options(0.5, 20.0));
 
   table t({"time_s", "best_integer", "best_bound", "relative_gap_%"});
   for (const milp::mip_trace_entry& e : r.stats.trace) {

@@ -20,7 +20,7 @@ int main(int argc, char** argv) {
   int total = 0;
   for (const frontend::benchmark_spec& spec :
        frontend::hard_benchmark_suite()) {
-    const core::synthesis_result r = core::synthesize_network(
+    const core::synthesis_result r = core::synthesize(
         spec.net, bench::mip_options(0.5, /*time_limit=*/5.0));
     t.add_row({spec.name, cell(r.stats.graph_nodes),
                cell(100.0 * r.stats.relative_gap, 2),

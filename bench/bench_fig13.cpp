@@ -26,7 +26,7 @@ int main(int argc, char** argv) {
     // ("BDDs do not scale well" on the ISCAS85 arithmetic circuits).
     if (spec.family != "epfl-control-like") continue;
 
-    const core::synthesis_result ours = core::synthesize_network(
+    const core::synthesis_result ours = core::synthesize(
         spec.net, bench::mip_options(0.5, bench::default_time_limit));
     const magic::contra_result contra = magic::contra_synthesize(spec.net);
 

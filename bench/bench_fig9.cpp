@@ -30,7 +30,7 @@ int main(int argc, char** argv) {
           bench::mip_options(gamma, bench::default_time_limit);
       options.cache = &cache;
       const core::synthesis_result r =
-          core::synthesize_network(spec.net, options);
+          core::synthesize(spec.net, options);
       designs.emplace_back(r.stats.rows, r.stats.columns);
       t.add_row({cell(gamma, 1), cell(r.stats.rows), cell(r.stats.columns),
                  cell(r.stats.semiperimeter), cell(r.stats.max_dimension)});

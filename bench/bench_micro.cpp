@@ -169,7 +169,7 @@ void BM_CrossbarEvaluate(benchmark::State& state) {
   bdd::manager m(net.input_count());
   const frontend::sbdd built = frontend::build_sbdd(net, m);
   core::synthesis_options options;
-  options.method = core::labeling_method::minimal_semiperimeter;
+  options.labeler = "oct";
   const core::synthesis_result r =
       core::synthesize(m, built.roots, built.names, options);
   rng random(7);
@@ -186,7 +186,7 @@ void BM_AnalogSolve(benchmark::State& state) {
   bdd::manager m(net.input_count());
   const frontend::sbdd built = frontend::build_sbdd(net, m);
   core::synthesis_options options;
-  options.method = core::labeling_method::minimal_semiperimeter;
+  options.labeler = "oct";
   const core::synthesis_result r =
       core::synthesize(m, built.roots, built.names, options);
   rng random(7);
@@ -201,9 +201,9 @@ BENCHMARK(BM_AnalogSolve);
 void BM_EndToEndOctSynthesis(benchmark::State& state) {
   const frontend::network net = frontend::make_priority_encoder(16);
   core::synthesis_options options;
-  options.method = core::labeling_method::minimal_semiperimeter;
+  options.labeler = "oct";
   for (auto _ : state) {
-    const core::synthesis_result r = core::synthesize_network(net, options);
+    const core::synthesis_result r = core::synthesize(net, options);
     benchmark::DoNotOptimize(r.stats.semiperimeter);
   }
 }
@@ -215,9 +215,9 @@ BENCHMARK(BM_EndToEndOctSynthesis);
 /// leakage paths exactly.
 void BM_AnalyzeElectrical(benchmark::State& state) {
   core::synthesis_options options;
-  options.method = core::labeling_method::minimal_semiperimeter;
+  options.labeler = "oct";
   const core::synthesis_result r =
-      core::synthesize_network(frontend::make_ctrl(7, 26), options);
+      core::synthesize(frontend::make_ctrl(7, 26), options);
   for (auto _ : state) {
     const verify::electrical_report report =
         verify::analyze_electrical(r.design);
@@ -353,8 +353,8 @@ BENCHMARK(BM_ServeSmallSession);
 const core::synthesis_result& comparator_design() {
   static const core::synthesis_result r = [] {
     core::synthesis_options options;
-    options.method = core::labeling_method::minimal_semiperimeter;
-    return core::synthesize_network(frontend::make_comparator(8), options);
+    options.labeler = "oct";
+    return core::synthesize(frontend::make_comparator(8), options);
   }();
   return r;
 }
@@ -385,7 +385,7 @@ void BM_MipLabelingSolver(benchmark::State& state) {
   bdd::manager m(net.input_count());
   const frontend::sbdd built = frontend::build_sbdd(net, m);
   core::synthesis_options options;
-  options.method = core::labeling_method::weighted_mip;
+  options.labeler = "mip";
   options.gamma = 0.3;
   options.time_limit_seconds = 30.0;
   options.parallel.threads = g_solver_threads;
@@ -425,13 +425,12 @@ BENCHMARK(BM_PartitionPlan)->Arg(16)->Arg(32)->Arg(64);
 void BM_PartitionSynthesis(benchmark::State& state) {
   const frontend::network net = frontend::make_parity(16, 2);
   core::synthesis_options options;
-  options.method = core::labeling_method::minimal_semiperimeter;
+  options.labeler = "oct";
   options.max_rows = 12;
   options.max_columns = 12;
   options.partition = true;
   for (auto _ : state) {
-    const core::partitioned_synthesis_result r =
-        core::synthesize_partitioned_network(net, options);
+    const core::synthesis_result r = core::synthesize(net, options);
     benchmark::DoNotOptimize(r.stats.arrays);
   }
 }

@@ -31,7 +31,7 @@ int main(int argc, char** argv) {
     core::synthesis_options unbounded = bench::mip_options();
     unbounded.parallel = args.parallel;
     const core::synthesis_result reference =
-        core::synthesize_network(spec.net, unbounded);
+        core::synthesize(spec.net, unbounded);
     t.add_row({spec.name, "-", "1", "0", "0",
                cell(reference.stats.semiperimeter),
                cell(reference.stats.rows) + "x" +
@@ -64,8 +64,7 @@ int main(int argc, char** argv) {
       options.max_rows = budget;
       options.max_columns = budget;
       options.partition = true;
-      const core::partitioned_synthesis_result r =
-          core::synthesize_partitioned_network(spec.net, options);
+      const core::synthesis_result r = core::synthesize(spec.net, options);
       const core::synthesis_stats& s = r.stats;
       t.add_row({spec.name, cell(budget), cell(s.arrays), cell(s.cut_edges),
                  cell(s.bridges), cell(s.semiperimeter),

@@ -24,11 +24,11 @@ int main(int argc, char** argv) {
     // Only circuits small enough for the MIP to make progress within the
     // budget (the paper likewise lists only instances solved optimally).
     core::synthesis_result probe =
-        core::synthesize_network(spec.net, bench::oct_options());
+        core::synthesize(spec.net, bench::oct_options());
     if (probe.stats.graph_nodes > 160) continue;
 
     for (const double gamma : {0.0, 0.5, 1.0}) {
-      const core::synthesis_result r = core::synthesize_network(
+      const core::synthesis_result r = core::synthesize(
           spec.net, bench::mip_options(gamma, bench::default_time_limit));
       t.add_row({spec.name, cell(gamma, 1), cell(r.stats.rows),
                  cell(r.stats.columns), cell(r.stats.max_dimension),

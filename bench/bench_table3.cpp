@@ -18,12 +18,13 @@ int main(int argc, char** argv) {
       robdd_d;
   bool sbdd_never_more_nodes = true;
 
+  core::synthesis_options separate = bench::oct_options();
+  separate.separate_robdds = true;
   for (const frontend::benchmark_spec& spec : frontend::benchmark_suite()) {
     if (spec.net.outputs().size() < 2) continue;
     const core::synthesis_result sbdd =
-        core::synthesize_network(spec.net, bench::oct_options());
-    const core::synthesis_result robdd =
-        core::synthesize_separate_robdds(spec.net, bench::oct_options());
+        core::synthesize(spec.net, bench::oct_options());
+    const core::synthesis_result robdd = core::synthesize(spec.net, separate);
 
     t.add_row({spec.name, "ROBDDs", cell(robdd.stats.graph_nodes),
                cell(robdd.stats.rows), cell(robdd.stats.columns),

@@ -23,7 +23,7 @@ int main() {
   const frontend::sbdd built = frontend::build_sbdd(net, m);
 
   core::synthesis_options options;
-  options.method = core::labeling_method::minimal_semiperimeter;
+  options.labeler = "oct";
   const core::synthesis_result r =
       core::synthesize(m, built.roots, built.names, options);
 

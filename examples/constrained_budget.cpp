@@ -16,11 +16,11 @@ int main() {
   std::cout << "shrinking the row budget for " << net.name() << "\n\n";
 
   core::synthesis_options base;
-  base.method = core::labeling_method::weighted_mip;
+  base.labeler = "mip";
   base.gamma = 0.5;
   base.time_limit_seconds = 10.0;
 
-  const core::synthesis_result natural = core::synthesize_network(net, base);
+  const core::synthesis_result natural = core::synthesize(net, base);
   std::cout << "unconstrained design: " << natural.stats.rows << " x "
             << natural.stats.columns << " (S=" << natural.stats.semiperimeter
             << ")\n\n";
@@ -34,7 +34,7 @@ int main() {
     core::synthesis_options options = base;
     options.max_rows = budget;
     try {
-      const core::synthesis_result r = core::synthesize_network(net, options);
+      const core::synthesis_result r = core::synthesize(net, options);
       t.add_row({cell(budget), "ok", cell(r.stats.rows),
                  cell(r.stats.columns), cell(r.stats.semiperimeter)});
     } catch (const infeasible_error&) {

@@ -21,10 +21,10 @@ int main() {
   table t({"gamma", "rows", "cols", "S", "D", "optimal", "time_s"});
   for (const double gamma : {0.0, 0.25, 0.5, 0.75, 1.0}) {
     core::synthesis_options options;
-    options.method = core::labeling_method::weighted_mip;
+    options.labeler = "mip";
     options.gamma = gamma;
     options.time_limit_seconds = 20.0;
-    const core::synthesis_result r = core::synthesize_network(net, options);
+    const core::synthesis_result r = core::synthesize(net, options);
     t.add_row({cell(gamma, 2), cell(r.stats.rows), cell(r.stats.columns),
                cell(r.stats.semiperimeter), cell(r.stats.max_dimension),
                r.stats.optimal ? "yes" : "no",

@@ -15,11 +15,11 @@ int main() {
 
   const frontend::network net = frontend::make_ripple_adder(6);
   core::synthesis_options options;
-  options.method = core::labeling_method::minimal_semiperimeter;
+  options.labeler = "oct";
 
-  const core::synthesis_result sbdd = core::synthesize_network(net, options);
-  const core::synthesis_result robdds =
-      core::synthesize_separate_robdds(net, options);
+  const core::synthesis_result sbdd = core::synthesize(net, options);
+  options.separate_robdds = true;
+  const core::synthesis_result robdds = core::synthesize(net, options);
 
   table t({"mode", "nodes", "rows", "cols", "D", "S", "area"});
   t.add_row({"separate ROBDDs", cell(robdds.stats.graph_nodes),

@@ -19,8 +19,8 @@ int main() {
 
   const frontend::network net = frontend::make_priority_encoder(8);
   core::synthesis_options options;
-  options.method = core::labeling_method::minimal_semiperimeter;
-  const core::synthesis_result r = core::synthesize_network(net, options);
+  options.labeler = "oct";
+  const core::synthesis_result r = core::synthesize(net, options);
   std::cout << "reliability study of " << net.name() << " ("
             << r.stats.rows << "x" << r.stats.columns << " crossbar, "
             << r.stats.power_proxy << " programmed devices)\n\n";

@@ -9,7 +9,6 @@
 
 #include "api/run.hpp"
 #include "core/compact.hpp"
-#include "core/partition.hpp"
 #include "core/pipeline.hpp"
 #include "frontend/blif.hpp"
 #include "frontend/minimize.hpp"
@@ -124,12 +123,7 @@ auto translated(F&& f) -> decltype(f()) {
     throw error("max_rows / max_columns must be >= 0 (0 = unbounded)");
 
   core::synthesis_options core;
-  if (options.labeler == "oct")
-    core.method = core::labeling_method::minimal_semiperimeter;
-  else if (options.labeler == "mip")
-    core.method = core::labeling_method::weighted_mip;
-  else
-    core.labeler = options.labeler;  // registry dispatch by name
+  core.labeler = options.labeler;
   core.gamma = options.gamma;
   core.alignment = options.alignment;
   core.time_limit_seconds = options.time_limit_seconds;
@@ -138,6 +132,7 @@ auto translated(F&& f) -> decltype(f()) {
   if (options.max_columns > 0) core.max_columns = options.max_columns;
   core.oct_reduction = options.kernelize;
   core.partition = options.partition;
+  core.separate_robdds = options.separate_robdds;
   if (options.deadline_seconds < 0.0)
     throw error("deadline_seconds must be >= 0 (0 = unlimited)");
   core.memory_limit_bytes = options.memory_limit_bytes;
@@ -269,16 +264,6 @@ verify::artifacts run_result::artifacts() const {
 
 namespace {
 
-/// Store a partitioned core design in the handle. Single-array designs
-/// (including degenerate partitions) live in `mapped` so their
-/// serialization stays byte-identical to version 1.
-void adopt(design& d, xbar::partitioned_design partitioned) {
-  if (partitioned.array_count() == 1 && partitioned.connections().empty())
-    d.internals().mapped = std::move(partitioned.fragment(0));
-  else
-    d.internals().partitioned = std::move(partitioned);
-}
-
 /// Express device literals in declared-input numbering so evaluate()
 /// assignments read naturally (level l tested input variable_order[l]).
 void remap(design& d, const std::vector<int>& variable_order) {
@@ -324,10 +309,6 @@ run_result synthesize_run(const netlist_source& source,
                           const synthesis_options_v1& options,
                           const lint_options_v1* analysis,
                           const run_caches& caches) {
-  if (options.partition && options.separate_robdds)
-    throw error(
-        "partition and separate_robdds are mutually exclusive (the "
-        "separate-ROBDD flow already composes one block per output)");
   core::synthesis_options core = to_core_options(options);
   // A service injects its process-wide caches here; null members keep the
   // core's private per-call caching.
@@ -360,48 +341,33 @@ run_result synthesize_run(const netlist_source& source,
   const resource_limit_scope watchdog(
       {core.memory_limit_bytes, core.deadline_seconds});
   const stopwatch clock;
-  // Every shape collects garbage at its stage boundaries: the run owns the
-  // manager, and only spec.built's roots are read afterwards. The shapes
-  // without a pipeline context of their own run the tail over `tail`.
-  core::synthesis_context tail;
-  tail.manager = &spec.manager;
-  tail.telemetry = core.telemetry;
-  if (options.partition) {
-    // Split the SBDD under the budgets, synthesize every fragment, stitch
-    // via bridges. A plan of one fragment falls back to the canonical
-    // pipeline, so the design matches an unpartitioned run.
-    core::partitioned_synthesis_result r = core::synthesize_partitioned(
-        spec.manager, spec.built.roots, spec.built.names, core);
-    tail.stats = std::move(r.stats);
-    adopt(result.mapped, std::move(r.design));
-  } else if (options.separate_robdds) {
-    core::synthesis_result r = core::synthesize_separate_robdds(spec.net, core);
-    tail.stats = std::move(r.stats);
-    result.mapped.internals().mapped = std::move(r.design);
-  } else {
-    result.pipeline = std::make_unique<core::synthesis_context>();
-    core::synthesis_context& ctx = *result.pipeline;
-    ctx.manager = &spec.manager;
-    ctx.gc_manager = &spec.manager;
-    ctx.roots = &spec.built.roots;
-    ctx.names = &spec.built.names;
-    ctx.options = core;
-    ctx.telemetry = core.telemetry;
-    ctx.cache = core.cache;
-    core::run_synthesis_pipeline(ctx);
-    // The context keeps its own copy for the analyzer's mapping checks.
-    result.mapped.internals().mapped = ctx.mapped->design;
-  }
+  // The run owns the manager and reads only spec.built's roots afterwards,
+  // so every stage boundary collects garbage.
+  result.pipeline = std::make_unique<core::synthesis_context>();
+  core::synthesis_context& ctx = *result.pipeline;
+  ctx.network = &spec.net;
+  ctx.manager = &spec.manager;
+  ctx.gc_manager = &spec.manager;
+  ctx.roots = &spec.built.roots;
+  ctx.names = &spec.built.names;
+  ctx.options = core;
+  core::synthesize(ctx);
+  // The context keeps its own copy for the analyzer; the handle's is
+  // remapped below. Single-array designs (degenerate partitions included)
+  // live in `mapped`, so they serialize as version 1.
+  design::impl& d = result.mapped.internals();
+  if (ctx.partitioned)
+    d.partitioned = *ctx.partitioned;
+  else
+    d.mapped = *ctx.design();
 
   // The shared tail runs as pipeline stages, so --trace-json and the stage
   // timings show it.
-  core::synthesis_context& ctx = result.pipeline ? *result.pipeline : tail;
   core::pipeline checks;
   if (options.validate)
     checks.add_pass("validate", [&](core::synthesis_context& c) {
       // Validation runs in BDD-variable space (the space the design was
       // synthesized in), before any remapping.
-      const design::impl& d = result.mapped.internals();
       result.validation =
           d.partitioned
               ? xbar::validate(*d.partitioned, spec.manager, spec.built.roots,

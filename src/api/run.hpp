@@ -42,9 +42,10 @@ struct run_result {
   /// Heap-held so the pointers into it (from `pipeline` and artifacts())
   /// survive moves of the result.
   std::unique_ptr<spec_bdd> spec;
-  /// The single-SBDD shape's pipeline context: graph, labels and mapping
-  /// for the analyzer. Null for separate-ROBDD, partitioned and
-  /// design-only runs, which the analyzer sees as a bare design.
+  /// The synthesis context of every synthesize run; null for design-only
+  /// lint runs. The analyzer reads it through verify::make_artifacts, which
+  /// shows it the default shape's graph, labels and mapping, and every
+  /// other shape's design alone.
   std::unique_ptr<core::synthesis_context> pipeline;
   /// The design, in declared-input numbering.
   design mapped;

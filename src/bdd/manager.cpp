@@ -310,11 +310,19 @@ void manager::protect(node_handle f) {
 void manager::unprotect(node_handle f) {
   const auto it = protected_.find(f);
   check(it != protected_.end(), "bdd::unprotect: handle is not protected");
-  if (--it->second == 0) protected_.erase(it);
+  if (--it->second == 0) {
+    protected_.erase(it);
+    swept_inserts_ = ~std::uint64_t{0};
+  }
 }
 
 manager::gc_result manager::collect_garbage(
     const std::vector<node_handle>& extra_roots) {
+  // Every live node is still reachable from the same roots.
+  if (stats_.unique_inserts == swept_inserts_ && extra_roots == swept_roots_) {
+    ++stats_.gc_runs;
+    return {live_count_, 0};
+  }
   // Mark: iterative DFS from terminals, protected roots, and extra roots.
   std::vector<std::uint64_t> marked((slot_count_ + 63) / 64, 0);
   const auto is_marked = [&](node_handle u) {
@@ -385,6 +393,8 @@ manager::gc_result manager::collect_garbage(
 
   ++stats_.gc_runs;
   stats_.gc_reclaimed += reclaimed;
+  swept_inserts_ = stats_.unique_inserts;
+  swept_roots_ = extra_roots;
   account_memory();
   return {live_count_, reclaimed};
 }

@@ -122,6 +122,9 @@ class manager {
   /// `extra_roots` is swept, its slot recycled for future allocations.
   /// Live handles (and everything they compute) are unaffected. Clears the
   /// computed-table entries and sat-count memos that mention swept nodes.
+  /// A collection over the previous one's roots, with no node made and no
+  /// root unprotected in between, has nothing to reclaim and returns at
+  /// once (pipeline stage boundaries after the first are such collections).
   gc_result collect_garbage(const std::vector<node_handle>& extra_roots = {});
 
   // --- leaf and literal constructors ------------------------------------
@@ -259,6 +262,11 @@ class manager {
   std::unordered_map<node_handle, node_handle> restrict_memo_;
   std::unordered_map<node_handle, std::uint32_t> protected_;
   mutable std::unordered_map<node_handle, double> sat_cache_;
+
+  // The last collection's unique_inserts count and extra roots; unprotect()
+  // resets the count, as it may leave garbage behind.
+  std::uint64_t swept_inserts_ = ~std::uint64_t{0};
+  std::vector<node_handle> swept_roots_;
 
   // Bytes this manager last charged to each memtrack account, reconciled by
   // account_memory() (zero whenever memtrack is disabled).

@@ -6,16 +6,21 @@
 //     -> crossbar mapping              (core/mapping)
 //     -> crossbar design D             (xbar/crossbar)
 //
-// The flow runs as an explicit pass pipeline (core/pipeline): named stages
-// over one synthesis_context, per-stage wall-time accounting, structured
-// telemetry events into a pluggable sink, and graph-keyed labeling
-// memoization through core/label_cache.
+// synthesize(synthesis_context&) (core/pipeline) is the one synthesis body.
+// It runs the pipeline shape the options select over one context:
 //
-// Two entry points: synthesize() maps a shared BDD built in one manager
-// (the paper's SBDD flow, Section VII-A), and synthesize_separate_robdds()
-// reproduces the prior multi-output strategy — one ROBDD per output, each
-// mapped independently and composed along the diagonal sharing the input
-// wordline (Figure 8a).
+//   default            build_graph -> label -> map: one shared BDD (SBDD)
+//                      on one crossbar, the paper's flow (Section VII-A);
+//   separate_robdds    synthesize_outputs -> compose: the prior
+//                      multi-output strategy, one ROBDD per output mapped
+//                      on its own and composed along the diagonal sharing
+//                      the input wordline (Figure 8a);
+//   partition          build_graph -> partition -> fragments: the SBDD
+//                      graph split across several arrays (core/partition,
+//                      after CONTRA, arXiv:2009.00881).
+//
+// The two synthesize() overloads below are thin wrappers for callers
+// without a context.
 #pragma once
 
 #include <cstdint>
@@ -32,62 +37,59 @@
 #include "util/telemetry.hpp"
 #include "util/thread_pool.hpp"
 #include "xbar/crossbar.hpp"
+#include "xbar/partitioned.hpp"
 
 namespace compact::core {
 
 class partition_cache;  // core/partition
 
-enum class labeling_method {
-  minimal_semiperimeter,  // Method 1: OCT + 2-coloring (gamma = 1 semantics)
-  weighted_mip,           // Method 2: MIP on gamma*S + (1-gamma)*D
-};
-
 struct synthesis_options {
-  labeling_method method = labeling_method::weighted_mip;
-  /// Registry name of the labeling strategy (core/labelers). Empty = derive
-  /// from `method` ("oct" / "mip"); set it to dispatch a custom registered
-  /// labeler without touching this struct's enum.
-  std::string labeler;
+  /// Registry name of the labeling strategy (core/labelers): "mip"
+  /// (Method 2), "oct" (Method 1), "staircase" (the prior-work baseline),
+  /// or any name registered with the labeler registry.
+  std::string labeler = "mip";
   double gamma = 0.5;
   bool alignment = true;
   double time_limit_seconds = 60.0;
-  graph::oct_engine oct_engine = graph::oct_engine::bnb;
-  /// Hard budgets on the crossbar dimensions (Section III). The weighted_mip
-  /// method enforces them inside the solver; for every method the map pass
-  /// re-checks the mapped design and throws infeasible_error naming the
-  /// overflow dimension when a budget is exceeded (unless `partition` below
-  /// splits the design across arrays instead).
+  /// Hard budgets on the crossbar dimensions (Section III). The "mip"
+  /// labeler enforces them inside the solver; for every labeler the map
+  /// pass re-checks the mapped design and throws infeasible_error naming
+  /// the overflow dimension when a budget is exceeded. Under `partition`
+  /// they are the per-array budgets instead: fragments are packed to fit
+  /// and labeled without them.
   std::optional<int> max_rows;
   std::optional<int> max_columns;
   /// Split designs that exceed the budgets across multiple crossbar arrays
-  /// (core/partition) instead of failing. Read by the
-  /// synthesize_partitioned entry points and the api facade; the
-  /// single-array entry points above ignore it except to suppress the
-  /// overflow guard for per-fragment runs.
+  /// (core/partition) instead of failing. Incompatible with
+  /// separate_robdds.
   bool partition = false;
-  /// Partition-plan memoization shared across synthesize_partitioned calls
-  /// (benchmark sweeps), keyed like the labeling cache. Non-owning; may be
-  /// null. Thread-safe.
+  /// Map one ROBDD per output and compose the blocks along the diagonal
+  /// instead of mapping one shared BDD. Needs the network
+  /// (synthesis_context::network): every output's ROBDD is built in a
+  /// manager of its own.
+  bool separate_robdds = false;
+  /// Partition-plan memoization shared across partitioned runs (benchmark
+  /// sweeps), keyed like the labeling cache. Non-owning; may be null.
+  /// Thread-safe.
   partition_cache* partition_memo = nullptr;
   /// Kernelize OCT instances (core/oct_reduce) before the solvers run:
   /// bipartite components are stripped and degree-<=2 vertices eliminated,
   /// with the transversal lifted back exactly. On by default; disable only
   /// to A/B the reductions (cache keys include this flag).
   bool oct_reduction = true;
-  /// Used by synthesize_separate_robdds to fan per-output ROBDD synthesis
-  /// and block composition out across workers, and by the labeling stage
-  /// for the parallel branch-and-bound solver. Results are deterministic
-  /// for any thread count (modulo the wall-clock solver time limits, which
-  /// are timing-dependent even serially).
+  /// Workers for the fan-out over outputs (separate_robdds) or fragments
+  /// (partition), and otherwise for the parallel branch-and-bound solver.
+  /// Results are deterministic for any thread count (modulo the wall-clock
+  /// solver time limits, which are timing-dependent even serially).
   parallel_options parallel;
-  /// Labeling memoization cache shared across synthesize() calls (gamma
-  /// sweeps, benchmark re-runs). Non-owning; may be null. Thread-safe. The
-  /// separate-ROBDD and partitioned flows fall back to a run-local cache
-  /// when it is null, so repeated subgraphs are labeled once per run.
+  /// Labeling memoization cache shared across runs (gamma sweeps, benchmark
+  /// re-runs). Non-owning; may be null. Thread-safe. The separate-ROBDD and
+  /// multi-fragment runs fall back to a run-local cache when it is null, so
+  /// repeated subgraphs are labeled once per run.
   labeling_cache* cache = nullptr;
   /// Sink for per-stage telemetry events (see core/pipeline for the event
-  /// schema). Non-owning; may be null. Must be thread-safe when the
-  /// separate-ROBDD flow fans out.
+  /// schema). Non-owning; may be null. Must be thread-safe when a run fans
+  /// out.
   telemetry_sink* telemetry = nullptr;
   /// Hard byte budget for the run, enforced by the ambient resource
   /// watchdog (util/watchdog) against the memtrack process-live total and
@@ -96,7 +98,7 @@ struct synthesis_options {
   /// (kind memory); crossing ~85% of the budget triggers load shedding
   /// (stage-boundary GC plus labeling-cache eviction) first. Setting a
   /// budget force-enables memtrack for the run. The outermost entry point
-  /// installs the watchdog; nested flows share its budget.
+  /// installs the watchdog; nested runs share its budget.
   std::uint64_t memory_limit_bytes = 0;
   /// Wall-clock deadline for the run, enforced at the same sampling points;
   /// 0 = none. A breach throws resource_limit_error (kind deadline). Unlike
@@ -122,8 +124,9 @@ struct synthesis_stats {
   long long area = 0;
   int power_proxy = 0;          // active (literal-carrying) memristors
   int delay_steps = 0;          // rows + 1
-  /// Per-stage wall times in pipeline order; synthesis_seconds is the
-  /// end-to-end total (stages plus orchestration overhead).
+  /// Per-stage wall times in the order the stages finished (a stage run
+  /// inside another lands before it); synthesis_seconds is the end-to-end
+  /// total (stages plus orchestration overhead).
   std::vector<stage_timing> stage_seconds;
   double synthesis_seconds = 0.0;
   /// Labeling-cache traffic observed by this run (0/0 when no cache).
@@ -146,40 +149,30 @@ struct synthesis_stats {
 };
 
 struct synthesis_result {
-  xbar::crossbar design;
+  /// The design when it fits one array; unused when `partitioned` is set.
+  xbar::crossbar design{1, 1};
+  /// Set only for multi-array designs (a partition plan of two or more
+  /// fragments).
+  std::optional<xbar::partitioned_design> partitioned;
+  /// The labeling of the mapped graph; empty for separate-ROBDD and
+  /// multi-array runs, whose blocks and fragments are labeled one by one.
   labeling labels;
   synthesis_stats stats;
 };
 
-/// Map the shared BDD rooted at `roots` (named `names`) onto one crossbar.
-/// The manager is const and is never garbage-collected through this entry
-/// point — the caller may hold handles outside `roots`.
+/// Build the SBDD of `net` (identity variable order) and synthesize it in
+/// the shape `options` selects. The run owns the manager, so it is
+/// garbage-collected at every stage boundary.
+[[nodiscard]] synthesis_result synthesize(
+    const frontend::network& net, const synthesis_options& options = {});
+
+/// Synthesize the shared BDD rooted at `roots` (named `names`). The manager
+/// is const and is never garbage-collected: the caller may hold handles
+/// outside `roots`. Needs a network when options.separate_robdds is set,
+/// so that shape is rejected here.
 [[nodiscard]] synthesis_result synthesize(
     const bdd::manager& m, const std::vector<bdd::node_handle>& roots,
     const std::vector<std::string>& names,
     const synthesis_options& options = {});
-
-/// synthesize() for callers that cede the manager's contents to the flow:
-/// mark-and-sweep runs at every pipeline stage boundary with `roots` (plus
-/// protected handles) as the live set, freeing the build's intermediate
-/// nodes. Handles in `roots` stay valid; any other handle the caller holds
-/// may be swept. Designs are bit-identical to the const overload's.
-[[nodiscard]] synthesis_result synthesize_gc(
-    bdd::manager& m, const std::vector<bdd::node_handle>& roots,
-    const std::vector<std::string>& names,
-    const synthesis_options& options = {});
-
-/// Convenience: build the SBDD of `net` (identity variable order) and map it.
-[[nodiscard]] synthesis_result synthesize_network(
-    const frontend::network& net, const synthesis_options& options = {});
-
-/// Prior multi-output strategy: one ROBDD per output in its own manager,
-/// each synthesized independently, then composed along the diagonal with a
-/// shared input wordline. Stats are those of the composed design; the
-/// per-output node counts are summed (Table III's "merged ROBDDs" column).
-/// Duplicate per-output subgraphs are labeled once through the labeling
-/// cache (options.cache, or a run-local one when it is null).
-[[nodiscard]] synthesis_result synthesize_separate_robdds(
-    const frontend::network& net, const synthesis_options& options = {});
 
 }  // namespace compact::core

@@ -6,8 +6,8 @@
 
 namespace compact::core {
 
-xbar::crossbar compose_diagonal(const std::vector<const xbar::crossbar*>& blocks,
-                                const parallel_options& parallel) {
+xbar::crossbar compose_diagonal(
+    const std::vector<const xbar::crossbar*>& blocks) {
   int total_rows = 1;  // the shared input row
   int total_columns = 0;
   std::vector<int> row_offsets(blocks.size(), 0);
@@ -27,36 +27,23 @@ xbar::crossbar compose_diagonal(const std::vector<const xbar::crossbar*>& blocks
   const int shared_input = total_rows - 1;
   composed.set_input_row(shared_input);
 
-  // Device copy fans out per block: every block writes a disjoint column
-  // range (rows overlap only at the shared input wordline, still within the
-  // block's own columns), so no two workers touch the same junction.
-  parallel_for(parallel, blocks.size(), [&](std::size_t b) {
-    const xbar::crossbar* block = blocks[b];
-    if (block->columns() == 0) return;
-    auto remap_row = [&](int r) {
-      if (r == block->input_row()) return shared_input;
-      return row_offsets[b] + r - (r > block->input_row() ? 1 : 0);
-    };
-    for (int r = 0; r < block->rows(); ++r)
-      for (int c = 0; c < block->columns(); ++c) {
-        const xbar::device& d = block->at(r, c);
-        if (d.kind != xbar::literal_kind::off)
-          composed.set(remap_row(r), column_offsets[b] + c, d);
-      }
-  });
-
-  // Ports are order-sensitive (they name the composed design's outputs), so
-  // they are registered serially in block order.
+  // Devices, then ports, block by block. The ports name the composed
+  // design's outputs, so their order is the blocks' order.
   for (std::size_t b = 0; b < blocks.size(); ++b) {
     const xbar::crossbar* block = blocks[b];
     if (block->columns() != 0) {
-      for (const xbar::output_port& o : block->outputs()) {
-        const int row = o.row == block->input_row()
-                            ? shared_input
-                            : row_offsets[b] + o.row -
-                                  (o.row > block->input_row() ? 1 : 0);
-        composed.add_output(row, o.name);
-      }
+      const auto remap_row = [&](int r) {
+        if (r == block->input_row()) return shared_input;
+        return row_offsets[b] + r - (r > block->input_row() ? 1 : 0);
+      };
+      for (int r = 0; r < block->rows(); ++r)
+        for (int c = 0; c < block->columns(); ++c) {
+          const xbar::device& d = block->at(r, c);
+          if (d.kind != xbar::literal_kind::off)
+            composed.set(remap_row(r), column_offsets[b] + c, d);
+        }
+      for (const xbar::output_port& o : block->outputs())
+        composed.add_output(remap_row(o.row), o.name);
     }
     for (const auto& [name, value] : block->constant_outputs())
       composed.add_constant_output(value, name);

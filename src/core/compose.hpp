@@ -8,17 +8,13 @@
 
 #include <vector>
 
-#include "util/thread_pool.hpp"
 #include "xbar/crossbar.hpp"
 
 namespace compact::core {
 
 /// Compose blocks along the diagonal with a shared input row. Blocks with
 /// zero columns (constant-only) contribute just their constant outputs.
-/// Device copy fans out across `parallel` workers (blocks write disjoint
-/// junction ranges); the result is identical for every thread count.
 [[nodiscard]] xbar::crossbar compose_diagonal(
-    const std::vector<const xbar::crossbar*>& blocks,
-    const parallel_options& parallel = {});
+    const std::vector<const xbar::crossbar*>& blocks);
 
 }  // namespace compact::core

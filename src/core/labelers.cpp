@@ -36,7 +36,6 @@ class oct_labeler final : public labeler {
       const labeler_request& request) {
     oct_label_options oct;
     oct.alignment = request.alignment;
-    oct.engine = request.oct_engine;
     oct.time_limit_seconds = request.time_limit_seconds;
     oct.reduce = request.reduce;
     oct.threads = request.threads;

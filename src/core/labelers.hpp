@@ -142,7 +142,6 @@ struct labeler_request {
   double gamma = 0.5;
   bool alignment = true;
   double time_limit_seconds = 60.0;
-  graph::oct_engine oct_engine = graph::oct_engine::bnb;
   std::optional<int> max_rows;
   std::optional<int> max_columns;
   /// Kernelize OCT instances before solving (core/oct_reduce). Affects

@@ -3,14 +3,8 @@
 #include <algorithm>
 #include <utility>
 
-#include "core/pipeline.hpp"
-#include "frontend/to_bdd.hpp"
 #include "util/error.hpp"
 #include "util/hash.hpp"
-#include "util/watchdog.hpp"
-#include "util/stopwatch.hpp"
-#include "util/thread_pool.hpp"
-#include "util/trace.hpp"
 
 namespace compact::core {
 namespace {
@@ -345,107 +339,19 @@ std::vector<fragment_graph> build_fragment_graphs(const bdd_graph& graph,
   return fragments;
 }
 
-partitioned_synthesis_result synthesize_partitioned(
-    bdd::manager& m, const std::vector<bdd::node_handle>& roots,
-    const std::vector<std::string>& names, const synthesis_options& options) {
-  stopwatch clock;
-  const resource_limit_scope watchdog(
-      {options.memory_limit_bytes, options.deadline_seconds});
-  partitioned_synthesis_result result;
-
-  stopwatch graph_clock;
-  const bdd_graph graph = build_bdd_graph(m, roots, names);
-  m.collect_garbage(roots);
-  const double graph_seconds = graph_clock.seconds();
-
-  partition_options plan_options;
-  plan_options.max_rows = options.max_rows;
-  plan_options.max_columns = options.max_columns;
-  stopwatch plan_clock;
-  result.plan = plan_partition(graph, plan_options, options.partition_memo);
-  const double plan_seconds = plan_clock.seconds();
-
-  if (options.telemetry != nullptr) {
-    telemetry_event event;
-    event.stage = "partition";
-    event.seconds = plan_seconds;
-    event.metric("arrays", static_cast<double>(result.plan.fragment_count));
-    event.metric("cut_edges",
-                 static_cast<double>(result.plan.cut_edges.size()));
-    event.metric("capacity", static_cast<double>(result.plan.capacity));
-    options.telemetry->emit(event);
-  }
-
-  if (result.plan.fragment_count <= 1) {
-    // Degenerate partition: run the canonical single-array pipeline so the
-    // design is byte-identical to an unpartitioned run. Budgets are
-    // stripped — the plan proves any labeling fits (rows <= n <= capacity).
-    synthesis_options single = options;
-    single.max_rows.reset();
-    single.max_columns.reset();
-    synthesis_result inner = synthesize_gc(m, roots, names, single);
-    result.fragment_labels.push_back(std::move(inner.labels));
-    result.stats = std::move(inner.stats);
-    result.stats.arrays = 1;
-    result.design = xbar::wrap_single(std::move(inner.design));
-    result.stats.synthesis_seconds = clock.seconds();
-    return result;
-  }
-
-  const int k = result.plan.fragment_count;
-  const std::vector<fragment_graph> fragments =
-      build_fragment_graphs(graph, result.plan);
-
-  // Per-fragment subproblems share cache entries with unbudgeted runs:
-  // budgets are stripped (the packing guarantees fit), and like the
-  // separate-ROBDD flow the inner sites stay serial so only this fan-out
-  // level multiplies threads and designs stay thread-count-invariant.
-  labeling_cache local_cache;
-  labeling_cache* cache =
-      options.cache != nullptr ? options.cache : &local_cache;
-  synthesis_options per_fragment = options;
-  per_fragment.max_rows.reset();
-  per_fragment.max_columns.reset();
-  per_fragment.partition = true;
-  per_fragment.parallel = {};
-  per_fragment.cache = cache;
-  per_fragment.time_limit_seconds =
-      std::max(0.5, options.time_limit_seconds / static_cast<double>(k));
-
-  struct fragment_outcome {
-    labeling labels;
-    mapping_result mapped;
-    synthesis_stats stats;
-  };
-  stopwatch fragments_clock;
-  std::vector<fragment_outcome> outcomes = parallel_map(
-      options.parallel, static_cast<std::size_t>(k), [&](std::size_t i) {
-        const trace_span span("fragment:" + std::to_string(i), "partition");
-        synthesis_context ctx;
-        ctx.options = per_fragment;
-        ctx.telemetry = options.telemetry;
-        ctx.cache = cache;
-        ctx.graph = fragments[i].graph;
-        ctx.stats.graph_nodes = ctx.graph.g.node_count();
-        ctx.stats.graph_edges = ctx.graph.g.edge_count();
-        make_label_map_pipeline().run(ctx);
-        check(ctx.mapped.has_value(),
-              "partition: fragment pipeline produced no design");
-        return fragment_outcome{std::move(ctx.labels), std::move(*ctx.mapped),
-                                std::move(ctx.stats)};
-      });
-  const double fragments_seconds = fragments_clock.seconds();
-
-  // Stitch: fragments in order, then one bridge per port welding the port's
-  // nanowire to its home vertex's nanowire. Fragments without the terminal
-  // drop the input-row designation map_to_crossbar defaulted in — they are
-  // driven through bridges, not by the input wordline.
+xbar::partitioned_design stitch_fragments(
+    const bdd_graph& graph, const std::vector<fragment_graph>& fragments,
+    std::vector<mapping_result> mapped) {
+  check(mapped.size() == fragments.size(),
+        "partition: one mapping per fragment expected");
+  const int k = static_cast<int>(fragments.size());
+  xbar::partitioned_design design;
   for (int f = 0; f < k; ++f) {
-    xbar::crossbar design = std::move(outcomes[static_cast<std::size_t>(f)]
-                                          .mapped.design);
+    xbar::crossbar array =
+        std::move(mapped[static_cast<std::size_t>(f)].design);
     if (fragments[static_cast<std::size_t>(f)].graph.terminal_node < 0)
-      design.clear_input_row();
-    result.design.add_fragment(std::move(design));
+      array.clear_input_row();
+    design.add_fragment(std::move(array));
   }
 
   const std::size_t n = graph.g.node_count();
@@ -460,77 +366,27 @@ partitioned_synthesis_result synthesize_partitioned(
     }
   }
   const auto wire_of = [&](int fragment, graph::node_id local) {
-    const mapping_result& mapped =
-        outcomes[static_cast<std::size_t>(fragment)].mapped;
+    const mapping_result& m = mapped[static_cast<std::size_t>(fragment)];
     xbar::wire_ref ref;
     ref.array = fragment;
     const auto v = static_cast<std::size_t>(local);
-    if (mapped.row_of[v] >= 0) {
+    if (m.row_of[v] >= 0) {
       ref.kind = xbar::wire_kind::row;
-      ref.index = mapped.row_of[v];
+      ref.index = m.row_of[v];
     } else {
       ref.kind = xbar::wire_kind::column;
-      ref.index = mapped.column_of[v];
+      ref.index = m.column_of[v];
     }
     return ref;
   };
-  int bridge_count = 0;
   for (int f = 0; f < k; ++f)
     for (const fragment_graph::port& port :
          fragments[static_cast<std::size_t>(f)].ports) {
       const auto global = static_cast<std::size_t>(port.global);
-      result.design.add_connection(
-          wire_of(home_fragment[global], home_local[global]),
-          wire_of(f, port.local));
-      ++bridge_count;
+      design.add_connection(wire_of(home_fragment[global], home_local[global]),
+                            wire_of(f, port.local));
     }
-
-  result.fragment_labels.reserve(static_cast<std::size_t>(k));
-  for (fragment_outcome& outcome : outcomes)
-    result.fragment_labels.push_back(std::move(outcome.labels));
-
-  synthesis_stats& stats = result.stats;
-  stats.graph_nodes = graph.g.node_count();
-  stats.graph_edges = graph.g.edge_count();
-  stats.arrays = k;
-  stats.cut_edges = static_cast<int>(result.plan.cut_edges.size());
-  stats.bridges = bridge_count;
-  bool all_optimal = true;
-  double worst_gap = 0.0;
-  for (const fragment_outcome& outcome : outcomes) {
-    stats.vh_count += outcome.stats.vh_count;
-    all_optimal = all_optimal && outcome.stats.optimal;
-    worst_gap = std::max(worst_gap, outcome.stats.relative_gap);
-  }
-  stats.optimal = all_optimal;
-  stats.relative_gap = worst_gap;
-  stats.rows = result.design.max_fragment_rows();
-  stats.columns = result.design.max_fragment_columns();
-  stats.max_dimension = std::max(stats.rows, stats.columns);
-  stats.semiperimeter = result.design.total_semiperimeter();
-  stats.area = result.design.total_area();
-  stats.power_proxy = result.design.active_device_count();
-  stats.delay_steps = result.design.delay_steps();
-  const labeling_cache::counters counters = cache->stats();
-  stats.cache_hits = counters.hits;
-  stats.cache_misses = counters.misses;
-  stats.stage_seconds.push_back({"build_graph", graph_seconds});
-  stats.stage_seconds.push_back({"partition", plan_seconds});
-  stats.stage_seconds.push_back({"fragments", fragments_seconds});
-
-  stats.synthesis_seconds = clock.seconds();
-  return result;
-}
-
-partitioned_synthesis_result synthesize_partitioned_network(
-    const frontend::network& net, const synthesis_options& options) {
-  // Installed before the SBDD build, which allocates long before the first
-  // sampled boundary inside synthesize_partitioned.
-  const resource_limit_scope watchdog(
-      {options.memory_limit_bytes, options.deadline_seconds});
-  bdd::manager m(net.input_count());
-  const frontend::sbdd built = frontend::build_sbdd(net, m);
-  return synthesize_partitioned(m, built.roots, built.names, options);
+  return design;
 }
 
 }  // namespace compact::core

@@ -3,11 +3,11 @@
 // When hard `max_rows x max_columns` budgets are smaller than the SBDD, no
 // single-crossbar labeling can fit — CONTRA (arXiv:2009.00881) and the
 // constrained technology mapper of arXiv:1809.08195 partition the logic
-// across several arrays instead. This pass splits the SBDD graph into an
-// ordered list of fragments, each guaranteed to fit the budgets under *any*
-// feasible VH-labeling, then synthesizes every fragment through the normal
-// label/map pipeline and stitches the results into one
-// xbar::partitioned_design.
+// across several arrays instead. The partition shape of synthesize()
+// (core/compact) splits the SBDD graph into an ordered list of fragments,
+// each guaranteed to fit the budgets under *any* feasible VH-labeling, runs
+// every fragment through the label and map passes, and stitches the results
+// into one xbar::partitioned_design with the functions below.
 //
 // The fit guarantee needs no retry loop: a fragment of k vertices maps to at
 // most k rows (|H| + |VH| <= k) and at most k columns, so packing at most
@@ -32,8 +32,8 @@
 #include <vector>
 
 #include "core/bdd_graph.hpp"
-#include "core/compact.hpp"
 #include "core/label_cache.hpp"
+#include "core/mapping.hpp"
 #include "util/thread_annotations.hpp"
 #include "xbar/partitioned.hpp"
 
@@ -127,32 +127,13 @@ struct fragment_graph {
 [[nodiscard]] std::vector<fragment_graph> build_fragment_graphs(
     const bdd_graph& graph, const partition_plan& plan);
 
-// --- partitioned synthesis --------------------------------------------------
-
-struct partitioned_synthesis_result {
-  xbar::partitioned_design design;
-  /// Per-fragment labelings, parallel to design.fragments().
-  std::vector<labeling> fragment_labels;
-  partition_plan plan;
-  /// Aggregated stats: rows/columns are the largest fragment's,
-  /// semiperimeter/area/power are totals, arrays/cut_edges/bridges count the
-  /// partition itself.
-  synthesis_stats stats;
-};
-
-/// Build the SBDD graph of `roots`, partition it under options.max_rows /
-/// options.max_columns, synthesize every fragment (budgets stripped — the
-/// packing guarantees fit, so fragment labelings share cache entries with
-/// unbudgeted runs), and stitch. A plan of one fragment falls back to the
-/// canonical single-array pipeline, producing a byte-identical design
-/// wrapped as one fragment. The manager is GC'd at stage boundaries exactly
-/// like synthesize_gc.
-[[nodiscard]] partitioned_synthesis_result synthesize_partitioned(
-    bdd::manager& m, const std::vector<bdd::node_handle>& roots,
-    const std::vector<std::string>& names, const synthesis_options& options);
-
-/// Convenience: build the SBDD of `net` (identity order) and partition-map.
-[[nodiscard]] partitioned_synthesis_result synthesize_partitioned_network(
-    const frontend::network& net, const synthesis_options& options = {});
+/// Stitch mapped fragments into one multi-array design: the fragments in
+/// order, then one bridge per port welding the port's nanowire to its home
+/// vertex's nanowire. `mapped` is parallel to `fragments`. Fragments
+/// without the '1' terminal drop the input-row designation map_to_crossbar
+/// defaulted in: bridges drive them, not the input wordline.
+[[nodiscard]] xbar::partitioned_design stitch_fragments(
+    const bdd_graph& graph, const std::vector<fragment_graph>& fragments,
+    std::vector<mapping_result> mapped);
 
 }  // namespace compact::core

@@ -2,28 +2,33 @@
 //
 // Figure 3's staged structure is reified as data: a `pipeline` is an ordered
 // list of named passes, each a function over one shared `synthesis_context`.
-// The canonical pipeline is
+// synthesize() runs the shape the context's options select (core/compact):
 //
-//   build_graph -> label -> map
+//   default            build_graph -> label -> map
+//   separate_robdds    synthesize_outputs -> compose
+//   partition          build_graph -> partition -> fragments
 //
-// and `synthesize()` (core/compact) is now just "run the canonical pipeline".
-// Reifying the stages buys three things the monolithic function could not
-// offer:
+// The fan-out passes run one nested context per output (the default shape)
+// or per fragment (label -> map); a one-fragment plan labels and maps the
+// context's own graph instead, so its design matches an unpartitioned run's.
+// pipeline::run alone does the bookkeeping around every pass, nested ones
+// included:
 //
-//  * pluggable labeling — the label pass dispatches through the labeler
-//    registry (core/labelers), so a new strategy is a registration, not an
-//    edit to compact.cpp;
-//  * per-stage observability — the pipeline times every pass, records the
-//    timings in synthesis_stats::stage_seconds, and emits one structured
-//    telemetry event per pass into the context's sink;
-//  * labeling memoization — when a labeling_cache is attached, the label
-//    pass keys the (graph, labeler, options) triple and skips re-solving
-//    identical subproblems (separate-ROBDD duplicate outputs, gamma-sweep
-//    warm starts, repeated bench configurations).
+//  * per-stage observability: it times the pass, records the timing in
+//    synthesis_stats::stage_seconds, opens a trace span and emits one
+//    structured telemetry event into options.telemetry;
+//  * resource control: it samples the ambient watchdog, sheds the caches
+//    under memory pressure, and sweeps the BDD manager when the run owns it;
+//  * metric publication: the BDD engine's and memtrack's counters become
+//    visible at every stage boundary.
 //
-// Contexts are single-threaded; concurrency happens *above* the pipeline
-// (one context per work item), with the cache and sink as the only shared —
-// and internally synchronized — state.
+// The label pass dispatches through the labeler registry (core/labelers),
+// so a new strategy is a registration, not an edit here, and memoizes the
+// (graph, labeler, options) triple in options.cache when one is attached.
+//
+// Contexts are single-threaded; concurrency happens across nested contexts
+// (one per output or fragment), with the caches and sink as the only shared
+// and internally synchronized state.
 #pragma once
 
 #include <functional>
@@ -32,40 +37,44 @@
 #include <vector>
 
 #include "core/compact.hpp"
-#include "core/label_cache.hpp"
 #include "core/mapping.hpp"
+#include "core/partition.hpp"
 #include "util/telemetry.hpp"
 
 namespace compact::core {
 
-/// Everything that flows between passes: the inputs (BDD roots + options),
-/// the intermediate artifacts each stage produces, and the accumulating
-/// stats. Pass code reads what upstream stages wrote and fills in its own
-/// slice.
+/// Everything that flows between passes: the inputs (network or BDD roots,
+/// and options), the intermediate artifacts each stage produces, and the
+/// accumulating stats. Pass code reads what upstream stages wrote and fills
+/// in its own slice.
 struct synthesis_context {
   // Inputs (non-owning; must outlive the run).
+  /// The netlist; read only by the separate_robdds shape, which builds one
+  /// ROBDD per output from it.
+  const frontend::network* network = nullptr;
+  /// The shared BDD the default and partition shapes synthesize.
   const bdd::manager* manager = nullptr;
   const std::vector<bdd::node_handle>* roots = nullptr;
   const std::vector<std::string>* names = nullptr;
-  /// Mutable alias of `manager`, set only by flows that own the manager
-  /// (synthesize_gc and its callers, the api facade). When set, the
-  /// pipeline runs mark-and-sweep after every pass with `roots` as the live
-  /// set. Leave null for caller-provided managers — a sweep would
-  /// invalidate handles the caller still holds outside `roots`.
+  /// Mutable alias of `manager`, set only by callers that own the manager
+  /// (the network wrapper, the api facade). When set, the pipeline runs
+  /// mark-and-sweep after every pass with `roots` as the live set. Leave
+  /// null for caller-provided managers: a sweep would invalidate handles
+  /// the caller still holds outside `roots`.
   bdd::manager* gc_manager = nullptr;
   synthesis_options options;
 
-  // Shared services (both may be null; both are thread-safe when shared).
-  telemetry_sink* telemetry = nullptr;
-  labeling_cache* cache = nullptr;
-
   // Stage artifacts.
-  bdd_graph graph;          // build_graph
-  labeling labels;          // label
+  bdd_graph graph;                       // build_graph
+  partition_plan plan;                   // partition
+  labeling labels;                       // label
   bool label_optimal = false;
   double label_gap = 0.0;
   bool label_cache_hit = false;
   std::optional<mapping_result> mapped;  // map
+  std::vector<xbar::crossbar> blocks;    // synthesize_outputs
+  std::optional<xbar::crossbar> composed;               // compose
+  std::optional<xbar::partitioned_design> partitioned;  // fragments
   synthesis_stats stats;
 
   /// The event for the currently running pass; passes attach their metrics
@@ -78,19 +87,23 @@ struct synthesis_context {
   void attribute(const std::string& name, const std::string& value) {
     if (current_event != nullptr) current_event->attribute(name, value);
   }
+
+  /// The finished single-array design (mapped or composed); null for a
+  /// multi-array design, which lives in `partitioned`.
+  [[nodiscard]] const xbar::crossbar* design() const {
+    if (composed) return &*composed;
+    return mapped ? &mapped->design : nullptr;
+  }
 };
 
 /// An ordered list of named passes. run() executes them in order, timing
 /// each one, appending to stats.stage_seconds, and emitting one telemetry
-/// event per pass.
+/// event per pass. A pass may run another pipeline over the same context.
 class pipeline {
  public:
   using pass_fn = std::function<void(synthesis_context&)>;
 
   pipeline& add_pass(std::string name, pass_fn run);
-
-  [[nodiscard]] std::size_t pass_count() const { return passes_.size(); }
-  [[nodiscard]] std::vector<std::string> pass_names() const;
 
   void run(synthesis_context& ctx) const;
 
@@ -102,21 +115,12 @@ class pipeline {
   std::vector<pass> passes_;
 };
 
-/// The labeler registry name the label pass will dispatch to: an explicit
-/// options.labeler wins, otherwise the method enum maps to "oct" / "mip".
-[[nodiscard]] std::string resolve_labeler_name(const synthesis_options& options);
-
-/// The canonical pipeline: build_graph -> label -> map.
-[[nodiscard]] pipeline make_synthesis_pipeline();
-
-/// label -> map only, for contexts whose graph is installed directly (the
-/// per-fragment runs of core/partition).
-[[nodiscard]] pipeline make_label_map_pipeline();
-
-/// Run the canonical pipeline over an initialized context (inputs, options,
-/// telemetry and cache set) under the options' resource watchdog. Every
-/// stage artifact stays in `ctx`; ctx.stats.synthesis_seconds covers the
-/// whole run.
-void run_synthesis_pipeline(synthesis_context& ctx);
+/// The one synthesis body: run the shape ctx.options selects over an
+/// initialized context (inputs and options set) under the options'
+/// resource watchdog. Every stage artifact stays in `ctx`; the design is
+/// ctx.design() or ctx.partitioned, and ctx.stats.synthesis_seconds covers
+/// the whole run. Throws compact::error when partition and separate_robdds
+/// are both set, or when separate_robdds has no network.
+void synthesize(synthesis_context& ctx);
 
 }  // namespace compact::core

@@ -108,12 +108,18 @@ report analyze(const artifacts& a, const analyzer_options& options) {
 
 artifacts make_artifacts(const core::synthesis_context& ctx) {
   artifacts a;
-  if (ctx.mapped.has_value()) {
-    a.design = &ctx.mapped->design;
+  if (ctx.partitioned)
+    a.partitioned = &*ctx.partitioned;
+  else
+    a.design = ctx.design();
+  // Graph, labels and mapping describe the design only in the default
+  // shape (a one-fragment partition fills them too): separate-ROBDD and
+  // partitioned runs are linted as a bare design.
+  if (ctx.mapped && !ctx.options.partition) {
+    a.graph = &ctx.graph;
+    a.labels = &ctx.labels;
     a.mapping = &*ctx.mapped;
   }
-  a.graph = &ctx.graph;
-  a.labels = &ctx.labels;
   a.spec = ctx.manager;
   a.spec_roots = ctx.roots;
   a.spec_names = ctx.names;

@@ -30,9 +30,9 @@ struct analyzer_options {
 [[nodiscard]] report analyze(const artifacts& a,
                              const analyzer_options& options = {});
 
-/// Non-owning view of a synthesis context's artifacts (graph, labels,
-/// mapping, design and the spec BDD). The context must outlive the returned
-/// struct.
+/// Non-owning view of a synthesis context's artifacts: the design and the
+/// spec BDD, plus the graph, labels and mapping of a default-shape run. The
+/// context must outlive the returned struct.
 [[nodiscard]] artifacts make_artifacts(const core::synthesis_context& ctx);
 
 /// SARIF rule table for the full registry, for write_sarif.

@@ -42,7 +42,7 @@ TEST_P(AnalogAgreement, ThreeModelsAgree) {
   if (fn.m.is_terminal(fn.roots[0])) return;  // degenerate constant
 
   core::synthesis_options options;
-  options.method = core::labeling_method::minimal_semiperimeter;
+  options.labeler = "oct";
   const core::synthesis_result r =
       core::synthesize(fn.m, fn.roots, fn.names, options);
   if (r.design.outputs().empty()) return;

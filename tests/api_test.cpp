@@ -323,7 +323,11 @@ TEST(ApiTest, PartitionRejectsSeparateRobdds) {
   api::request_v1 request = majority_request();
   request.synthesis.partition = true;
   request.synthesis.separate_robdds = true;
-  EXPECT_EQ(api::handle(request).code, api::error_code_v1::invalid_request);
+  const api::response_v1 out = api::handle(request);
+  EXPECT_EQ(out.code, api::error_code_v1::invalid_request);
+  EXPECT_EQ(out.error_message,
+            "partition and separate_robdds are mutually exclusive (the "
+            "separate-ROBDD flow already composes one block per output)");
 }
 
 TEST(ApiTest, LintCleanNetlist) {

@@ -14,6 +14,7 @@
 #include "bdd/transfer.hpp"
 #include "core/compact.hpp"
 #include "core/compose.hpp"
+#include "core/pipeline.hpp"
 #include "frontend/benchgen.hpp"
 #include "frontend/to_bdd.hpp"
 #include "util/metrics.hpp"
@@ -49,6 +50,15 @@ TEST(BddGcTest, SweepShrinksNodeTableSize) {
   EXPECT_EQ(r.live, 4u);
   EXPECT_EQ(m.stats().gc_runs, 1u);
   EXPECT_EQ(m.stats().gc_reclaimed, r.reclaimed);
+
+  // Collecting again over the same roots finds nothing left to reclaim;
+  // dropping the root, or making a node, gives the next sweep work again.
+  EXPECT_EQ(m.collect_garbage({keep}).reclaimed, 0u);
+  EXPECT_EQ(m.stats().gc_runs, 2u);
+  EXPECT_EQ(m.collect_garbage().reclaimed, 2u);
+  (void)m.apply_or(m.var(2), m.var(3));  // x2, x3 and their disjunction
+  EXPECT_EQ(m.collect_garbage().reclaimed, 3u);
+  EXPECT_EQ(m.node_table_size(), 2u);
 }
 
 TEST(BddGcTest, HandleRecyclingIsLowestFirstAndDeterministic) {
@@ -220,19 +230,33 @@ TEST(BddGcTest, PublishMetricsObservesDepthWatermarkOncePerInterval) {
 TEST(BddGcTest, StageBoundaryGcKeepsDesignsByteIdentical) {
   const frontend::network net = frontend::make_comparator(4);
   core::synthesis_options options;
-  options.method = core::labeling_method::minimal_semiperimeter;
-  const auto text = [](const xbar::crossbar& design) {
+  options.labeler = "oct";
+  core::synthesis_options partitioned = options;
+  partitioned.partition = true;
+  partitioned.max_rows = 8;
+  partitioned.max_columns = 8;
+  core::synthesis_options separate = options;
+  separate.separate_robdds = true;
+  const auto text = [](const core::synthesis_result& r) {
     std::ostringstream os;
-    xbar::write_design(design, os);
+    if (r.partitioned)
+      xbar::write_partitioned_design(*r.partitioned, os);
+    else
+      xbar::write_design(r.design, os);
     return os.str();
   };
 
   // References from caller-owned managers, which the flow never collects:
-  // the shared BDD, and one ROBDD per output composed along the diagonal.
+  // the shared BDD on one array and split across several, and one ROBDD
+  // per output composed along the diagonal.
   bdd::manager m(net.input_count());
   const frontend::sbdd built = frontend::build_sbdd(net, m);
   const std::string sbdd_reference =
-      text(core::synthesize(m, built.roots, built.names, options).design);
+      text(core::synthesize(m, built.roots, built.names, options));
+  const core::synthesis_result split =
+      core::synthesize(m, built.roots, built.names, partitioned);
+  ASSERT_GE(split.stats.arrays, 2);
+  const std::string partition_reference = text(split);
   std::vector<core::synthesis_result> parts;
   for (std::size_t o = 0; o < net.outputs().size(); ++o) {
     bdd::manager part(net.input_count());
@@ -244,17 +268,21 @@ TEST(BddGcTest, StageBoundaryGcKeepsDesignsByteIdentical) {
   std::vector<const xbar::crossbar*> blocks;
   for (const core::synthesis_result& part : parts)
     blocks.push_back(&part.design);
-  const std::string robdd_reference = text(core::compose_diagonal(blocks));
+  std::ostringstream composed;
+  xbar::write_design(core::compose_diagonal(blocks), composed);
+  const std::string robdd_reference = composed.str();
 
-  // The network entry points own their managers and sweep at every stage
+  // The network overload owns its managers and sweeps at every stage
   // boundary; the designs must not change.
   for (const int threads : {1, 2, 8}) {
     options.parallel.threads = threads;
-    EXPECT_EQ(text(core::synthesize_network(net, options).design),
-              sbdd_reference)
+    partitioned.parallel.threads = threads;
+    separate.parallel.threads = threads;
+    EXPECT_EQ(text(core::synthesize(net, options)), sbdd_reference)
         << "SBDD design changed under GC, threads=" << threads;
-    EXPECT_EQ(text(core::synthesize_separate_robdds(net, options).design),
-              robdd_reference)
+    EXPECT_EQ(text(core::synthesize(net, partitioned)), partition_reference)
+        << "partitioned design changed under GC, threads=" << threads;
+    EXPECT_EQ(text(core::synthesize(net, separate)), robdd_reference)
         << "separate-ROBDD design changed under GC, threads=" << threads;
   }
 }
@@ -268,11 +296,15 @@ TEST(BddGcTest, SynthesizeGcLeavesRootHandlesValid) {
     tables.push_back(truth_table(m, root, net.input_count()));
   const std::size_t before = m.node_table_size();
 
-  core::synthesis_options options;
-  options.method = core::labeling_method::minimal_semiperimeter;
-  const core::synthesis_result r =
-      core::synthesize_gc(m, built.roots, built.names, options);
-  EXPECT_GT(r.stats.semiperimeter, 0);
+  // A context whose gc_manager is set cedes the manager to the run.
+  core::synthesis_context ctx;
+  ctx.manager = &m;
+  ctx.gc_manager = &m;
+  ctx.roots = &built.roots;
+  ctx.names = &built.names;
+  ctx.options.labeler = "oct";
+  core::synthesize(ctx);
+  EXPECT_GT(ctx.stats.semiperimeter, 0);
 
   // The build's intermediate carries were swept; the roots still compute
   // exactly what they did before the pipeline ran.

@@ -10,14 +10,14 @@ namespace {
 
 synthesis_options quick_mip() {
   synthesis_options options;
-  options.method = labeling_method::weighted_mip;
+  options.labeler = "mip";
   options.time_limit_seconds = 6.0;
   return options;
 }
 
 synthesis_options oct_method() {
   synthesis_options options;
-  options.method = labeling_method::minimal_semiperimeter;
+  options.labeler = "oct";
   return options;
 }
 
@@ -68,7 +68,7 @@ TEST(CompactTest, NetworksSynthesizeValidDesignsMipMethod) {
 
 TEST(CompactTest, StatsSelfConsistent) {
   const frontend::network net = frontend::make_parity(6, 2);
-  const synthesis_result r = synthesize_network(net, oct_method());
+  const synthesis_result r = synthesize(net, oct_method());
   EXPECT_EQ(r.stats.semiperimeter, r.stats.rows + r.stats.columns);
   EXPECT_EQ(r.stats.max_dimension, std::max(r.stats.rows, r.stats.columns));
   EXPECT_EQ(r.stats.area,
@@ -82,16 +82,19 @@ TEST(CompactTest, StatsSelfConsistent) {
 
 TEST(CompactTest, SbddBeatsSeparateRobddsOnSharedLogic) {
   const frontend::network net = frontend::make_ripple_adder(4);
-  const synthesis_result sbdd = synthesize_network(net, oct_method());
-  const synthesis_result separate =
-      synthesize_separate_robdds(net, oct_method());
+  const synthesis_result sbdd = synthesize(net, oct_method());
+  synthesis_options options = oct_method();
+  options.separate_robdds = true;
+  const synthesis_result separate = synthesize(net, options);
   EXPECT_LT(sbdd.stats.graph_nodes, separate.stats.graph_nodes);
   EXPECT_LT(sbdd.stats.semiperimeter, separate.stats.semiperimeter);
 }
 
 TEST(CompactTest, SeparateRobddsStillValid) {
   const frontend::network net = frontend::make_comparator(3);
-  const synthesis_result r = synthesize_separate_robdds(net, oct_method());
+  synthesis_options options = oct_method();
+  options.separate_robdds = true;
+  const synthesis_result r = synthesize(net, options);
   // Validate against a fresh SBDD of the same network.
   bdd::manager m(net.input_count());
   const frontend::sbdd built = frontend::build_sbdd(net, m);
@@ -105,7 +108,7 @@ TEST(CompactTest, ConstantOutputsHandled) {
   const int a = net.add_input("a");
   net.set_output(net.add_const(true), "one");
   net.set_output(net.add_buf(a), "f");
-  const synthesis_result r = synthesize_network(net, oct_method());
+  const synthesis_result r = synthesize(net, oct_method());
   bool found = false;
   for (const auto& [name, value] : r.design.constant_outputs())
     if (name == "one" && value) found = true;
@@ -151,7 +154,7 @@ TEST(CompactTest, ComplementaryOutputs) {
 
 TEST(CompactTest, MipTraceExposedInStats) {
   const frontend::network net = frontend::make_parity(4, 1);
-  const synthesis_result r = synthesize_network(net, quick_mip());
+  const synthesis_result r = synthesize(net, quick_mip());
   EXPECT_FALSE(r.stats.trace.empty());
 }
 

@@ -13,7 +13,7 @@ namespace {
 synthesis_options constrained(std::optional<int> rows,
                               std::optional<int> columns) {
   synthesis_options options;
-  options.method = labeling_method::weighted_mip;
+  options.labeler = "mip";
   options.gamma = 0.5;
   options.time_limit_seconds = 10.0;
   options.max_rows = rows;
@@ -24,8 +24,8 @@ synthesis_options constrained(std::optional<int> rows,
 TEST(ConstrainedTest, LooseBudgetsChangeNothing) {
   const frontend::network net = frontend::make_parity(5, 1);
   const synthesis_result unconstrained =
-      synthesize_network(net, constrained(std::nullopt, std::nullopt));
-  const synthesis_result loose = synthesize_network(
+      synthesize(net, constrained(std::nullopt, std::nullopt));
+  const synthesis_result loose = synthesize(
       net, constrained(1000, 1000));
   EXPECT_EQ(loose.stats.semiperimeter, unconstrained.stats.semiperimeter);
 }
@@ -36,10 +36,10 @@ TEST(ConstrainedTest, TightRowBudgetIsHonored) {
   // is already minimal; demand the natural count to at least verify the
   // constraint path and validity.
   const synthesis_result natural =
-      synthesize_network(net, constrained(std::nullopt, std::nullopt));
+      synthesize(net, constrained(std::nullopt, std::nullopt));
   const int budget = natural.stats.rows + 1;
   const synthesis_result constrained_result =
-      synthesize_network(net, constrained(budget, std::nullopt));
+      synthesize(net, constrained(budget, std::nullopt));
   EXPECT_LE(constrained_result.stats.rows, budget);
 
   bdd::manager m(net.input_count());
@@ -54,7 +54,7 @@ TEST(ConstrainedTest, ImpossibleBudgetIsInfeasible) {
   // Fewer total nanowires than graph nodes can never fit: every node needs
   // at least one nanowire.
   const frontend::network net = frontend::make_parity(4, 1);
-  EXPECT_THROW((void)synthesize_network(net, constrained(2, 2)),
+  EXPECT_THROW((void)synthesize(net, constrained(2, 2)),
                infeasible_error);
 }
 
@@ -62,7 +62,7 @@ TEST(ConstrainedTest, RowBudgetBelowAlignedCountIsInfeasible) {
   // Outputs + terminal must all be wordlines: budget 1 row cannot work for
   // a 3-output function.
   const frontend::network net = frontend::make_comparator(2);
-  EXPECT_THROW((void)synthesize_network(net, constrained(1, std::nullopt)),
+  EXPECT_THROW((void)synthesize(net, constrained(1, std::nullopt)),
                infeasible_error);
 }
 
@@ -72,14 +72,14 @@ TEST(ConstrainedTest, OctMethodEnforcesBudgetsPostMap) {
   // a structured infeasibility naming the overflow dimension.
   const frontend::network net = frontend::make_parity(4, 1);
   synthesis_options loose = constrained(1000, 1000);
-  loose.method = labeling_method::minimal_semiperimeter;
-  const synthesis_result fits = synthesize_network(net, loose);
+  loose.labeler = "oct";
+  const synthesis_result fits = synthesize(net, loose);
   EXPECT_LE(fits.stats.rows, 1000);
 
   synthesis_options impossible = constrained(2, std::nullopt);
-  impossible.method = labeling_method::minimal_semiperimeter;
+  impossible.labeler = "oct";
   try {
-    (void)synthesize_network(net, impossible);
+    (void)synthesize(net, impossible);
     FAIL() << "expected infeasible_error";
   } catch (const infeasible_error& e) {
     EXPECT_NE(std::string(e.what()).find("rows"), std::string::npos)

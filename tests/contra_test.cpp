@@ -55,13 +55,13 @@ TEST(ContraTest, CompactBeatsContraOnControlLogicOnAverage) {
   // fewer steps than MAGIC's sequential NOR program *on average* over
   // control logic (a flat decoder can individually favor MAGIC).
   core::synthesis_options oct;
-  oct.method = core::labeling_method::minimal_semiperimeter;
+  oct.labeler = "oct";
   double flow_total = 0.0;
   double magic_total = 0.0;
   for (const auto& net :
        {frontend::make_decoder(4), frontend::make_priority_encoder(8),
         frontend::make_i2c_like(8), frontend::make_ctrl(6, 16)}) {
-    const core::synthesis_result flow = core::synthesize_network(net, oct);
+    const core::synthesis_result flow = core::synthesize(net, oct);
     const contra_result magic = contra_synthesize(net);
     flow_total += flow.stats.delay_steps;
     magic_total += static_cast<double>(magic.delay_steps);

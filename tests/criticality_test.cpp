@@ -35,7 +35,7 @@ struct synthesized {
     ctx.roots = &built.roots;
     ctx.names = &built.names;
     ctx.options.time_limit_seconds = 5.0;
-    core::make_synthesis_pipeline().run(ctx);
+    core::synthesize(ctx);
   }
 };
 
@@ -101,12 +101,14 @@ TEST(CriticalityTest, PartitionedNonCriticalFaultsAreMasked) {
   options.max_rows = 10;
   options.max_columns = 10;
   options.partition = true;
-  const core::partitioned_synthesis_result result =
-      core::synthesize_partitioned(m, built.roots, built.names, options);
-  ASSERT_GT(result.design.array_count(), 1);
+  const core::synthesis_result result =
+      core::synthesize(m, built.roots, built.names, options);
+  ASSERT_TRUE(result.partitioned.has_value());
+  const xbar::partitioned_design& design = *result.partitioned;
+  ASSERT_GT(design.array_count(), 1);
 
   const criticality_report report =
-      analyze_criticality(result.design, net.input_count(), {});
+      analyze_criticality(design, net.input_count(), {});
   ASSERT_FALSE(report.junctions.empty());
 
   const int variables = net.input_count();
@@ -115,14 +117,14 @@ TEST(CriticalityTest, PartitionedNonCriticalFaultsAreMasked) {
     if (j.stuck_open_critical || j.kind == xbar::literal_kind::off) continue;
     // Claimed non-critical stuck-open: force the device off and check the
     // stitched evaluation over every assignment.
-    xbar::partitioned_design faulty = result.design;
+    xbar::partitioned_design faulty = design;
     faulty.fragment(j.array).set(j.row, j.column,
                                  {xbar::literal_kind::off, -1});
     for (std::uint64_t bits = 0; bits < (1ull << variables); ++bits) {
       for (int v = 0; v < variables; ++v)
         assignment[static_cast<std::size_t>(v)] = ((bits >> v) & 1) != 0;
       EXPECT_EQ(xbar::evaluate(faulty, assignment),
-                xbar::evaluate(result.design, assignment))
+                xbar::evaluate(design, assignment))
           << "array " << j.array << " junction (" << j.row << ", "
           << j.column << ")";
     }

@@ -46,7 +46,7 @@ struct synthesized {
     ctx.roots = &built.roots;
     ctx.names = &built.names;
     ctx.options.time_limit_seconds = 5.0;
-    core::make_synthesis_pipeline().run(ctx);
+    core::synthesize(ctx);
   }
 };
 
@@ -113,12 +113,14 @@ TEST(ElectricalTest, PartitionedDesignCountsBridgeCrossings) {
   options.max_rows = 12;
   options.max_columns = 12;
   options.partition = true;
-  const core::partitioned_synthesis_result result =
-      core::synthesize_partitioned(m, built.roots, built.names, options);
-  ASSERT_GT(result.design.array_count(), 1);
+  const core::synthesis_result result =
+      core::synthesize(m, built.roots, built.names, options);
+  ASSERT_TRUE(result.partitioned.has_value());
+  const xbar::partitioned_design& design = *result.partitioned;
+  ASSERT_GT(design.array_count(), 1);
 
   const electrical_report report =
-      analyze_electrical(result.design, electrical_options{});
+      analyze_electrical(design, electrical_options{});
   ASSERT_FALSE(report.outputs.empty());
   bool crosses = false;
   for (const output_margin& o : report.outputs)

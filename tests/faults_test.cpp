@@ -49,8 +49,8 @@ TEST(FaultsTest, ZeroFaultRateYieldsEverything) {
 TEST(FaultsTest, YieldDecreasesWithFaultRate) {
   const frontend::network net = frontend::make_comparator(2);
   core::synthesis_options options;
-  options.method = core::labeling_method::minimal_semiperimeter;
-  const core::synthesis_result r = core::synthesize_network(net, options);
+  options.labeler = "oct";
+  const core::synthesis_result r = core::synthesize(net, options);
 
   yield_options low;
   low.fault_rate = 0.002;

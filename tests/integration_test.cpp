@@ -45,7 +45,7 @@ TEST(IntegrationTest, BlifToValidatedCrossbar) {
 .end
 )");
   core::synthesis_options options;
-  options.method = core::labeling_method::minimal_semiperimeter;
+  options.labeler = "oct";
   bdd::manager m(net.input_count());
   const frontend::sbdd built = frontend::build_sbdd(net, m);
   const core::synthesis_result r =
@@ -63,7 +63,7 @@ TEST(IntegrationTest, PlaToValidatedCrossbar) {
       "1--1 11\n"
       ".e\n");
   core::synthesis_options options;
-  options.method = core::labeling_method::minimal_semiperimeter;
+  options.labeler = "oct";
   bdd::manager m(net.input_count());
   const frontend::sbdd built = frontend::build_sbdd(net, m);
   const core::synthesis_result r =
@@ -78,7 +78,7 @@ TEST(IntegrationTest, AnalogSignoffAgreesWithDigital) {
   // that role on the full synthesized design.
   const frontend::network net = frontend::make_comparator(2);
   core::synthesis_options options;
-  options.method = core::labeling_method::minimal_semiperimeter;
+  options.labeler = "oct";
   bdd::manager m(net.input_count());
   const frontend::sbdd built = frontend::build_sbdd(net, m);
   const core::synthesis_result r =
@@ -99,7 +99,7 @@ TEST(IntegrationTest, AnalogSignoffAgreesWithDigital) {
 
 TEST(IntegrationTest, WholeSuiteSynthesizesAndValidates) {
   core::synthesis_options options;
-  options.method = core::labeling_method::minimal_semiperimeter;
+  options.labeler = "oct";
   options.time_limit_seconds = 8.0;
   for (const frontend::benchmark_spec& spec : frontend::benchmark_suite()) {
     bdd::manager m(spec.net.input_count());
@@ -125,7 +125,7 @@ TEST(IntegrationTest, ThreeBackendsAgreeOnFunctionality) {
   const frontend::sbdd built = frontend::build_sbdd(net, m);
 
   core::synthesis_options options;
-  options.method = core::labeling_method::minimal_semiperimeter;
+  options.labeler = "oct";
   const core::synthesis_result flow =
       core::synthesize(m, built.roots, built.names, options);
   const core::synthesis_result stair =

@@ -141,9 +141,9 @@ TEST(LabelOctTest, SearchNodeCounterIsDeterministic) {
         global_metrics().counter("graph.oct.search_nodes");
     const std::uint64_t before = counter.value();
     synthesis_options options;
-    options.method = labeling_method::minimal_semiperimeter;
+    options.labeler = "oct";
     options.parallel.threads = threads;
-    (void)synthesize_network(net, options);
+    (void)synthesize(net, options);
     return counter.value() - before;
   };
   const std::uint64_t serial = nodes_for(1);

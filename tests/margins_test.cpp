@@ -31,8 +31,8 @@ TEST(MarginsTest, SinglePathMarginsMatchVoltageDivider) {
 TEST(MarginsTest, SynthesizedDesignHasPositiveMargin) {
   const frontend::network net = frontend::make_mux_tree(2);
   core::synthesis_options options;
-  options.method = core::labeling_method::minimal_semiperimeter;
-  const core::synthesis_result r = core::synthesize_network(net, options);
+  options.labeler = "oct";
+  const core::synthesis_result r = core::synthesize(net, options);
   const margin_report report =
       measure_margins(r.design, net.input_count());
   EXPECT_TRUE(report.separable);
@@ -42,8 +42,8 @@ TEST(MarginsTest, SynthesizedDesignHasPositiveMargin) {
 TEST(MarginsTest, MarginShrinksWithDeviceRatio) {
   const frontend::network net = frontend::make_comparator(2);
   core::synthesis_options options;
-  options.method = core::labeling_method::minimal_semiperimeter;
-  const core::synthesis_result r = core::synthesize_network(net, options);
+  options.labeler = "oct";
+  const core::synthesis_result r = core::synthesize(net, options);
 
   device_model strong;   // r_off/r_on = 1e6
   strong.r_off = strong.r_on * 1e6;

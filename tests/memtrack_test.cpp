@@ -268,10 +268,10 @@ TEST(WatchdogTest, NestedScopesAreInertAndFlagsRestore) {
 TEST(WatchdogTest, SynthesisHonorsMemoryLimitOption) {
   memtrack_sandbox sandbox;
   core::synthesis_options options;
-  options.method = core::labeling_method::minimal_semiperimeter;
+  options.labeler = "oct";
   options.memory_limit_bytes = 1024;  // far below any real run's footprint
   EXPECT_THROW(
-      (void)core::synthesize_network(frontend::make_comparator(8), options),
+      (void)core::synthesize(frontend::make_comparator(8), options),
       resource_limit_error);
   EXPECT_FALSE(resource_limits_active());  // the scope unwound with the throw
 }
@@ -457,12 +457,12 @@ TEST(ParallelMemtrackTest, DesignsAreByteIdenticalWithAllObserversOn) {
 
   const auto run = [&net](int threads, bool observers) {
     core::synthesis_options options;
-    options.method = core::labeling_method::minimal_semiperimeter;
+    options.labeler = "oct";
     options.parallel.threads = threads;
+    options.separate_robdds = true;
     if (observers)
       options.memory_limit_bytes = 1ull << 40;  // generous: never trips
-    const core::synthesis_result r =
-        core::synthesize_separate_robdds(net, options);
+    const core::synthesis_result r = core::synthesize(net, options);
     std::ostringstream os;
     xbar::write_design(r.design, os);
     return os.str();

@@ -323,10 +323,10 @@ TEST(ObservabilityTest, DesignsAreByteIdenticalWithObserversOnOrOff) {
 
   const auto run = [&net](int threads) {
     core::synthesis_options options;
-    options.method = core::labeling_method::minimal_semiperimeter;
+    options.labeler = "oct";
     options.parallel.threads = threads;
-    const core::synthesis_result r =
-        core::synthesize_separate_robdds(net, options);
+    options.separate_robdds = true;
+    const core::synthesis_result r = core::synthesize(net, options);
     std::ostringstream os;
     xbar::write_design(r.design, os);
     return os.str();

@@ -1,8 +1,9 @@
-// End-to-end coverage of the ILP-backed OCT engine inside synthesis (the
-// paper's Section VI-A route: vertex cover via ILP).
+// End-to-end coverage of the ILP-backed OCT engine (the paper's Section
+// VI-A route: vertex cover via ILP): label, map, validate.
 #include <gtest/gtest.h>
 
-#include "core/compact.hpp"
+#include "core/labelers.hpp"
+#include "core/mapping.hpp"
 #include "frontend/benchgen.hpp"
 #include "frontend/to_bdd.hpp"
 #include "xbar/equivalence.hpp"
@@ -11,17 +12,18 @@ namespace compact::core {
 namespace {
 
 TEST(OctEngineTest, IlpEngineSynthesizesValidDesigns) {
-  synthesis_options options;
-  options.method = labeling_method::minimal_semiperimeter;
-  options.oct_engine = graph::oct_engine::ilp;
+  oct_label_options options;
+  options.engine = graph::oct_engine::ilp;
   options.time_limit_seconds = 20.0;
 
   const frontend::network net = frontend::make_comparator(3);
   bdd::manager m(net.input_count());
   const frontend::sbdd built = frontend::build_sbdd(net, m);
-  const synthesis_result r = synthesize(m, built.roots, built.names, options);
+  const bdd_graph g = build_bdd_graph(m, built.roots, built.names);
+  const oct_label_result labeled = label_minimal_semiperimeter(g, options);
+  const mapping_result mapped = map_to_crossbar(g, labeled.l);
   const xbar::equivalence_report report = xbar::validate(
-      r.design, m, built.roots, built.names, net.input_count());
+      mapped.design, m, built.roots, built.names, net.input_count());
   EXPECT_TRUE(report.equivalent) << xbar::verdict_text(report);
 }
 

@@ -136,7 +136,7 @@ synthesis_stats synthesize_with(const frontend::network& net,
   bdd::manager m(net.input_count());
   const frontend::sbdd built = frontend::build_sbdd(net, m);
   synthesis_options options;
-  options.method = labeling_method::minimal_semiperimeter;
+  options.labeler = "oct";
   options.cache = cache;
   options.oct_reduction = reduce;
   options.parallel.threads = threads;

@@ -144,8 +144,8 @@ TEST(RngSubstreamTest, IndependentOfParentDraws) {
 const core::synthesis_result& shared_design() {
   static const core::synthesis_result r = [] {
     core::synthesis_options options;
-    options.method = core::labeling_method::minimal_semiperimeter;
-    return core::synthesize_network(frontend::make_comparator(3), options);
+    options.labeler = "oct";
+    return core::synthesize(frontend::make_comparator(3), options);
   }();
   return r;
 }
@@ -173,15 +173,15 @@ TEST(ParallelDeterminismTest, YieldReportBitIdenticalAcrossThreadCounts) {
 TEST(ParallelDeterminismTest, SeparateRobddsDesignIdenticalAcrossThreadCounts) {
   const frontend::network net = frontend::make_comparator(3);
   core::synthesis_options options;
-  options.method = core::labeling_method::minimal_semiperimeter;
+  options.labeler = "oct";
+  options.separate_robdds = true;
   options.parallel.threads = 1;
-  const core::synthesis_result serial =
-      core::synthesize_separate_robdds(net, options);
+  const core::synthesis_result serial = core::synthesize(net, options);
   const std::string serial_text = design_text(serial.design);
   for (const int threads : {2, 8}) {
     options.parallel.threads = threads;
     const core::synthesis_result parallel_result =
-        core::synthesize_separate_robdds(net, options);
+        core::synthesize(net, options);
     EXPECT_EQ(design_text(parallel_result.design), serial_text)
         << "threads=" << threads;
     EXPECT_EQ(parallel_result.stats.graph_nodes, serial.stats.graph_nodes);
@@ -212,7 +212,7 @@ TEST(ParallelDeterminismTest, SolverDesignsBitIdenticalAcrossThreadCounts) {
     bdd::manager m(net.input_count());
     const frontend::sbdd built = frontend::build_sbdd(net, m);
     core::synthesis_options options;
-    options.method = core::labeling_method::weighted_mip;
+    options.labeler = "mip";
     options.gamma = 0.4;
     options.time_limit_seconds = 60.0;  // solved to optimality well within
     options.parallel.threads = 1;

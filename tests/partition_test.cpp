@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "bdd/manager.hpp"
+#include "core/compact.hpp"
 #include "core/partition.hpp"
 #include "frontend/benchgen.hpp"
 #include "frontend/to_bdd.hpp"
@@ -149,15 +150,16 @@ TEST(PartitionPlanTest, FragmentGraphsMirrorThePlan) {
 TEST(PartitionSynthesisTest, StitchedDesignMatchesTheTruthTable) {
   const frontend::network net = frontend::make_parity(8, 2);
   synthesis_options options;
-  options.method = labeling_method::minimal_semiperimeter;
+  options.labeler = "oct";
   options.max_rows = 8;
   options.max_columns = 8;
   options.partition = true;
-  const partitioned_synthesis_result r =
-      synthesize_partitioned_network(net, options);
+  const synthesis_result r = synthesize(net, options);
   EXPECT_GE(r.stats.arrays, 2);
-  EXPECT_LE(r.design.max_fragment_rows(), 8);
-  EXPECT_LE(r.design.max_fragment_columns(), 8);
+  ASSERT_TRUE(r.partitioned.has_value());
+  const xbar::partitioned_design& design = *r.partitioned;
+  EXPECT_LE(design.max_fragment_rows(), 8);
+  EXPECT_LE(design.max_fragment_columns(), 8);
 
   bdd::manager m(net.input_count());
   const frontend::sbdd built = frontend::build_sbdd(net, m);
@@ -165,7 +167,7 @@ TEST(PartitionSynthesisTest, StitchedDesignMatchesTheTruthTable) {
     std::vector<bool> a(8);
     for (int i = 0; i < 8; ++i) a[static_cast<std::size_t>(i)] = (bits >> i) & 1;
     for (std::size_t o = 0; o < built.names.size(); ++o)
-      EXPECT_EQ(xbar::evaluate_output(r.design, a, built.names[o]),
+      EXPECT_EQ(xbar::evaluate_output(design, a, built.names[o]),
                 m.evaluate(built.roots[o], a))
           << "assignment " << bits << " output " << built.names[o];
   }
@@ -174,19 +176,19 @@ TEST(PartitionSynthesisTest, StitchedDesignMatchesTheTruthTable) {
 TEST(PartitionSynthesisTest, SingleFragmentFallbackIsByteIdentical) {
   const frontend::network net = frontend::make_comparator(4);
   synthesis_options options;
-  options.method = labeling_method::minimal_semiperimeter;
+  options.labeler = "oct";
 
-  const synthesis_result single = synthesize_network(net, options);
+  const synthesis_result single = synthesize(net, options);
   synthesis_options roomy = options;
   roomy.max_rows = 10000;
   roomy.partition = true;
-  const partitioned_synthesis_result part =
-      synthesize_partitioned_network(net, roomy);
+  const synthesis_result part = synthesize(net, roomy);
   ASSERT_EQ(part.stats.arrays, 1);
+  EXPECT_FALSE(part.partitioned.has_value());
 
   std::ostringstream a, b;
   xbar::write_design(single.design, a);
-  xbar::write_design(part.design.fragment(0), b);
+  xbar::write_design(part.design, b);
   EXPECT_EQ(b.str(), a.str());
 }
 
@@ -199,7 +201,7 @@ void expect_partitioned_acceptance(const frontend::network& net, int budget) {
   std::vector<std::string> serialized;
   for (const int threads : {1, 2, 8}) {
     synthesis_options options;
-    options.method = labeling_method::weighted_mip;
+    options.labeler = "mip";
     options.time_limit_seconds = 10.0;
     options.max_rows = budget;
     options.max_columns = budget;
@@ -207,20 +209,20 @@ void expect_partitioned_acceptance(const frontend::network& net, int budget) {
     options.parallel.threads = threads;
     options.cache = &labels;
     options.partition_memo = &plans;
-    const partitioned_synthesis_result r =
-        synthesize_partitioned_network(net, options);
+    const synthesis_result r = synthesize(net, options);
     EXPECT_GE(r.stats.arrays, 2) << net.name();
     EXPECT_LE(r.stats.rows, budget) << net.name();
     EXPECT_LE(r.stats.columns, budget) << net.name();
+    ASSERT_TRUE(r.partitioned.has_value()) << net.name();
     std::ostringstream os;
-    xbar::write_partitioned_design(r.design, os);
+    xbar::write_partitioned_design(*r.partitioned, os);
     serialized.push_back(os.str());
 
     if (threads != 1) continue;
     bdd::manager m(net.input_count());
     const frontend::sbdd built = frontend::build_sbdd(net, m);
     const xbar::equivalence_report eq = xbar::validate(
-        r.design, m, built.roots, built.names, net.input_count());
+        *r.partitioned, m, built.roots, built.names, net.input_count());
     EXPECT_TRUE(eq.equivalent) << net.name() << ": " << xbar::verdict_text(eq);
   }
   EXPECT_EQ(serialized[1], serialized[0]) << net.name() << " threads 2 vs 1";

@@ -30,15 +30,21 @@ std::string serialized(const xbar::crossbar& design) {
 
 synthesis_options oct_method() {
   synthesis_options options;
-  options.method = labeling_method::minimal_semiperimeter;
+  options.labeler = "oct";
   return options;
 }
 
 synthesis_options quick_mip() {
   synthesis_options options;
-  options.method = labeling_method::weighted_mip;
+  options.labeler = "mip";
   options.time_limit_seconds = 6.0;
   return options;
+}
+
+std::vector<std::string> stage_names(const synthesis_stats& stats) {
+  std::vector<std::string> names;
+  for (const stage_timing& t : stats.stage_seconds) names.push_back(t.stage);
+  return names;
 }
 
 bdd_graph comparator_graph(bdd::manager& m) {
@@ -71,12 +77,24 @@ TEST(LabelerRegistryTest, UnknownNameThrowsListingRegistered) {
   }
 }
 
-TEST(LabelerRegistryTest, MethodEnumMapsToRegistryNames) {
-  EXPECT_EQ(resolve_labeler_name(oct_method()), "oct");
-  EXPECT_EQ(resolve_labeler_name(quick_mip()), "mip");
-  synthesis_options explicit_name = quick_mip();
-  explicit_name.labeler = "oct";
-  EXPECT_EQ(resolve_labeler_name(explicit_name), "oct");
+TEST(LabelerRegistryTest, LabelerNameIsTheOnlySelector) {
+  EXPECT_EQ(synthesis_options{}.labeler, "mip");
+  bdd::manager m(3);
+  const bdd::node_handle f =
+      m.apply_or(m.apply_and(m.var(0), m.var(1)), m.var(2));
+  for (const char* name : {"oct", "mip", "staircase"}) {
+    memory_sink sink;
+    synthesis_options options = quick_mip();
+    options.labeler = name;
+    options.telemetry = &sink;
+    (void)synthesize(m, {f}, {"f"}, options);
+    ASSERT_EQ(sink.count("label"), 1u);
+    for (const telemetry_event& event : sink.events()) {
+      if (event.stage == "label") {
+        EXPECT_EQ(event.attribute_or("labeler"), name);
+      }
+    }
+  }
 }
 
 /// Delegates to the built-in OCT labeler but counts invocations, proving
@@ -207,8 +225,9 @@ TEST(LabelCacheTest, SeparateRobddsBitIdenticalAcrossThreadsAndCache) {
   std::string reference;
   for (const int threads : {1, 2, 8}) {
     synthesis_options options = oct_method();
+    options.separate_robdds = true;
     options.parallel.threads = threads;
-    const synthesis_result r = synthesize_separate_robdds(net, options);
+    const synthesis_result r = synthesize(net, options);
     const std::string design = serialized(r.design);
     if (reference.empty()) reference = design;
     EXPECT_EQ(design, reference) << "threads=" << threads;
@@ -282,9 +301,10 @@ TEST(PipelineTelemetryTest, SeparateRobddsReportsCacheHitsInCompose) {
   const frontend::network net = frontend::make_decoder(4);
   memory_sink sink;
   synthesis_options options = oct_method();
+  options.separate_robdds = true;
   options.telemetry = &sink;
   options.parallel.threads = 2;
-  const synthesis_result r = synthesize_separate_robdds(net, options);
+  const synthesis_result r = synthesize(net, options);
 
   ASSERT_EQ(sink.count("compose"), 1u);
   telemetry_event compose;
@@ -293,6 +313,62 @@ TEST(PipelineTelemetryTest, SeparateRobddsReportsCacheHitsInCompose) {
   EXPECT_GE(compose.metric_or("cache_hits", 0.0), 1.0);
   EXPECT_EQ(compose.metric_or("blocks", 0.0), 16.0);
   EXPECT_GE(r.stats.cache_hits, 1u);
+  // The outer stages, then each output's default shape.
+  EXPECT_EQ(sink.count("synthesize_outputs"), 1u);
+  EXPECT_EQ(sink.count("label"), 16u);
+  EXPECT_EQ(stage_names(r.stats),
+            (std::vector<std::string>{"synthesize_outputs", "compose"}));
+}
+
+TEST(PipelineTelemetryTest, PartitionedShapeReportsThePlan) {
+  const frontend::network net = frontend::make_parity(8, 2);
+  memory_sink sink;
+  synthesis_options options = oct_method();
+  options.partition = true;
+  options.max_rows = 8;
+  options.max_columns = 8;
+  options.telemetry = &sink;
+  options.parallel.threads = 2;
+  const synthesis_result r = synthesize(net, options);
+  ASSERT_TRUE(r.partitioned.has_value());
+  const int arrays = r.partitioned->array_count();
+  ASSERT_GE(arrays, 2);
+
+  EXPECT_EQ(stage_names(r.stats),
+            (std::vector<std::string>{"build_graph", "partition",
+                                      "fragments"}));
+  // One event per outer stage, and a label and a map event per fragment.
+  EXPECT_EQ(sink.count("build_graph"), 1u);
+  EXPECT_EQ(sink.count("fragments"), 1u);
+  EXPECT_EQ(sink.count("label"), static_cast<std::size_t>(arrays));
+  EXPECT_EQ(sink.count("map"), static_cast<std::size_t>(arrays));
+  ASSERT_EQ(sink.count("partition"), 1u);
+  telemetry_event partition;
+  for (const telemetry_event& event : sink.events())
+    if (event.stage == "partition") partition = event;
+  EXPECT_EQ(partition.metric_or("arrays", 0.0), arrays);
+  EXPECT_EQ(partition.metric_or("cut_edges", -1.0), r.stats.cut_edges);
+  EXPECT_GT(r.stats.cut_edges, 0);
+  EXPECT_EQ(partition.metric_or("capacity", 0.0), 8.0);
+}
+
+TEST(PipelineTelemetryTest, OneFragmentPartitionLabelsAndMapsInside) {
+  bdd::manager m(3);
+  const bdd::node_handle f =
+      m.apply_or(m.apply_and(m.var(0), m.var(1)), m.var(2));
+  memory_sink sink;
+  synthesis_options options = oct_method();
+  options.partition = true;
+  options.max_rows = 100;
+  options.telemetry = &sink;
+  const synthesis_result r = synthesize(m, {f}, {"f"}, options);
+  EXPECT_FALSE(r.partitioned.has_value());
+  EXPECT_EQ(r.stats.arrays, 1);
+  // The nested label and map stages finish before the fragments stage.
+  EXPECT_EQ(stage_names(r.stats),
+            (std::vector<std::string>{"build_graph", "partition", "label",
+                                      "map", "fragments"}));
+  EXPECT_EQ(sink.events().size(), 5u);
 }
 
 TEST(PipelineTelemetryTest, JsonLinesSinkWritesOneParseableObjectPerEvent) {
@@ -332,10 +408,19 @@ TEST(PipelineTelemetryTest, JsonLinesSinkStampsUnstampedEvents) {
 }
 
 TEST(PipelineTest, CanonicalPipelineStages) {
-  EXPECT_EQ(make_synthesis_pipeline().pass_names(),
+  bdd::manager m(3);
+  const bdd::node_handle f =
+      m.apply_or(m.apply_and(m.var(0), m.var(1)), m.var(2));
+  const synthesis_result r = synthesize(m, {f}, {"f"}, oct_method());
+  EXPECT_EQ(stage_names(r.stats),
             (std::vector<std::string>{"build_graph", "label", "map"}));
-  EXPECT_EQ(make_label_map_pipeline().pass_names(),
-            (std::vector<std::string>{"label", "map"}));
+}
+
+TEST(PipelineTest, SeparateRobddsNeedTheNetwork) {
+  bdd::manager m(2);
+  synthesis_options options = oct_method();
+  options.separate_robdds = true;
+  EXPECT_THROW((void)synthesize(m, {m.var(0)}, {"f"}, options), error);
 }
 
 }  // namespace

@@ -65,7 +65,7 @@ TEST_P(ValiditySweep, OctMethodProducesValidDesign) {
   const auto [inputs, outputs, seed] = GetParam();
   random_function fn(inputs, outputs, seed);
   core::synthesis_options options;
-  options.method = core::labeling_method::minimal_semiperimeter;
+  options.labeler = "oct";
   const core::synthesis_result r =
       core::synthesize(fn.m, fn.roots, fn.names, options);
   const xbar::equivalence_report report = xbar::validate(
@@ -77,7 +77,7 @@ TEST_P(ValiditySweep, MipMethodProducesValidDesign) {
   const auto [inputs, outputs, seed] = GetParam();
   random_function fn(inputs, outputs, seed);
   core::synthesis_options options;
-  options.method = core::labeling_method::weighted_mip;
+  options.labeler = "mip";
   options.time_limit_seconds = 5.0;
   const core::synthesis_result r =
       core::synthesize(fn.m, fn.roots, fn.names, options);
@@ -100,7 +100,7 @@ TEST_P(ValiditySweep, CompactNeverLargerThanStaircase) {
   const auto [inputs, outputs, seed] = GetParam();
   random_function fn(inputs, outputs, seed);
   core::synthesis_options options;
-  options.method = core::labeling_method::minimal_semiperimeter;
+  options.labeler = "oct";
   const core::synthesis_result flow =
       core::synthesize(fn.m, fn.roots, fn.names, options);
   const core::synthesis_result stair =
@@ -148,7 +148,7 @@ TEST(PropertyTest, DeepChainFunctions) {
     bdd::node_handle f = m.constant(true);
     for (int v = 0; v < n; ++v) f = m.apply_and(f, m.var(v));
     core::synthesis_options options;
-    options.method = core::labeling_method::minimal_semiperimeter;
+    options.labeler = "oct";
     const core::synthesis_result r = core::synthesize(m, {f}, {"f"}, options);
     const xbar::equivalence_report report =
         xbar::validate(r.design, m, {f}, {"f"}, n);
@@ -164,7 +164,7 @@ TEST(PropertyTest, ParityFunctions) {
     bdd::node_handle f = m.var(0);
     for (int v = 1; v < n; ++v) f = m.apply_xor(f, m.var(v));
     core::synthesis_options options;
-    options.method = core::labeling_method::minimal_semiperimeter;
+    options.labeler = "oct";
     const core::synthesis_result r = core::synthesize(m, {f}, {"f"}, options);
     const xbar::equivalence_report report =
         xbar::validate(r.design, m, {f}, {"f"}, n);
@@ -182,7 +182,7 @@ TEST(PropertyTest, SingleLiteralFunctions) {
       bdd::manager m(n);
       const bdd::node_handle f = positive ? m.var(0) : m.nvar(0);
       core::synthesis_options options;
-      options.method = core::labeling_method::minimal_semiperimeter;
+      options.labeler = "oct";
       const core::synthesis_result r =
           core::synthesize(m, {f}, {"f"}, options);
       const xbar::equivalence_report report =

@@ -12,7 +12,7 @@ namespace {
 TEST(ReportTest, ContainsAllSections) {
   const frontend::network net = frontend::make_comparator(3);
   synthesis_options options;
-  options.method = labeling_method::weighted_mip;
+  options.labeler = "mip";
   options.time_limit_seconds = 5.0;
   bdd::manager m(net.input_count());
   const frontend::sbdd built = frontend::build_sbdd(net, m);
@@ -44,8 +44,8 @@ TEST(ReportTest, ContainsAllSections) {
 TEST(ReportTest, ValidationSectionOptional) {
   const frontend::network net = frontend::make_parity(4, 1);
   synthesis_options options;
-  options.method = labeling_method::minimal_semiperimeter;
-  const synthesis_result r = synthesize_network(net, options);
+  options.labeler = "oct";
+  const synthesis_result r = synthesize(net, options);
   report_inputs inputs;
   inputs.stats = &r.stats;
   inputs.labels = &r.labels;

@@ -61,8 +61,8 @@ TEST(SerializeTest, RoundTrippedDesignEvaluatesIdentically) {
 TEST(SerializeTest, SynthesizedDesignRoundTrips) {
   const frontend::network net = frontend::make_comparator(3);
   core::synthesis_options options;
-  options.method = core::labeling_method::minimal_semiperimeter;
-  const core::synthesis_result r = core::synthesize_network(net, options);
+  options.labeler = "oct";
+  const core::synthesis_result r = core::synthesize(net, options);
   std::ostringstream os;
   write_design(r.design, os);
   std::istringstream is(os.str());

@@ -45,7 +45,9 @@ TEST(StaircaseTest, DesignsAreValid) {
 
 TEST(StaircaseTest, NetworkFlowValidAndBiggerThanCompact) {
   const frontend::network net = frontend::make_comparator(3);
-  const synthesis_result stair = synthesize_separate_robdds(net, staircase());
+  synthesis_options separate = staircase();
+  separate.separate_robdds = true;
+  const synthesis_result stair = synthesize(net, separate);
 
   bdd::manager m(net.input_count());
   const frontend::sbdd built = frontend::build_sbdd(net, m);
@@ -54,8 +56,8 @@ TEST(StaircaseTest, NetworkFlowValidAndBiggerThanCompact) {
   EXPECT_TRUE(report.equivalent) << xbar::verdict_text(report);
 
   synthesis_options oct;
-  oct.method = labeling_method::minimal_semiperimeter;
-  const synthesis_result compact_result = synthesize_network(net, oct);
+  oct.labeler = "oct";
+  const synthesis_result compact_result = synthesize(net, oct);
   // The headline claim, in miniature: COMPACT is strictly smaller.
   EXPECT_LT(compact_result.stats.semiperimeter, stair.stats.semiperimeter);
   EXPECT_LT(compact_result.stats.area, stair.stats.area);

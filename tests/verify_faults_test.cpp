@@ -30,7 +30,7 @@ struct synthesized {
     ctx.roots = &built.roots;
     ctx.names = &built.names;
     ctx.options.time_limit_seconds = 5.0;
-    core::make_synthesis_pipeline().run(ctx);
+    core::synthesize(ctx);
   }
 };
 

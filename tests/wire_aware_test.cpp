@@ -33,8 +33,8 @@ TEST(WireAwareTest, TinyWireResistanceMatchesIdealModel) {
 TEST(WireAwareTest, DigitalAgreementAtModerateWireResistance) {
   const frontend::network net = frontend::make_comparator(2);
   core::synthesis_options options;
-  options.method = core::labeling_method::minimal_semiperimeter;
-  const core::synthesis_result r = core::synthesize_network(net, options);
+  options.labeler = "oct";
+  const core::synthesis_result r = core::synthesize(net, options);
   wire_model model;
   model.r_wire = 0.5;  // well below R_on = 100 ohm
   for (int v = 0; v < 16; ++v) {
@@ -52,8 +52,8 @@ TEST(WireAwareTest, DigitalAgreementAtModerateWireResistance) {
 TEST(WireAwareTest, IrDropGrowsWithWireResistance) {
   const frontend::network net = frontend::make_parity(5, 1);
   core::synthesis_options options;
-  options.method = core::labeling_method::minimal_semiperimeter;
-  const core::synthesis_result r = core::synthesize_network(net, options);
+  options.labeler = "oct";
+  const core::synthesis_result r = core::synthesize(net, options);
 
   wire_model thin;
   thin.r_wire = 0.05;

@@ -486,7 +486,7 @@ int cmd_synthesize(const std::vector<std::string>& args) {
     core::report_inputs inputs;
     inputs.circuit_name = result.spec->net.name();
     inputs.stats = &result.stats;
-    if (result.pipeline) inputs.labels = &result.pipeline->labels;
+    inputs.labels = result.artifacts().labels;  // default shape only
     inputs.validation = &*result.validation;
     core::write_report(inputs, report_file);
     std::cout << "\nwrote " << *report_path << "\n";

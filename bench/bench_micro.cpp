@@ -25,6 +25,7 @@
 #include "util/metrics.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
+#include "verify/analyzer.hpp"
 #include "verify/electrical.hpp"
 #include "xbar/evaluate.hpp"
 #include "xbar/faults.hpp"
@@ -301,6 +302,32 @@ void BM_ReadDesign(benchmark::State& state) {
   state.counters["design_bytes"] = static_cast<double>(text.size());
 }
 BENCHMARK(BM_ReadDesign);
+
+/// The paths that read a whole design, on the staircase design of
+/// ripple_adder(12): 514 x 514, with a device on under 1% of its
+/// junctions. One iteration writes the .xbar text, reads it back,
+/// evaluates one assignment and runs the structure-only lint (the XBR
+/// checks, the only ones a bare design arms).
+void BM_SparseDesign(benchmark::State& state) {
+  const frontend::network net = frontend::make_ripple_adder(12);
+  core::synthesis_options options;
+  options.labeler = "staircase";
+  const core::synthesis_result r = core::synthesize(net, options);
+  std::vector<bool> a(static_cast<std::size_t>(net.input_count()));
+  for (std::size_t i = 0; i < a.size(); ++i) a[i] = i % 3 == 0;
+  for (auto _ : state) {
+    std::ostringstream text;
+    xbar::write_design(r.design, text);
+    const xbar::loaded_design loaded = xbar::read_design(text.str());
+    benchmark::DoNotOptimize(xbar::evaluate(loaded.design, a));
+    verify::artifacts bare;
+    bare.design = &loaded.design;
+    benchmark::DoNotOptimize(verify::analyze(bare).diagnostics().size());
+  }
+  state.counters["rows"] = r.design.rows();
+  state.counters["columns"] = r.design.columns();
+}
+BENCHMARK(BM_SparseDesign);
 
 /// One flow-serve session on a flow-serve-sized circuit (parity(12, 2),
 /// Method 2 at gamma 0.5, about 40 SBDD nodes): one service handles a

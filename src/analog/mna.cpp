@@ -41,14 +41,11 @@ analog_result simulate(const xbar::crossbar& design,
     }
   };
 
-  // Junction resistors.
-  for (int r = 0; r < rows; ++r) {
-    for (int c = 0; c < cols; ++c) {
-      const bool on = design.at(r, c).conducts(assignment);
-      const double conductance = on ? 1.0 / model.r_on : 1.0 / model.r_off;
-      stamp(r, rows + c, conductance);
-    }
-  }
+  // Junction resistors: every junction is one, a device or not.
+  design.for_each_junction([&](int r, int c, const xbar::device& d) {
+    stamp(r, rows + c,
+          d.conducts(assignment) ? 1.0 / model.r_on : 1.0 / model.r_off);
+  });
 
   // Sensing resistors to ground on output rows (ground contributes only to
   // the diagonal).

@@ -122,13 +122,13 @@ wire_aware_result simulate_wire_aware(const xbar::crossbar& design,
     for (int r = 0; r + 1 < rows; ++r)
       net.stamp(bottom(r, c), bottom(r + 1, c), g_wire);
 
-  // Junction devices between the layers.
-  for (int r = 0; r < rows; ++r)
-    for (int c = 0; c < cols; ++c) {
-      const bool on = design.at(r, c).conducts(assignment);
-      net.stamp(top(r, c), bottom(r, c),
-                on ? 1.0 / model.device.r_on : 1.0 / model.device.r_off);
-    }
+  // Junction devices between the layers: every junction is one, a device
+  // or not.
+  design.for_each_junction([&](int r, int c, const xbar::device& d) {
+    net.stamp(top(r, c), bottom(r, c),
+              d.conducts(assignment) ? 1.0 / model.device.r_on
+                                     : 1.0 / model.device.r_off);
+  });
 
   // Drive the input wordline at its column-0 end through a tiny source
   // resistance (keeps the system SPD without node elimination).

@@ -27,8 +27,9 @@ xbar::crossbar compose_diagonal(
   const int shared_input = total_rows - 1;
   composed.set_input_row(shared_input);
 
-  // Devices, then ports, block by block. The ports name the composed
+  // Devices and ports, block by block. The ports name the composed
   // design's outputs, so their order is the blocks' order.
+  std::vector<xbar::placed_device> devices;
   for (std::size_t b = 0; b < blocks.size(); ++b) {
     const xbar::crossbar* block = blocks[b];
     if (block->columns() != 0) {
@@ -36,19 +37,16 @@ xbar::crossbar compose_diagonal(
         if (r == block->input_row()) return shared_input;
         return row_offsets[b] + r - (r > block->input_row() ? 1 : 0);
       };
-      for (int r = 0; r < block->rows(); ++r)
-        for (int c = 0; c < block->columns(); ++c) {
-          const xbar::device& d = block->at(r, c);
-          if (d.kind != xbar::literal_kind::off)
-            composed.set(remap_row(r), column_offsets[b] + c, d);
-        }
+      for (const xbar::placed_device& p : block->devices())
+        devices.push_back(
+            {remap_row(p.row), column_offsets[b] + p.column, p.literal});
       for (const xbar::output_port& o : block->outputs())
         composed.add_output(remap_row(o.row), o.name);
     }
     for (const auto& [name, value] : block->constant_outputs())
       composed.add_constant_output(value, name);
   }
-  return composed;
+  return xbar::crossbar(std::move(composed), std::move(devices));
 }
 
 }  // namespace compact::core

@@ -46,50 +46,61 @@ mapping_result map_to_crossbar(const bdd_graph& graph, const labeling& l) {
     if (l.has_column(v)) column_of[static_cast<std::size_t>(v)] = columns++;
 
   const int rows = static_cast<int>(row_order.size());
-  mapping_result result{
-      xbar::crossbar(std::max(rows, 1), columns), std::move(row_of),
-      std::move(column_of)};
-  xbar::crossbar& design = result.design;
+  xbar::crossbar shape(std::max(rows, 1), columns);
 
+  // ---- Ports. --------------------------------------------------------------
+  if (graph.terminal_node >= 0)
+    shape.set_input_row(row_of[static_cast<std::size_t>(graph.terminal_node)]);
+  else
+    shape.set_input_row(0);  // degenerate: constants only
+  for (const bdd_graph::output_binding& o : graph.outputs)
+    shape.add_output(row_of[static_cast<std::size_t>(o.node)], o.name);
+  for (const auto& [name, value] : graph.constant_outputs)
+    shape.add_constant_output(value, name);
+
+  // The constructor keeps one device per junction, so a design shorter
+  // than the list means a junction was assigned twice.
+  std::vector<xbar::placed_device> devices =
+      place_devices(graph, l, row_of, column_of);
+  const std::size_t device_count = devices.size();
+  mapping_result result{xbar::crossbar(std::move(shape), std::move(devices)),
+                        std::move(row_of), std::move(column_of)};
+  check(result.design.devices().size() == device_count,
+        "map_to_crossbar: junction assigned twice");
+  return result;
+}
+
+std::vector<xbar::placed_device> place_devices(
+    const bdd_graph& graph, const labeling& l, const std::vector<int>& row_of,
+    const std::vector<int>& column_of) {
+  std::vector<xbar::placed_device> devices;
+  const auto place = [&](graph::node_id row_node, graph::node_id column_node,
+                         xbar::device d) {
+    const int r = row_of[static_cast<std::size_t>(row_node)];
+    const int c = column_of[static_cast<std::size_t>(column_node)];
+    if (r >= 0 && c >= 0) devices.push_back({r, c, d});
+  };
   // VH bridges: the node's wordline and bitline are the same electrical
   // node, realized with an always-on memristor at their junction.
-  for (graph::node_id v = 0; v < n; ++v) {
+  const auto n = static_cast<graph::node_id>(graph.g.node_count());
+  for (graph::node_id v = 0; v < n; ++v)
     if (l.label_of[static_cast<std::size_t>(v)] == vh_label::vh)
-      design.set_on(result.row_of[static_cast<std::size_t>(v)],
-                    result.column_of[static_cast<std::size_t>(v)]);
-  }
-
-  // ---- Edge assignment. ----------------------------------------------------
-  const std::vector<graph::edge>& edges = g.edges();
+      place(v, v, {xbar::literal_kind::on, -1});
+  // Edges: one memristor programmed with the edge's literal.
+  const std::vector<graph::edge>& edges = graph.g.edges();
   for (std::size_t e = 0; e < edges.size(); ++e) {
     const graph::node_id u = edges[e].u;
     const graph::node_id v = edges[e].v;
     const edge_literal lit = graph.literal_of_edge[e];
-    int row, column;
-    if (l.has_row(u) && l.has_column(v)) {
-      row = result.row_of[static_cast<std::size_t>(u)];
-      column = result.column_of[static_cast<std::size_t>(v)];
-    } else {
-      row = result.row_of[static_cast<std::size_t>(v)];
-      column = result.column_of[static_cast<std::size_t>(u)];
-    }
-    check(design.at(row, column).kind == xbar::literal_kind::off,
-          "map_to_crossbar: junction assigned twice");
-    design.set_literal(row, column, lit.variable, lit.positive);
+    const xbar::device d{lit.positive ? xbar::literal_kind::positive
+                                      : xbar::literal_kind::negative,
+                         lit.variable};
+    if (l.has_row(u) && l.has_column(v))
+      place(u, v, d);
+    else if (l.has_row(v) && l.has_column(u))
+      place(v, u, d);
   }
-
-  // ---- Ports. ----------------------------------------------------------------
-  if (graph.terminal_node >= 0)
-    design.set_input_row(
-        result.row_of[static_cast<std::size_t>(graph.terminal_node)]);
-  else
-    design.set_input_row(0);  // degenerate: constants only
-  for (const bdd_graph::output_binding& o : graph.outputs)
-    design.add_output(result.row_of[static_cast<std::size_t>(o.node)], o.name);
-  for (const auto& [name, value] : graph.constant_outputs)
-    design.add_constant_output(value, name);
-
-  return result;
+  return devices;
 }
 
 }  // namespace compact::core

@@ -13,16 +13,8 @@ namespace compact::verify {
 int artifacts::resolve_variable_count() const {
   if (variable_count >= 0) return variable_count;
   if (spec != nullptr) return spec->variable_count();
-  if (design == nullptr) return -1;
-  int inferred = -1;
-  for (int r = 0; r < design->rows(); ++r)
-    for (int c = 0; c < design->columns(); ++c) {
-      const xbar::device& d = design->at(r, c);
-      if (d.kind == xbar::literal_kind::positive ||
-          d.kind == xbar::literal_kind::negative)
-        inferred = std::max(inferred, d.variable + 1);
-    }
-  return inferred;
+  if (design == nullptr || design->max_variable() < 0) return -1;
+  return design->max_variable() + 1;
 }
 
 const std::vector<check_descriptor>& all_checks() {

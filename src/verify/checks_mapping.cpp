@@ -4,7 +4,10 @@
 // every VH node bridged. These are the checks that catch silent corruption
 // between the mapper and the final artifact (and the mutation harness's
 // literal-flip / bridge-drop / device-drop seeds).
+#include <algorithm>
+#include <climits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "verify/checks.hpp"
@@ -12,7 +15,6 @@
 namespace compact::verify {
 namespace {
 
-using core::vh_label;
 using xbar::literal_kind;
 
 std::string literal_text(const xbar::device& d) {
@@ -157,101 +159,80 @@ void check_assignment(const artifacts& a, report& out) {
   }
 }
 
-// MAP002/MAP003 — junction programming: rebuild the expected device grid
-// from (graph, labeling, mapping) and diff it cell by cell against the
-// design. Literal mismatches report as MAP002, missing/extra VH bridges as
-// MAP003.
+// MAP002/MAP003 — junction programming: rebuild the devices that (graph,
+// labeling, mapping) dictate and merge them, junction by junction in
+// row-major order, with the design's. Literal mismatches report as MAP002,
+// missing/extra VH bridges as MAP003.
 void check_junctions(const artifacts& a, report& out) {
   if (!consistent_sizes(a)) return;  // MAP001 reports the size mismatch
   const core::mapping_result& map = *a.mapping;
   const xbar::crossbar& x = *a.design;
   const auto n = static_cast<graph::node_id>(a.graph->g.node_count());
 
-  // Out-of-range assignments make the expected grid unbuildable; MAP001
+  // Out-of-range assignments make the expected devices unplaceable; MAP001
   // owns those findings.
   for (graph::node_id v = 0; v < n; ++v)
     if (map.row_of[static_cast<std::size_t>(v)] >= x.rows() ||
         map.column_of[static_cast<std::size_t>(v)] >= x.columns())
       return;
 
-  std::vector<xbar::device> expected(
-      static_cast<std::size_t>(x.rows()) *
-      static_cast<std::size_t>(x.columns()));
-  std::vector<bool> is_bridge(expected.size(), false);
-  auto cell = [&](int r, int c) -> std::size_t {
-    return static_cast<std::size_t>(r) *
-               static_cast<std::size_t>(x.columns()) +
-           static_cast<std::size_t>(c);
+  // As the mapper places them, a later device on a junction replacing an
+  // earlier one; the always-on devices are the planned VH bridges.
+  std::vector<xbar::placed_device> wanted =
+      core::place_devices(*a.graph, *a.labels, map.row_of, map.column_of);
+  std::vector<std::pair<int, int>> bridges;
+  for (const xbar::placed_device& p : wanted)
+    if (p.literal.kind == literal_kind::on) bridges.push_back(p.junction());
+  std::sort(bridges.begin(), bridges.end());
+  const xbar::crossbar expected(x, std::move(wanted));
+
+  // Merge the two row-major device lists: every junction either programs.
+  static constexpr xbar::device off{};
+  const std::vector<xbar::placed_device>& want_list = expected.devices();
+  const std::vector<xbar::placed_device>& got_list = x.devices();
+  const auto key = [](const std::vector<xbar::placed_device>& list,
+                      std::size_t k) {
+    return k < list.size() ? list[k].junction()
+                           : std::pair(INT_MAX, INT_MAX);
   };
-
-  for (graph::node_id v = 0; v < n; ++v) {
-    if (a.labels->label_of[static_cast<std::size_t>(v)] != vh_label::vh)
+  for (std::size_t i = 0, j = 0;
+       i < want_list.size() || j < got_list.size();) {
+    const auto [r, c] = std::min(key(want_list, i), key(got_list, j));
+    const xbar::device& want =
+        key(want_list, i) == std::pair(r, c) ? want_list[i++].literal : off;
+    const xbar::device& got =
+        key(got_list, j) == std::pair(r, c) ? got_list[j++].literal : off;
+    if (want.kind == got.kind &&
+        (!want.reads_variable() || want.variable == got.variable))
       continue;
-    const int r = map.row_of[static_cast<std::size_t>(v)];
-    const int c = map.column_of[static_cast<std::size_t>(v)];
-    if (r < 0 || c < 0) continue;  // MAP001 territory
-    expected[cell(r, c)] = {literal_kind::on, -1};
-    is_bridge[cell(r, c)] = true;
-  }
-  const std::vector<graph::edge>& edges = a.graph->g.edges();
-  for (std::size_t e = 0; e < edges.size(); ++e) {
-    const graph::node_id u = edges[e].u;
-    const graph::node_id v = edges[e].v;
-    const core::edge_literal lit = a.graph->literal_of_edge[e];
-    int r = -1;
-    int c = -1;
-    if (a.labels->has_row(u) && a.labels->has_column(v)) {
-      r = map.row_of[static_cast<std::size_t>(u)];
-      c = map.column_of[static_cast<std::size_t>(v)];
-    } else if (a.labels->has_row(v) && a.labels->has_column(u)) {
-      r = map.row_of[static_cast<std::size_t>(v)];
-      c = map.column_of[static_cast<std::size_t>(u)];
+    const bool planned_bridge =
+        std::binary_search(bridges.begin(), bridges.end(), std::pair(r, c));
+    diagnostic d;
+    d.check_id =
+        planned_bridge || got.kind == literal_kind::on ? "MAP003" : "MAP002";
+    d.level = severity::error;
+    if (want.kind == literal_kind::off) {
+      d.message = "junction (" + std::to_string(r) + ", " +
+                  std::to_string(c) + ") is programmed " + literal_text(got) +
+                  " but no graph edge or bridge maps there";
+      d.fix = "leave the junction unprogrammed";
+    } else if (got.kind == literal_kind::off) {
+      d.message = "junction (" + std::to_string(r) + ", " +
+                  std::to_string(c) + ") should be programmed " +
+                  literal_text(want) +
+                  (planned_bridge
+                       ? " (the VH bridge joining this row and column)"
+                       : " (a mapped graph edge)") +
+                  " but is off";
+      d.fix = "program the junction with " + literal_text(want);
+    } else {
+      d.message = "junction (" + std::to_string(r) + ", " +
+                  std::to_string(c) + ") is programmed " + literal_text(got) +
+                  " but the mapping dictates " + literal_text(want);
+      d.fix = "program the junction with " + literal_text(want);
     }
-    if (r < 0 || c < 0) continue;  // infeasible edge; LBL001 territory
-    expected[cell(r, c)] = {lit.positive ? literal_kind::positive
-                                         : literal_kind::negative,
-                            lit.variable};
-  }
-
-  for (int r = 0; r < x.rows(); ++r) {
-    for (int c = 0; c < x.columns(); ++c) {
-      const xbar::device& want = expected[cell(r, c)];
-      const xbar::device& got = x.at(r, c);
-      if (want.kind == got.kind && (want.kind != literal_kind::positive &&
-                                        want.kind != literal_kind::negative
-                                    ? true
-                                    : want.variable == got.variable))
-        continue;
-      const bool bridge_cell =
-          is_bridge[cell(r, c)] || got.kind == literal_kind::on;
-      diagnostic d;
-      d.check_id = bridge_cell ? "MAP003" : "MAP002";
-      d.level = severity::error;
-      if (want.kind == literal_kind::off) {
-        d.message = "junction (" + std::to_string(r) + ", " +
-                    std::to_string(c) + ") is programmed " +
-                    literal_text(got) +
-                    " but no graph edge or bridge maps there";
-        d.fix = "leave the junction unprogrammed";
-      } else if (got.kind == literal_kind::off) {
-        d.message = "junction (" + std::to_string(r) + ", " +
-                    std::to_string(c) + ") should be programmed " +
-                    literal_text(want) +
-                    (is_bridge[cell(r, c)]
-                         ? " (the VH bridge joining this row and column)"
-                         : " (a mapped graph edge)") +
-                    " but is off";
-        d.fix = "program the junction with " + literal_text(want);
-      } else {
-        d.message = "junction (" + std::to_string(r) + ", " +
-                    std::to_string(c) + ") is programmed " +
-                    literal_text(got) + " but the mapping dictates " +
-                    literal_text(want);
-        d.fix = "program the junction with " + literal_text(want);
-      }
-      d.anchors = {junction_entity(r, c)};
-      out.add(std::move(d));
-    }
+    d.anchors = {junction_entity(r, c)};
+    out.add(std::move(d));
   }
 }
 

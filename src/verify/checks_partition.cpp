@@ -88,13 +88,7 @@ void check_partition_structure(const artifacts& a, report& out) {
 void check_bridges(const artifacts& a, report& out) {
   const xbar::partitioned_design& design = *a.partitioned;
   const int k = design.array_count();
-  const auto wire_ok = [&](const xbar::wire_ref& w) {
-    if (w.array < 0 || w.array >= k) return false;
-    const xbar::crossbar& fragment = design.fragment(w.array);
-    const int limit = w.kind == xbar::wire_kind::row ? fragment.rows()
-                                                     : fragment.columns();
-    return w.index >= 0 && w.index < limit;
-  };
+  const xbar::wire_numbering wires(design.fragments());
   const auto wire_text = [](const xbar::wire_ref& w) {
     return std::string(w.kind == xbar::wire_kind::row ? "row " : "column ") +
            std::to_string(w.index) + " of array " + std::to_string(w.array);
@@ -102,7 +96,7 @@ void check_bridges(const artifacts& a, report& out) {
 
   std::vector<std::vector<int>> neighbors(static_cast<std::size_t>(k));
   for (const xbar::bridge& b : design.connections()) {
-    if (!wire_ok(b.a) || !wire_ok(b.b)) {
+    if (!wires.contains(b.a) || !wires.contains(b.b)) {
       diagnostic d;
       d.check_id = "PAR002";
       d.level = severity::error;

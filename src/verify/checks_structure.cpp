@@ -1,6 +1,7 @@
 // Crossbar-structure checks (XBRxxx): purely local properties of the
-// programmed device grid — no graph, labeling or spec required, so these
+// programmed devices — no graph, labeling or spec required, so these
 // run even on a bare .xbar file.
+#include <span>
 #include <string>
 #include <vector>
 
@@ -10,20 +11,6 @@ namespace compact::verify {
 namespace {
 
 using xbar::literal_kind;
-
-int devices_in_row(const xbar::crossbar& x, int r) {
-  int count = 0;
-  for (int c = 0; c < x.columns(); ++c)
-    if (x.at(r, c).kind != literal_kind::off) ++count;
-  return count;
-}
-
-int devices_in_column(const xbar::crossbar& x, int c) {
-  int count = 0;
-  for (int r = 0; r < x.rows(); ++r)
-    if (x.at(r, c).kind != literal_kind::off) ++count;
-  return count;
-}
 
 bool row_is_port(const xbar::crossbar& x, int r) {
   if (x.input_row() == r) return true;
@@ -39,8 +26,7 @@ bool row_is_port(const xbar::crossbar& x, int r) {
 void check_dead_rows(const artifacts& a, report& out) {
   const xbar::crossbar& x = *a.design;
   for (int r = 0; r < x.rows(); ++r) {
-    const int devices = devices_in_row(x, r);
-    if (devices > 0) continue;
+    if (!x.row_devices(r).empty()) continue;
     if (x.outputs().empty() && r == x.input_row()) continue;
     const bool port = row_is_port(x, r);
     diagnostic d;
@@ -67,22 +53,19 @@ void check_dead_rows(const artifacts& a, report& out) {
 void check_dead_columns(const artifacts& a, report& out) {
   const xbar::crossbar& x = *a.design;
   for (int c = 0; c < x.columns(); ++c) {
-    const int devices = devices_in_column(x, c);
-    if (devices >= 2) continue;
+    const std::span<const xbar::placed_device> devices = x.column_devices(c);
+    if (devices.size() >= 2) continue;
     diagnostic d;
     d.check_id = "XBR002";
     d.anchors = {column_entity(c)};
-    if (devices == 0) {
+    if (devices.empty()) {
       d.level = severity::warning;
       d.message =
           "column " + std::to_string(c) + " has no devices; it is dead area";
       d.fix = "drop column " + std::to_string(c) + " from the design";
     } else {
-      // Find the lone device for the anchor and severity call.
-      int row = 0;
-      for (int r = 0; r < x.rows(); ++r)
-        if (x.at(r, c).kind != literal_kind::off) row = r;
-      const bool bridge = x.at(row, c).kind == literal_kind::on;
+      const int row = devices.front().row;
+      const bool bridge = devices.front().literal.kind == literal_kind::on;
       d.level = bridge ? severity::note : severity::warning;
       d.message = "column " + std::to_string(c) +
                   " has a single junction at row " + std::to_string(row) +
@@ -106,8 +89,8 @@ void check_duplicate_bridges(const artifacts& a, report& out) {
   const xbar::crossbar& x = *a.design;
   for (int r = 0; r < x.rows(); ++r) {
     std::vector<int> bridges;
-    for (int c = 0; c < x.columns(); ++c)
-      if (x.at(r, c).kind == literal_kind::on) bridges.push_back(c);
+    for (const xbar::placed_device& p : x.row_devices(r))
+      if (p.literal.kind == literal_kind::on) bridges.push_back(p.column);
     if (bridges.size() < 2) continue;
     diagnostic d;
     d.check_id = "XBR003";
@@ -132,8 +115,8 @@ void check_duplicate_bridges(const artifacts& a, report& out) {
   }
   for (int c = 0; c < x.columns(); ++c) {
     std::vector<int> bridges;
-    for (int r = 0; r < x.rows(); ++r)
-      if (x.at(r, c).kind == literal_kind::on) bridges.push_back(r);
+    for (const xbar::placed_device& p : x.column_devices(c))
+      if (p.literal.kind == literal_kind::on) bridges.push_back(p.row);
     if (bridges.size() < 2) continue;
     diagnostic d;
     d.check_id = "XBR003";
@@ -216,30 +199,27 @@ void check_input_row(const artifacts& a, report& out) {
 void check_device_variables(const artifacts& a, report& out) {
   const xbar::crossbar& x = *a.design;
   const int variables = a.resolve_variable_count();
-  for (int r = 0; r < x.rows(); ++r) {
-    for (int c = 0; c < x.columns(); ++c) {
-      const xbar::device& d = x.at(r, c);
-      if (d.kind != literal_kind::positive &&
-          d.kind != literal_kind::negative)
-        continue;
-      const bool negative_index = d.variable < 0;
-      const bool beyond_support = variables >= 0 && d.variable >= variables;
-      if (!negative_index && !beyond_support) continue;
-      diagnostic diag;
-      diag.check_id = "XBR006";
-      diag.level = severity::error;
-      diag.message =
-          "junction (" + std::to_string(r) + ", " + std::to_string(c) +
-          ") is programmed with variable x" + std::to_string(d.variable) +
-          (negative_index
-               ? ", which is not a valid variable index"
-               : ", outside the declared support of " +
-                     std::to_string(variables) + " variable(s)");
-      diag.fix = "program the junction with a variable in [0, " +
-                 std::to_string(variables < 0 ? 0 : variables) + ")";
-      diag.anchors = {junction_entity(r, c), variable_entity(d.variable)};
-      out.add(std::move(diag));
-    }
+  for (const xbar::placed_device& p : x.devices()) {
+    const xbar::device& d = p.literal;
+    if (!d.reads_variable()) continue;
+    const bool negative_index = d.variable < 0;
+    const bool beyond_support = variables >= 0 && d.variable >= variables;
+    if (!negative_index && !beyond_support) continue;
+    diagnostic diag;
+    diag.check_id = "XBR006";
+    diag.level = severity::error;
+    diag.message =
+        "junction (" + std::to_string(p.row) + ", " +
+        std::to_string(p.column) + ") is programmed with variable x" +
+        std::to_string(d.variable) +
+        (negative_index ? ", which is not a valid variable index"
+                        : ", outside the declared support of " +
+                              std::to_string(variables) + " variable(s)");
+    diag.fix = "program the junction with a variable in [0, " +
+               std::to_string(variables < 0 ? 0 : variables) + ")";
+    diag.anchors = {junction_entity(p.row, p.column),
+                    variable_entity(d.variable)};
+    out.add(std::move(diag));
   }
 }
 

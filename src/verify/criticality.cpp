@@ -45,9 +45,7 @@ criticality_report analyze(const xbar::partitioned_design& design,
 
   int variables = std::max(variable_count, 1);
   for (const xbar::crossbar& fragment : design.fragments())
-    for (int r = 0; r < fragment.rows(); ++r)
-      for (int c = 0; c < fragment.columns(); ++c)
-        variables = std::max(variables, fragment.at(r, c).variable + 1);
+    variables = std::max(variables, fragment.max_variable() + 1);
   bdd::manager scratch(variables);
 
   xbar::partitioned_design work = design;
@@ -99,57 +97,64 @@ criticality_report analyze(const xbar::partitioned_design& design,
     return flipped;
   };
 
-  for (int f = 0; f < work.array_count() && !report.truncated; ++f) {
-    const xbar::crossbar& fragment = work.fragment(f);
-    for (int r = 0; r < fragment.rows() && !report.truncated; ++r) {
-      for (int c = 0; c < fragment.columns(); ++c) {
-        const xbar::device d = fragment.at(r, c);
-        const bool programmed = d.kind != xbar::literal_kind::off;
-        if (!programmed && !options.include_off_junctions) continue;
-        const bool try_open = programmed;
-        const bool try_closed = d.kind != xbar::literal_kind::on;
-        if (!try_open && !try_closed) continue;
+  // Probe one junction of fragment f, unless the fault budget is spent.
+  const auto analyze_junction = [&](int f, const xbar::placed_device& p) {
+    if (report.truncated) return;
+    const bool try_open = p.literal.kind != xbar::literal_kind::off;
+    const bool try_closed = p.literal.kind != xbar::literal_kind::on;
 
-        // A partially analyzed junction would misreport its skipped fault
-        // as non-critical, so stop before one that may not fit the budget.
-        if (options.max_faults > 0 &&
-            report.faults_analyzed + 2 > options.max_faults) {
-          report.truncated = true;
-          break;
-        }
-
-        junction_criticality j;
-        j.array = f;
-        j.row = r;
-        j.column = c;
-        j.kind = d.kind;
-        j.variable = d.variable;
-
-        // Stuck-open on a junction whose wires never conduct in the
-        // baseline removes an edge that carried nothing: the fixpoint is
-        // unchanged, no extraction needed.
-        const bdd::node_handle row_fn =
-            base.row_function[static_cast<std::size_t>(f)]
-                             [static_cast<std::size_t>(r)];
-        const bdd::node_handle col_fn =
-            base.column_function[static_cast<std::size_t>(f)]
-                                [static_cast<std::size_t>(c)];
-        if (try_open &&
-            !scratch.same_function(row_fn, scratch.constant(false)) &&
-            !scratch.same_function(col_fn, scratch.constant(false)))
-          j.stuck_open_critical =
-              probe(f, r, c, {xbar::literal_kind::off, -1}, j.affected_outputs);
-        // Stuck-closed welds the two wires; when their reachability already
-        // coincides the short adds nothing.
-        if (try_closed && !scratch.same_function(row_fn, col_fn))
-          j.stuck_closed_critical =
-              probe(f, r, c, {xbar::literal_kind::on, -1}, j.affected_outputs);
-
-        std::sort(j.affected_outputs.begin(), j.affected_outputs.end());
-        if (j.critical()) ++report.critical_count;
-        report.junctions.push_back(std::move(j));
-      }
+    // A partially analyzed junction would misreport its skipped fault
+    // as non-critical, so stop before one that may not fit the budget.
+    if (options.max_faults > 0 &&
+        report.faults_analyzed + 2 > options.max_faults) {
+      report.truncated = true;
+      return;
     }
+
+    junction_criticality j;
+    j.array = f;
+    j.row = p.row;
+    j.column = p.column;
+    j.kind = p.literal.kind;
+    j.variable = p.literal.variable;
+
+    // Stuck-open on a junction whose wires never conduct in the
+    // baseline removes an edge that carried nothing: the fixpoint is
+    // unchanged, no extraction needed.
+    const bdd::node_handle row_fn =
+        base.row_function[static_cast<std::size_t>(f)]
+                         [static_cast<std::size_t>(p.row)];
+    const bdd::node_handle col_fn =
+        base.column_function[static_cast<std::size_t>(f)]
+                            [static_cast<std::size_t>(p.column)];
+    if (try_open && !scratch.same_function(row_fn, scratch.constant(false)) &&
+        !scratch.same_function(col_fn, scratch.constant(false)))
+      j.stuck_open_critical = probe(f, p.row, p.column,
+                                    {xbar::literal_kind::off, -1},
+                                    j.affected_outputs);
+    // Stuck-closed welds the two wires; when their reachability already
+    // coincides the short adds nothing.
+    if (try_closed && !scratch.same_function(row_fn, col_fn))
+      j.stuck_closed_critical = probe(f, p.row, p.column,
+                                      {xbar::literal_kind::on, -1},
+                                      j.affected_outputs);
+
+    std::sort(j.affected_outputs.begin(), j.affected_outputs.end());
+    if (j.critical()) ++report.critical_count;
+    report.junctions.push_back(std::move(j));
+  };
+
+  // The probes edit `work`, so the walk reads the untouched `design`: its
+  // devices, or with include_off_junctions every junction, row-major.
+  for (int f = 0; f < design.array_count(); ++f) {
+    const xbar::crossbar& fragment = design.fragment(f);
+    if (options.include_off_junctions)
+      fragment.for_each_junction([&](int r, int c, const xbar::device& d) {
+        analyze_junction(f, {r, c, d});
+      });
+    else
+      for (const xbar::placed_device& p : fragment.devices())
+        analyze_junction(f, p);
   }
 
   for (const bdd::node_handle fn : protected_fns) scratch.unprotect(fn);

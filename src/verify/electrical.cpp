@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <deque>
+#include <span>
 #include <utility>
 
 #include "util/trace.hpp"
@@ -10,9 +11,9 @@ namespace compact::verify {
 namespace {
 
 // The shared resistive-network view: every nanowire of every fragment is one
-// node (rows first, then columns, fragment by fragment), every non-off
-// junction is a device edge, every inter-array bridge a bridge edge. The
-// single-array overload builds the degenerate one-fragment version.
+// node (numbered by xbar::wire_numbering), every device is a device edge,
+// every inter-array bridge a bridge edge. The single-array overload builds
+// the degenerate one-fragment version.
 struct wire_graph {
   struct edge {
     int a = 0;
@@ -41,58 +42,30 @@ struct wire_graph {
   }
 };
 
-void add_fragment(wire_graph& g, const xbar::crossbar& fragment, int array,
-                  int row_offset, int column_offset) {
-  for (int r = 0; r < fragment.rows(); ++r)
-    for (int c = 0; c < fragment.columns(); ++c) {
-      if (fragment.at(r, c).kind == xbar::literal_kind::off) continue;
-      g.add_edge(row_offset + r, column_offset + c, false);
+wire_graph build_graph(std::span<const xbar::crossbar> fragments,
+                       std::span<const xbar::bridge> bridges) {
+  const xbar::wire_numbering wires(fragments);
+  wire_graph g;
+  g.wires = wires.total();
+  g.incident.resize(static_cast<std::size_t>(g.wires));
+  g.sensed.assign(static_cast<std::size_t>(g.wires), false);
+  for (int f = 0; f < static_cast<int>(fragments.size()); ++f) {
+    const xbar::crossbar& fragment = fragments[static_cast<std::size_t>(f)];
+    for (const xbar::placed_device& p : fragment.devices())
+      g.add_edge(wires.row(f, p.row), wires.column(f, p.column), false);
+    if (fragment.input_row() >= 0)
+      g.input_wire = wires.row(f, fragment.input_row());
+    for (const xbar::output_port& port : fragment.outputs()) {
+      if (port.row < 0 || port.row >= fragment.rows()) continue;
+      const int wire = wires.row(f, port.row);
+      g.outputs.push_back({port.name, f, port.row, wire});
+      g.sensed[static_cast<std::size_t>(wire)] = true;
     }
-  if (fragment.input_row() >= 0) g.input_wire = row_offset + fragment.input_row();
-  for (const xbar::output_port& port : fragment.outputs()) {
-    if (port.row < 0 || port.row >= fragment.rows()) continue;
-    const int wire = row_offset + port.row;
-    g.outputs.push_back({port.name, array, port.row, wire});
-    g.sensed[static_cast<std::size_t>(wire)] = true;
   }
-}
-
-wire_graph build_graph(const xbar::crossbar& design) {
-  wire_graph g;
-  g.wires = design.rows() + design.columns();
-  g.incident.resize(static_cast<std::size_t>(g.wires));
-  g.sensed.assign(static_cast<std::size_t>(g.wires), false);
-  add_fragment(g, design, 0, 0, design.rows());
-  return g;
-}
-
-wire_graph build_graph(const xbar::partitioned_design& design) {
-  wire_graph g;
-  std::vector<int> offset(static_cast<std::size_t>(design.array_count()), 0);
-  for (int f = 0; f < design.array_count(); ++f) {
-    offset[static_cast<std::size_t>(f)] = g.wires;
-    g.wires += design.fragment(f).rows() + design.fragment(f).columns();
-  }
-  g.incident.resize(static_cast<std::size_t>(g.wires));
-  g.sensed.assign(static_cast<std::size_t>(g.wires), false);
-  for (int f = 0; f < design.array_count(); ++f)
-    add_fragment(g, design.fragment(f), f, offset[static_cast<std::size_t>(f)],
-                 offset[static_cast<std::size_t>(f)] +
-                     design.fragment(f).rows());
-  const auto wire_of = [&](const xbar::wire_ref& w) {
-    const int base = offset[static_cast<std::size_t>(w.array)];
-    return w.kind == xbar::wire_kind::row
-               ? base + w.index
-               : base + design.fragment(w.array).rows() + w.index;
-  };
-  for (const xbar::bridge& b : design.connections()) {
-    if (b.a.array < 0 || b.a.array >= design.array_count() || b.b.array < 0 ||
-        b.b.array >= design.array_count())
+  for (const xbar::bridge& b : bridges) {
+    if (!wires.contains(b.a) || !wires.contains(b.b))
       continue;  // malformed bridge; PAR002 flags it
-    const int wa = wire_of(b.a);
-    const int wb = wire_of(b.b);
-    if (wa < 0 || wa >= g.wires || wb < 0 || wb >= g.wires) continue;
-    g.add_edge(wa, wb, true);
+    g.add_edge(wires.of(b.a), wires.of(b.b), true);
   }
   return g;
 }
@@ -292,12 +265,13 @@ electrical_report analyze_graph(const wire_graph& g,
 
 electrical_report analyze_electrical(const xbar::crossbar& design,
                                      const electrical_options& options) {
-  return analyze_graph(build_graph(design), options);
+  return analyze_graph(build_graph({&design, 1}, {}), options);
 }
 
 electrical_report analyze_electrical(const xbar::partitioned_design& design,
                                      const electrical_options& options) {
-  return analyze_graph(build_graph(design), options);
+  return analyze_graph(build_graph(design.fragments(), design.connections()),
+                       options);
 }
 
 }  // namespace compact::verify

@@ -66,41 +66,43 @@ struct device_candidates {
 
 void enumerate_devices(const xbar::crossbar& design, int array, int variables,
                        device_candidates& out) {
-  for (int r = 0; r < design.rows(); ++r) {
-    for (int c = 0; c < design.columns(); ++c) {
-      const xbar::device& d = design.at(r, c);
-      mutation m;
-      m.row = r;
-      m.column = c;
-      m.array = array;
-      if (d.kind == literal_kind::on) {
-        m.kind = mutation_kind::bridge_drop;
-        out.bridge_drops.push_back(m);
-      }
-      if (d.kind != literal_kind::positive && d.kind != literal_kind::negative)
-        continue;
-      m.kind = mutation_kind::literal_flip;
-      out.literal_flips.push_back(m);
-      m.kind = mutation_kind::device_drop;
-      out.device_drops.push_back(m);
-      if (variables >= 2) {
-        m.kind = mutation_kind::literal_retarget;
-        out.retargets.push_back(m);
-      }
+  for (const xbar::placed_device& p : design.devices()) {
+    mutation m;
+    m.row = p.row;
+    m.column = p.column;
+    m.array = array;
+    if (p.literal.kind == literal_kind::on) {
+      m.kind = mutation_kind::bridge_drop;
+      out.bridge_drops.push_back(m);
+      continue;
+    }
+    m.kind = mutation_kind::literal_flip;
+    out.literal_flips.push_back(m);
+    m.kind = mutation_kind::device_drop;
+    out.device_drops.push_back(m);
+    if (variables >= 2) {
+      m.kind = mutation_kind::literal_retarget;
+      out.retargets.push_back(m);
     }
   }
 }
 
 /// The crossbar a device mutation targets: a partitioned fragment when
-/// `array` names one, else the single-array copy.
+/// `array` names one, else the single-array copy; null when there is none
+/// or the mutation's junction lies outside it.
 xbar::crossbar* target_design(const mutation& m, mutable_artifacts& out,
                               const artifacts& base) {
+  xbar::crossbar* design = nullptr;
   if (m.array >= 0) {
-    if (base.partitioned == nullptr || m.array >= out.partitioned.array_count())
-      return nullptr;
-    return &out.partitioned.fragment(m.array);
+    if (base.partitioned != nullptr && m.array < out.partitioned.array_count())
+      design = &out.partitioned.fragment(m.array);
+  } else if (base.design != nullptr) {
+    design = &out.design;
   }
-  return base.design != nullptr ? &out.design : nullptr;
+  if (design == nullptr || m.row < 0 || m.row >= design->rows() ||
+      m.column < 0 || m.column >= design->columns())
+    return nullptr;
+  return design;
 }
 
 }  // namespace
@@ -174,18 +176,14 @@ bool apply_mutation(const artifacts& base, const mutation& m,
     }
     case mutation_kind::bridge_drop: {
       xbar::crossbar* design = target_design(m, out, base);
-      if (design == nullptr || m.row < 0 || m.row >= design->rows() ||
-          m.column < 0 || m.column >= design->columns())
-        return false;
+      if (design == nullptr) return false;
       if (design->at(m.row, m.column).kind != literal_kind::on) return false;
       design->set(m.row, m.column, {literal_kind::off, -1});
       return true;
     }
     case mutation_kind::literal_flip: {
       xbar::crossbar* design = target_design(m, out, base);
-      if (design == nullptr || m.row < 0 || m.row >= design->rows() ||
-          m.column < 0 || m.column >= design->columns())
-        return false;
+      if (design == nullptr) return false;
       const xbar::device d = design->at(m.row, m.column);
       if (d.kind == literal_kind::positive)
         design->set(m.row, m.column, {literal_kind::negative, d.variable});
@@ -197,13 +195,9 @@ bool apply_mutation(const artifacts& base, const mutation& m,
     }
     case mutation_kind::literal_retarget: {
       xbar::crossbar* design = target_design(m, out, base);
-      if (design == nullptr || m.row < 0 || m.row >= design->rows() ||
-          m.column < 0 || m.column >= design->columns())
-        return false;
+      if (design == nullptr) return false;
       const xbar::device d = design->at(m.row, m.column);
-      if (d.kind != literal_kind::positive &&
-          d.kind != literal_kind::negative)
-        return false;
+      if (!d.reads_variable()) return false;
       const int variables = base.resolve_variable_count();
       if (variables < 2) return false;
       design->set(m.row, m.column, {d.kind, (d.variable + 1) % variables});
@@ -211,13 +205,9 @@ bool apply_mutation(const artifacts& base, const mutation& m,
     }
     case mutation_kind::device_drop: {
       xbar::crossbar* design = target_design(m, out, base);
-      if (design == nullptr || m.row < 0 || m.row >= design->rows() ||
-          m.column < 0 || m.column >= design->columns())
-        return false;
+      if (design == nullptr) return false;
       const xbar::device d = design->at(m.row, m.column);
-      if (d.kind != literal_kind::positive &&
-          d.kind != literal_kind::negative)
-        return false;
+      if (!d.reads_variable()) return false;
       design->set(m.row, m.column, {literal_kind::off, -1});
       return true;
     }

@@ -1,33 +1,100 @@
 #include "xbar/crossbar.hpp"
 
-#include <algorithm>
+#include <numeric>
 
 namespace compact::xbar {
-
 crossbar::crossbar(int rows, int columns) : rows_(rows), columns_(columns) {
   check(rows >= 1 && columns >= 0, "crossbar: non-positive dimensions");
-  devices_.resize(static_cast<std::size_t>(rows) *
-                  static_cast<std::size_t>(std::max(columns, 0)));
+  index();
+}
+
+crossbar::crossbar(crossbar shape, std::vector<placed_device> devices)
+    : crossbar(std::move(shape)) {
+  for (const placed_device& p : devices) check_device(p);
+  // Readers hand over the writer's row-major order; the mapper does not.
+  if (!std::ranges::is_sorted(devices, {}, &placed_device::junction))
+    std::ranges::stable_sort(devices, {}, &placed_device::junction);
+  // Of each junction's run keep the last device, unless it is off.
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < devices.size(); ++i) {
+    const placed_device& p = devices[i];
+    if (i + 1 < devices.size() && devices[i + 1].junction() == p.junction())
+      continue;
+    if (p.literal.kind != literal_kind::off) devices[kept++] = p;
+  }
+  devices.resize(kept);
+  devices_ = std::move(devices);
+  index();
+}
+
+void crossbar::index() {
+  row_start_.assign(static_cast<std::size_t>(rows_) + 1, 0);
+  column_start_.assign(static_cast<std::size_t>(columns_) + 1, 0);
+  max_variable_ = -1;
+  for (const placed_device& p : devices_) {
+    ++row_start_[static_cast<std::size_t>(p.row) + 1];
+    ++column_start_[static_cast<std::size_t>(p.column) + 1];
+    if (p.literal.reads_variable())
+      max_variable_ = std::max(max_variable_, p.literal.variable);
+  }
+  std::partial_sum(row_start_.begin(), row_start_.end(), row_start_.begin());
+  std::partial_sum(column_start_.begin(), column_start_.end(),
+                   column_start_.begin());
+  // Dealt out column by column in row-major order, each column stays by row.
+  by_column_.resize(devices_.size());
+  std::vector<int> next(column_start_.begin(), column_start_.end() - 1);
+  for (const placed_device& p : devices_) {
+    int& slot = next[static_cast<std::size_t>(p.column)];
+    by_column_[static_cast<std::size_t>(slot++)] = p;
+  }
+}
+
+std::span<const placed_device> crossbar::row_devices(int row) const {
+  check(row >= 0 && row < rows_, "crossbar: row out of range");
+  const auto r = static_cast<std::size_t>(row);
+  return {devices_.begin() + row_start_[r],
+          devices_.begin() + row_start_[r + 1]};
+}
+
+std::span<const placed_device> crossbar::column_devices(int column) const {
+  check(column >= 0 && column < columns_, "crossbar: column out of range");
+  const auto c = static_cast<std::size_t>(column);
+  return {by_column_.begin() + column_start_[c],
+          by_column_.begin() + column_start_[c + 1]};
 }
 
 const device& crossbar::at(int row, int column) const {
-  check(row >= 0 && row < rows_ && column >= 0 && column < columns_,
+  static constexpr device off{};
+  check_device({row, column, off});
+  const auto it = std::ranges::lower_bound(
+      devices_, std::pair(row, column), {}, &placed_device::junction);
+  return it != devices_.end() && it->junction() == std::pair(row, column)
+             ? it->literal
+             : off;
+}
+
+void crossbar::check_device(const placed_device& p) const {
+  check(p.row >= 0 && p.row < rows_ && p.column >= 0 && p.column < columns_,
         "crossbar: junction out of range");
-  return devices_[static_cast<std::size_t>(row) *
-                      static_cast<std::size_t>(columns_) +
-                  static_cast<std::size_t>(column)];
+  check(!p.literal.reads_variable() || p.literal.variable >= 0,
+        "crossbar: literal device needs a variable");
 }
 
 void crossbar::set(int row, int column, device d) {
-  check(row >= 0 && row < rows_ && column >= 0 && column < columns_,
-        "crossbar: junction out of range");
-  if (d.kind == literal_kind::positive || d.kind == literal_kind::negative) {
-    check(d.variable >= 0, "crossbar: literal device needs a variable");
-    max_variable_ = std::max(max_variable_, d.variable);
+  check_device({row, column, d});
+  const auto it = std::ranges::lower_bound(
+      devices_, std::pair(row, column), {}, &placed_device::junction);
+  const bool present =
+      it != devices_.end() && it->junction() == std::pair(row, column);
+  if (d.kind == literal_kind::off) {
+    if (!present) return;
+    devices_.erase(it);
+  } else if (present) {
+    it->literal = d;
+  } else {
+    devices_.insert(it, {row, column, d});
   }
-  devices_[static_cast<std::size_t>(row) *
-               static_cast<std::size_t>(columns_) +
-           static_cast<std::size_t>(column)] = d;
+  index();
 }
 
 void crossbar::set_literal(int row, int column, int variable, bool positive) {
@@ -54,11 +121,9 @@ void crossbar::add_constant_output(bool value, std::string name) {
 }
 
 int crossbar::active_device_count() const {
-  int count = 0;
-  for (const device& d : devices_)
-    if (d.kind == literal_kind::positive || d.kind == literal_kind::negative)
-      ++count;
-  return count;
+  return static_cast<int>(std::count_if(
+      devices_.begin(), devices_.end(),
+      [](const placed_device& p) { return p.literal.reads_variable(); }));
 }
 
 void check_assignment(const crossbar& design, std::size_t bits) {
@@ -70,50 +135,37 @@ void check_assignment(const crossbar& design, std::size_t bits) {
 
 crossbar remap_variables(const crossbar& design,
                          const std::vector<int>& mapping) {
-  crossbar remapped = design;
-  for (int r = 0; r < design.rows(); ++r) {
-    for (int c = 0; c < design.columns(); ++c) {
-      const device& d = design.at(r, c);
-      if (d.kind != literal_kind::positive &&
-          d.kind != literal_kind::negative)
-        continue;
-      check(d.variable >= 0 &&
-                static_cast<std::size_t>(d.variable) < mapping.size(),
-            "remap_variables: device variable outside the mapping");
-      remapped.set(r, c, {d.kind, mapping[static_cast<std::size_t>(d.variable)]});
-    }
+  std::vector<placed_device> devices = design.devices();
+  for (placed_device& p : devices) {
+    if (!p.literal.reads_variable()) continue;
+    check(static_cast<std::size_t>(p.literal.variable) < mapping.size(),
+          "remap_variables: device variable outside the mapping");
+    p.literal.variable = mapping[static_cast<std::size_t>(p.literal.variable)];
   }
-  return remapped;
+  return crossbar(design, std::move(devices));
+}
+
+std::string device_label(const device& d,
+                         const std::vector<std::string>& variable_names) {
+  if (d.kind == literal_kind::off) return ".";
+  if (d.kind == literal_kind::on) return "1";
+  const auto v = static_cast<std::size_t>(d.variable);
+  const std::string name =
+      v < variable_names.size()
+          ? variable_names[v]
+          : std::string("x").append(std::to_string(d.variable));
+  return d.kind == literal_kind::negative ? "!" + name : name;
 }
 
 void crossbar::print(std::ostream& os,
                      const std::vector<std::string>& variable_names) const {
-  auto label = [&](const device& d) -> std::string {
-    switch (d.kind) {
-      case literal_kind::off:
-        return ".";
-      case literal_kind::on:
-        return "1";
-      case literal_kind::positive:
-      case literal_kind::negative: {
-        std::string name =
-            d.variable < static_cast<std::int32_t>(variable_names.size())
-                ? variable_names[static_cast<std::size_t>(d.variable)]
-                : std::string("x").append(std::to_string(d.variable));
-        return d.kind == literal_kind::negative ? "!" + name : name;
-      }
-    }
-    return "?";
-  };
-
   std::size_t width = 1;
-  for (int r = 0; r < rows_; ++r)
-    for (int c = 0; c < columns_; ++c)
-      width = std::max(width, label(at(r, c)).size());
+  for (const placed_device& p : devices_)
+    width = std::max(width, device_label(p.literal, variable_names).size());
 
   for (int r = 0; r < rows_; ++r) {
     for (int c = 0; c < columns_; ++c) {
-      const std::string cell = label(at(r, c));
+      const std::string cell = device_label(at(r, c), variable_names);
       os << cell << std::string(width - cell.size() + 1, ' ');
     }
     // Row annotations.

@@ -1,16 +1,23 @@
 // Crossbar design representation for flow-based computing.
 //
-// A design assigns every memristor junction a literal: constant off ('0'),
-// constant on ('1'), a variable, or a negated variable (Section II-C). One
-// wordline is the input (driven with V_in during evaluation) and one or more
-// wordlines are outputs (sensed through resistors). By the paper's
-// convention the input is the bottom-most wordline and outputs are at the
-// top.
+// A design programs some of its memristor junctions with a literal:
+// constant on ('1'), a variable, or a negated variable; every other junction
+// is constant off ('0') (Section II-C). COMPACT places one device per BDD
+// edge and one always-on bridge per VH node, so a design of S nanowires
+// holds O(S) devices on an O(S^2) grid. The crossbar therefore stores its
+// devices, sorted by (row, column), with an offset per row and an index by
+// (column, row); nothing is stored per junction. One wordline is the input
+// (driven with V_in during evaluation) and one or more wordlines are
+// outputs (sensed through resistors). By the paper's convention the input
+// is the bottom-most wordline and outputs are at the top.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <ostream>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "util/error.hpp"
@@ -18,7 +25,7 @@
 namespace compact::xbar {
 
 enum class literal_kind : std::uint8_t {
-  off,      // never conducts ('0'); the default for unassigned junctions
+  off,      // never conducts ('0'); every junction without a device
   on,       // always conducts ('1'); used to bridge VH rows/columns
   positive, // conducts when the variable is 1
   negative, // conducts when the variable is 0
@@ -27,6 +34,11 @@ enum class literal_kind : std::uint8_t {
 struct device {
   literal_kind kind = literal_kind::off;
   std::int32_t variable = -1;  // meaningful for positive/negative
+
+  /// Whether the device reads a variable: a positive or negative literal.
+  [[nodiscard]] bool reads_variable() const {
+    return kind == literal_kind::positive || kind == literal_kind::negative;
+  }
 
   [[nodiscard]] bool conducts(const std::vector<bool>& assignment) const {
     switch (kind) {
@@ -43,6 +55,16 @@ struct device {
   }
 };
 
+/// A programmed junction: its device and where it sits.
+struct placed_device {
+  int row = 0;
+  int column = 0;
+  device literal;
+
+  /// (row, column): devices order row-major by it.
+  [[nodiscard]] std::pair<int, int> junction() const { return {row, column}; }
+};
+
 struct output_port {
   int row = 0;
   std::string name;
@@ -50,19 +72,57 @@ struct output_port {
 
 class crossbar {
  public:
+  /// A rows x columns design with every junction off.
   crossbar(int rows, int columns);
+  /// The dimensions and ports of `shape`, programmed with `devices` in place
+  /// of its own: the bulk path for whole designs. The devices come in any
+  /// order; as if set() took them in list order, a later device on a
+  /// junction replaces an earlier one and an off device clears it.
+  crossbar(crossbar shape, std::vector<placed_device> devices);
 
   [[nodiscard]] int rows() const { return rows_; }
   [[nodiscard]] int columns() const { return columns_; }
 
+  /// The programmed devices, sorted by (row, column); off junctions are
+  /// absent.
+  [[nodiscard]] const std::vector<placed_device>& devices() const {
+    return devices_;
+  }
+  /// Wordline `row`'s devices, by column.
+  [[nodiscard]] std::span<const placed_device> row_devices(int row) const;
+  /// Bitline `column`'s devices, by row.
+  [[nodiscard]] std::span<const placed_device> column_devices(
+      int column) const;
+
+  /// The device at one junction (off where none is programmed).
   [[nodiscard]] const device& at(int row, int column) const;
+  /// Call visit(row, column, device) for every junction, row-major, off
+  /// junctions included: for the models in which every junction counts
+  /// (analog stamping, faults that can strike anywhere).
+  template <typename Visit>
+  void for_each_junction(Visit&& visit) const {
+    static constexpr device off{};
+    for (int r = 0; r < rows_; ++r) {
+      const std::span<const placed_device> devices = row_devices(r);
+      auto next = devices.begin();
+      for (int c = 0; c < columns_; ++c)
+        visit(r, c,
+              next != devices.end() && next->column == c ? (next++)->literal
+                                                         : off);
+    }
+  }
+  /// Program one junction; an off device clears it. The edit path for
+  /// tests, mutants and probes: it costs O(devices + rows + columns).
   void set(int row, int column, device d);
-  /// The highest variable index set on any junction so far (-1 when none),
-  /// so evaluation checks an assignment's length once, not per device.
-  /// Setting a junction again never lowers it.
-  [[nodiscard]] int max_variable() const { return max_variable_; }
   void set_literal(int row, int column, int variable, bool positive);
   void set_on(int row, int column);
+  /// Throw compact::error, as set() would, unless `p` fits this design: its
+  /// junction in range and, for a literal, a variable.
+  void check_device(const placed_device& p) const;
+
+  /// The highest variable a device reads (-1 when none), so evaluation
+  /// checks an assignment's length once, not per device.
+  [[nodiscard]] int max_variable() const { return max_variable_; }
 
   /// The wordline driven with V_in.
   void set_input_row(int row);
@@ -103,14 +163,26 @@ class crossbar {
              const std::vector<std::string>& variable_names = {}) const;
 
  private:
+  /// Rebuild the row offsets, the column index and max_variable_ from
+  /// devices_.
+  void index();
+
   int rows_ = 0;
   int columns_ = 0;
   int input_row_ = -1;
   int max_variable_ = -1;
-  std::vector<device> devices_;  // row-major
+  std::vector<placed_device> devices_;    // by (row, column)
+  std::vector<int> row_start_;            // rows + 1 offsets into devices_
+  std::vector<placed_device> by_column_;  // by (column, row)
+  std::vector<int> column_start_;         // columns + 1 offsets into it
   std::vector<output_port> outputs_;
   std::vector<std::pair<std::string, bool>> constant_outputs_;
 };
+
+/// A device as text: "." when off, "1" when on, else its variable's name
+/// (x<index> past `variable_names`), with "!" when negative.
+[[nodiscard]] std::string device_label(
+    const device& d, const std::vector<std::string>& variable_names);
 
 /// Throw compact::error, naming the variable, when a device of `design`
 /// reads beyond an assignment of `bits` values. Evaluation calls it once per

@@ -23,6 +23,16 @@ void note_extraction(int fixpoint_iterations) {
   iterations.observe(static_cast<double>(fixpoint_iterations));
 }
 
+/// Each device's function, in the device list's (row, column) order.
+std::vector<bdd::node_handle> functions_of(const crossbar& design,
+                                           bdd::manager& m) {
+  std::vector<bdd::node_handle> fns;
+  fns.reserve(design.devices().size());
+  for (const placed_device& p : design.devices())
+    fns.push_back(device_function(p.literal, m));
+  return fns;
+}
+
 }  // namespace
 
 bdd::node_handle device_function(const device& d, bdd::manager& m) {
@@ -48,31 +58,13 @@ extraction_result extract_sneak_functions(const crossbar& design,
   const trace_span span("extract_sneak_functions", "verify");
   check(design.input_row() >= 0 && design.input_row() < design.rows(),
         "extract_sneak_functions: design has no input row");
-  const int rows = design.rows();
-  const int cols = design.columns();
-
-  // Sparse device grid: (wire index, device function) adjacency in both
-  // directions, skipping off junctions entirely.
-  struct link {
-    int other;
-    bdd::node_handle fn;
-  };
-  std::vector<std::vector<link>> of_row(static_cast<std::size_t>(rows));
-  std::vector<std::vector<link>> of_col(static_cast<std::size_t>(cols));
-  for (int r = 0; r < rows; ++r) {
-    for (int c = 0; c < cols; ++c) {
-      const device& d = design.at(r, c);
-      if (d.kind == literal_kind::off) continue;
-      const bdd::node_handle fn = device_function(d, m);
-      of_row[static_cast<std::size_t>(r)].push_back({c, fn});
-      of_col[static_cast<std::size_t>(c)].push_back({r, fn});
-    }
-  }
+  const std::vector<placed_device>& devices = design.devices();
+  const std::vector<bdd::node_handle> fns = functions_of(design, m);
 
   extraction_result result;
-  result.row_function.assign(static_cast<std::size_t>(rows),
+  result.row_function.assign(static_cast<std::size_t>(design.rows()),
                              m.constant(false));
-  result.column_function.assign(static_cast<std::size_t>(cols),
+  result.column_function.assign(static_cast<std::size_t>(design.columns()),
                                 m.constant(false));
   result.row_function[static_cast<std::size_t>(design.input_row())] =
       m.constant(true);
@@ -81,35 +73,29 @@ extraction_result extract_sneak_functions(const crossbar& design,
   // (every update ORs new terms in), so termination is guaranteed; the
   // number of sweeps is bounded by the crossbar's conduction diameter
   // (alternating row/column hops), typically far below rows + columns.
+  // Each sweep updates every column from the rows, then every row from the
+  // columns. A half-sweep reads only the other half, so one pass over the
+  // device list ORs in each wire's terms in order: a column's by row, a
+  // row's by column.
+  const auto add = [&](bdd::node_handle& value, bdd::node_handle from,
+                       std::size_t device) {
+    value = m.apply_or(value, m.apply_and(from, fns[device]));
+  };
   bool changed = true;
   while (changed) {
-    changed = false;
     ++result.fixpoint_iterations;
-    for (int c = 0; c < cols; ++c) {
-      bdd::node_handle fn = result.column_function[static_cast<std::size_t>(c)];
-      for (const link& l : of_col[static_cast<std::size_t>(c)])
-        fn = m.apply_or(
-            fn, m.apply_and(
-                    result.row_function[static_cast<std::size_t>(l.other)],
-                    l.fn));
-      if (fn != result.column_function[static_cast<std::size_t>(c)]) {
-        result.column_function[static_cast<std::size_t>(c)] = fn;
-        changed = true;
-      }
-    }
-    for (int r = 0; r < rows; ++r) {
-      if (r == design.input_row()) continue;
-      bdd::node_handle fn = result.row_function[static_cast<std::size_t>(r)];
-      for (const link& l : of_row[static_cast<std::size_t>(r)])
-        fn = m.apply_or(
-            fn, m.apply_and(
-                    result.column_function[static_cast<std::size_t>(l.other)],
-                    l.fn));
-      if (fn != result.row_function[static_cast<std::size_t>(r)]) {
-        result.row_function[static_cast<std::size_t>(r)] = fn;
-        changed = true;
-      }
-    }
+    std::vector<bdd::node_handle> columns = result.column_function;
+    for (std::size_t i = 0; i < devices.size(); ++i)
+      add(columns[static_cast<std::size_t>(devices[i].column)],
+          result.row_function[static_cast<std::size_t>(devices[i].row)], i);
+    std::vector<bdd::node_handle> rows = result.row_function;
+    for (std::size_t i = 0; i < devices.size(); ++i)
+      if (devices[i].row != design.input_row())
+        add(rows[static_cast<std::size_t>(devices[i].row)],
+            columns[static_cast<std::size_t>(devices[i].column)], i);
+    changed = columns != result.column_function || rows != result.row_function;
+    result.column_function = std::move(columns);
+    result.row_function = std::move(rows);
   }
 
   // The fixpoint leaves every superseded iterate (and the per-device
@@ -138,92 +124,80 @@ stitched_extraction_result extract_stitched_functions(
   check(input_fragment >= 0,
         "extract_stitched_functions: no fragment declares an input row");
 
-  // Flatten every nanowire of every fragment into one index space (per
-  // fragment: rows first, then columns), exactly like the concrete stitched
-  // evaluation in xbar/partitioned.cpp.
+  // One index space over every nanowire of every fragment, as in the
+  // stitched BFS (xbar/partitioned).
   const int fragment_count = design.array_count();
-  std::vector<int> offset(static_cast<std::size_t>(fragment_count), 0);
-  int total = 0;
-  for (int f = 0; f < fragment_count; ++f) {
-    offset[static_cast<std::size_t>(f)] = total;
-    total += design.fragment(f).rows() + design.fragment(f).columns();
-  }
-  const auto of_row = [&](int f, int r) {
-    return offset[static_cast<std::size_t>(f)] + r;
-  };
-  const auto of_column = [&](int f, int c) {
-    return offset[static_cast<std::size_t>(f)] + design.fragment(f).rows() + c;
-  };
-  const auto of_wire = [&](const wire_ref& w) {
-    return w.kind == wire_kind::row ? of_row(w.array, w.index)
-                                          : of_column(w.array, w.index);
-  };
-
-  struct link {
-    int other;
-    bdd::node_handle fn;
-  };
-  std::vector<std::vector<link>> links(static_cast<std::size_t>(total));
-  for (int f = 0; f < fragment_count; ++f) {
-    const crossbar& fragment = design.fragment(f);
-    for (int r = 0; r < fragment.rows(); ++r)
-      for (int c = 0; c < fragment.columns(); ++c) {
-        const device& d = fragment.at(r, c);
-        if (d.kind == literal_kind::off) continue;
-        const bdd::node_handle fn = device_function(d, m);
-        links[static_cast<std::size_t>(of_row(f, r))].push_back(
-            {of_column(f, c), fn});
-        links[static_cast<std::size_t>(of_column(f, c))].push_back(
-            {of_row(f, r), fn});
-      }
-  }
-  // A bridge welds its two wires into one net: an always-true link.
-  for (const bridge& b : design.connections()) {
-    const int wa = of_wire(b.a);
-    const int wb = of_wire(b.b);
-    links[static_cast<std::size_t>(wa)].push_back({wb, m.constant(true)});
-    links[static_cast<std::size_t>(wb)].push_back({wa, m.constant(true)});
-  }
+  const wire_numbering wires(design.fragments());
+  const std::vector<std::pair<int, wire_ref>> links =
+      bridge_links(design.connections(), wires);
+  std::vector<std::vector<bdd::node_handle>> fns;
+  fns.reserve(static_cast<std::size_t>(fragment_count));
+  for (const crossbar& fragment : design.fragments())
+    fns.push_back(functions_of(fragment, m));
 
   const int input_wire =
-      of_row(input_fragment, design.fragment(input_fragment).input_row());
-  std::vector<bdd::node_handle> fn(static_cast<std::size_t>(total),
+      wires.row(input_fragment, design.fragment(input_fragment).input_row());
+  std::vector<bdd::node_handle> fn(static_cast<std::size_t>(wires.total()),
                                    m.constant(false));
   fn[static_cast<std::size_t>(input_wire)] = m.constant(true);
 
   stitched_extraction_result result;
   bool changed = true;
+  // Fold the wires bridged to `wire` into its new `value` and store it. A
+  // bridge welds its two wires into one net: an always-true link.
+  const auto settle = [&](int wire, bdd::node_handle value) {
+    for (const auto& link : std::ranges::equal_range(
+             links, wire, {}, &std::pair<int, wire_ref>::first))
+      value = m.apply_or(value, fn[static_cast<std::size_t>(
+                                    wires.of(link.second))]);
+    if (value == fn[static_cast<std::size_t>(wire)]) return;
+    fn[static_cast<std::size_t>(wire)] = value;
+    changed = true;
+  };
+  // Sweep the wires in number order: each fragment's rows, then its
+  // columns. A half of a fragment reads only its other half and the other
+  // fragments, so one pass over its device list ORs in each wire's device
+  // terms in order before the bridges; the input wire stays pinned.
+  std::vector<bdd::node_handle> next;
+  const auto add = [&](int to, int from, bdd::node_handle device) {
+    bdd::node_handle& value = next[static_cast<std::size_t>(to)];
+    value = m.apply_or(
+        value, m.apply_and(fn[static_cast<std::size_t>(from)], device));
+  };
   while (changed) {
     changed = false;
     ++result.fixpoint_iterations;
-    for (int w = 0; w < total; ++w) {
-      if (w == input_wire) continue;
-      bdd::node_handle value = fn[static_cast<std::size_t>(w)];
-      for (const link& l : links[static_cast<std::size_t>(w)])
-        value = m.apply_or(
-            value,
-            m.apply_and(fn[static_cast<std::size_t>(l.other)], l.fn));
-      if (value != fn[static_cast<std::size_t>(w)]) {
-        fn[static_cast<std::size_t>(w)] = value;
-        changed = true;
-      }
+    for (int f = 0; f < fragment_count; ++f) {
+      const crossbar& fragment = design.fragment(f);
+      const std::vector<placed_device>& devices = fragment.devices();
+      const std::vector<bdd::node_handle>& device_fn =
+          fns[static_cast<std::size_t>(f)];
+      const int rows = wires.row(f, 0);
+      const int columns = wires.column(f, 0);
+      next.assign(fn.begin() + rows, fn.begin() + columns);
+      for (std::size_t i = 0; i < devices.size(); ++i)
+        if (rows + devices[i].row != input_wire)
+          add(devices[i].row, columns + devices[i].column, device_fn[i]);
+      for (int r = 0; r < fragment.rows(); ++r)
+        if (rows + r != input_wire)
+          settle(rows + r, next[static_cast<std::size_t>(r)]);
+      next.assign(fn.begin() + columns,
+                  fn.begin() + columns + fragment.columns());
+      for (std::size_t i = 0; i < devices.size(); ++i)
+        add(devices[i].column, rows + devices[i].row, device_fn[i]);
+      for (int c = 0; c < fragment.columns(); ++c)
+        settle(columns + c, next[static_cast<std::size_t>(c)]);
     }
   }
 
   m.collect_garbage(fn);
 
-  result.row_function.resize(static_cast<std::size_t>(fragment_count));
-  result.column_function.resize(static_cast<std::size_t>(fragment_count));
   for (int f = 0; f < fragment_count; ++f) {
-    const crossbar& fragment = design.fragment(f);
-    auto& rows = result.row_function[static_cast<std::size_t>(f)];
-    auto& cols = result.column_function[static_cast<std::size_t>(f)];
-    rows.reserve(static_cast<std::size_t>(fragment.rows()));
-    cols.reserve(static_cast<std::size_t>(fragment.columns()));
-    for (int r = 0; r < fragment.rows(); ++r)
-      rows.push_back(fn[static_cast<std::size_t>(of_row(f, r))]);
-    for (int c = 0; c < fragment.columns(); ++c)
-      cols.push_back(fn[static_cast<std::size_t>(of_column(f, c))]);
+    const auto rows = fn.begin() + wires.row(f, 0);
+    const auto columns = fn.begin() + wires.column(f, 0);
+    result.row_function.emplace_back(rows, columns);
+    result.column_function.emplace_back(
+        columns, columns + design.fragment(f).columns());
   }
 
   note_extraction(result.fixpoint_iterations);

@@ -39,17 +39,17 @@ bool matches_on(const crossbar& faulty, const crossbar& reference,
 
 crossbar inject_faults(const crossbar& design,
                        const std::vector<fault>& faults) {
-  crossbar faulty = design;
+  std::vector<placed_device> devices = design.devices();
   for (const fault& f : faults) {
     check(f.row >= 0 && f.row < design.rows() && f.column >= 0 &&
               f.column < design.columns(),
           "inject_faults: fault location out of range");
-    faulty.set(f.row, f.column,
-               {f.kind == fault_kind::stuck_on ? literal_kind::on
-                                               : literal_kind::off,
-                -1});
+    devices.push_back({f.row, f.column,
+                       {f.kind == fault_kind::stuck_on ? literal_kind::on
+                                                       : literal_kind::off,
+                        -1}});
   }
-  return faulty;
+  return crossbar(design, std::move(devices));
 }
 
 yield_report estimate_yield(const crossbar& design, int variable_count,
@@ -103,23 +103,19 @@ std::vector<fault> critical_single_faults(const crossbar& design,
   const std::vector<std::vector<bool>> inputs =
       sample_vectors(variable_count, vectors, seed);
   std::vector<fault> critical;
-  for (int r = 0; r < design.rows(); ++r) {
-    for (int c = 0; c < design.columns(); ++c) {
-      for (const fault_kind kind :
-           {fault_kind::stuck_off, fault_kind::stuck_on}) {
-        // Skip no-op faults (stuck-off on an off junction etc.).
-        const literal_kind programmed = design.at(r, c).kind;
-        if (kind == fault_kind::stuck_off &&
-            programmed == literal_kind::off)
-          continue;
-        if (kind == fault_kind::stuck_on && programmed == literal_kind::on)
-          continue;
-        const crossbar faulty = inject_faults(design, {{r, c, kind}});
-        if (!matches_on(faulty, design, inputs))
-          critical.push_back({r, c, kind});
-      }
+  design.for_each_junction([&](int r, int c, const device& d) {
+    for (const fault_kind kind :
+         {fault_kind::stuck_off, fault_kind::stuck_on}) {
+      // Skip no-op faults (stuck-off on an off junction etc.).
+      if (kind == fault_kind::stuck_off && d.kind == literal_kind::off)
+        continue;
+      if (kind == fault_kind::stuck_on && d.kind == literal_kind::on)
+        continue;
+      const crossbar faulty = inject_faults(design, {{r, c, kind}});
+      if (!matches_on(faulty, design, inputs))
+        critical.push_back({r, c, kind});
     }
-  }
+  });
   return critical;
 }
 

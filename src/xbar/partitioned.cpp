@@ -1,7 +1,6 @@
 #include "xbar/partitioned.hpp"
 
 #include <algorithm>
-#include <queue>
 
 #include "util/error.hpp"
 
@@ -125,96 +124,87 @@ partitioned_design remap_variables(const partitioned_design& design,
 
 // --- stitched evaluation ----------------------------------------------------
 
-namespace {
-
-/// Flat wire numbering across fragments: fragment f contributes its rows
-/// then its columns, fragments in order.
-struct wire_index {
-  std::vector<int> offset;  // per fragment, start of its row block
+wire_numbering::wire_numbering(std::span<const crossbar> fragments) {
+  start_.reserve(2 * fragments.size() + 1);
   int total = 0;
+  for (const crossbar& f : fragments) {
+    start_.push_back(total);
+    start_.push_back(total + f.rows());
+    total += f.rows() + f.columns();
+  }
+  start_.push_back(total);
+}
 
-  explicit wire_index(const partitioned_design& design) {
-    offset.reserve(static_cast<std::size_t>(design.array_count()));
-    for (const crossbar& f : design.fragments()) {
-      offset.push_back(total);
-      total += f.rows() + f.columns();
+bool wire_numbering::contains(const wire_ref& w) const {
+  // Block 2f holds fragment f's rows, block 2f + 1 its columns.
+  const std::size_t block = 2 * static_cast<std::size_t>(w.array) +
+                            (w.kind == wire_kind::row ? 0 : 1);
+  return w.array >= 0 && block + 1 < start_.size() && w.index >= 0 &&
+         w.index < start_[block + 1] - start_[block];
+}
+
+std::vector<std::pair<int, wire_ref>> bridge_links(
+    std::span<const bridge> bridges, const wire_numbering& wires) {
+  std::vector<std::pair<int, wire_ref>> links;
+  links.reserve(2 * bridges.size());
+  for (const bridge& b : bridges) {
+    links.emplace_back(wires.of(b.a), b.b);
+    links.emplace_back(wires.of(b.b), b.a);
+  }
+  std::ranges::stable_sort(links, {}, &std::pair<int, wire_ref>::first);
+  return links;
+}
+
+std::vector<std::vector<bool>> reachable_rows(
+    std::span<const crossbar> fragments, std::span<const bridge> bridges,
+    int input, const std::vector<bool>& assignment) {
+  for (const crossbar& f : fragments) check_assignment(f, assignment.size());
+  const wire_numbering wires(fragments);
+  const std::vector<std::pair<int, wire_ref>> links =
+      bridge_links(bridges, wires);
+  std::vector<bool> reached(static_cast<std::size_t>(wires.total()), false);
+  std::vector<wire_ref> frontier;
+  const auto reach = [&](const wire_ref& w) {
+    const auto wire = static_cast<std::size_t>(wires.of(w));
+    if (reached[wire]) return;
+    reached[wire] = true;
+    frontier.push_back(w);
+  };
+  reach({input, wire_kind::row,
+         fragments[static_cast<std::size_t>(input)].input_row()});
+  while (!frontier.empty()) {
+    const wire_ref w = frontier.back();
+    frontier.pop_back();
+    const crossbar& f = fragments[static_cast<std::size_t>(w.array)];
+    if (w.kind == wire_kind::row) {
+      for (const placed_device& p : f.row_devices(w.index))
+        if (p.literal.conducts(assignment))
+          reach({w.array, wire_kind::column, p.column});
+    } else {
+      for (const placed_device& p : f.column_devices(w.index))
+        if (p.literal.conducts(assignment))
+          reach({w.array, wire_kind::row, p.row});
     }
+    for (const auto& link : std::ranges::equal_range(
+             links, wires.of(w), {}, &std::pair<int, wire_ref>::first))
+      reach(link.second);
   }
-  [[nodiscard]] int of_row(const partitioned_design&, int array,
-                           int row) const {
-    return offset[static_cast<std::size_t>(array)] + row;
-  }
-  [[nodiscard]] int of_column(const partitioned_design& design, int array,
-                              int column) const {
-    return offset[static_cast<std::size_t>(array)] +
-           design.fragment(array).rows() + column;
-  }
-};
 
-}  // namespace
+  std::vector<std::vector<bool>> rows;
+  rows.reserve(fragments.size());
+  for (int f = 0; f < static_cast<int>(fragments.size()); ++f) {
+    const auto first = reached.begin() + wires.row(f, 0);
+    rows.emplace_back(first, reached.begin() + wires.column(f, 0));
+  }
+  return rows;
+}
 
 std::vector<std::vector<bool>> reachable_rows(
     const partitioned_design& design, const std::vector<bool>& assignment) {
   const int input = design.input_array();
   check(input >= 0, "partitioned evaluate: design has no input row");
-  for (const crossbar& frag : design.fragments())
-    check_assignment(frag, assignment.size());
-
-  wire_index index(design);
-  // Adjacency over nets: conducting devices join a fragment's row and
-  // column wires; bridges join wires unconditionally.
-  std::vector<std::vector<int>> adjacent(
-      static_cast<std::size_t>(index.total));
-  for (int f = 0; f < design.array_count(); ++f) {
-    const crossbar& frag = design.fragment(f);
-    for (int r = 0; r < frag.rows(); ++r) {
-      for (int c = 0; c < frag.columns(); ++c) {
-        if (!frag.at(r, c).conducts(assignment)) continue;
-        const int rw = index.of_row(design, f, r);
-        const int cw = index.of_column(design, f, c);
-        adjacent[static_cast<std::size_t>(rw)].push_back(cw);
-        adjacent[static_cast<std::size_t>(cw)].push_back(rw);
-      }
-    }
-  }
-  for (const bridge& b : design.connections()) {
-    const int aw = b.a.kind == wire_kind::row
-                       ? index.of_row(design, b.a.array, b.a.index)
-                       : index.of_column(design, b.a.array, b.a.index);
-    const int bw = b.b.kind == wire_kind::row
-                       ? index.of_row(design, b.b.array, b.b.index)
-                       : index.of_column(design, b.b.array, b.b.index);
-    adjacent[static_cast<std::size_t>(aw)].push_back(bw);
-    adjacent[static_cast<std::size_t>(bw)].push_back(aw);
-  }
-
-  std::vector<bool> reached(static_cast<std::size_t>(index.total), false);
-  std::queue<int> frontier;
-  const int start =
-      index.of_row(design, input, design.fragment(input).input_row());
-  reached[static_cast<std::size_t>(start)] = true;
-  frontier.push(start);
-  while (!frontier.empty()) {
-    const int wire = frontier.front();
-    frontier.pop();
-    for (const int next : adjacent[static_cast<std::size_t>(wire)]) {
-      if (reached[static_cast<std::size_t>(next)]) continue;
-      reached[static_cast<std::size_t>(next)] = true;
-      frontier.push(next);
-    }
-  }
-
-  std::vector<std::vector<bool>> rows;
-  rows.reserve(static_cast<std::size_t>(design.array_count()));
-  for (int f = 0; f < design.array_count(); ++f) {
-    const crossbar& frag = design.fragment(f);
-    std::vector<bool> fragment_rows(static_cast<std::size_t>(frag.rows()));
-    for (int r = 0; r < frag.rows(); ++r)
-      fragment_rows[static_cast<std::size_t>(r)] =
-          reached[static_cast<std::size_t>(index.of_row(design, f, r))];
-    rows.push_back(std::move(fragment_rows));
-  }
-  return rows;
+  return reachable_rows(design.fragments(), design.connections(), input,
+                        assignment);
 }
 
 std::vector<bool> evaluate(const partitioned_design& design,

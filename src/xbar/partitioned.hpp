@@ -13,6 +13,7 @@
 
 #include <cstdint>
 #include <ostream>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -100,6 +101,47 @@ class partitioned_design {
     const partitioned_design& design, const std::vector<int>& mapping);
 
 // --- stitched evaluation ----------------------------------------------------
+
+/// One flat numbering of the nanowires of a list of fragments: each
+/// fragment contributes its rows, then its columns, fragments in order.
+class wire_numbering {
+ public:
+  explicit wire_numbering(std::span<const crossbar> fragments);
+
+  [[nodiscard]] int total() const { return start_.back(); }
+  [[nodiscard]] int row(int array, int index) const {
+    return start_[2 * static_cast<std::size_t>(array)] + index;
+  }
+  [[nodiscard]] int column(int array, int index) const {
+    return start_[2 * static_cast<std::size_t>(array) + 1] + index;
+  }
+  /// The number of the wire `w` names; contains(w) must hold.
+  [[nodiscard]] int of(const wire_ref& w) const {
+    return w.kind == wire_kind::row ? row(w.array, w.index)
+                                    : column(w.array, w.index);
+  }
+  /// Whether `w` names a wire of the fragments (a malformed bridge does
+  /// not).
+  [[nodiscard]] bool contains(const wire_ref& w) const;
+
+ private:
+  // Entry 2f is fragment f's first row wire, 2f + 1 its first column wire;
+  // the last entry is the total.
+  std::vector<int> start_;
+};
+
+/// Every bridge as two links, (wire, the wire bridged to it), sorted by
+/// wire; a wire's links keep the bridges' order.
+[[nodiscard]] std::vector<std::pair<int, wire_ref>> bridge_links(
+    std::span<const bridge> bridges, const wire_numbering& wires);
+
+/// The one conduction BFS, behind both reachable_rows: result[f][r] is
+/// true iff row r of fragment f is reachable under `assignment` from the
+/// input wordline of fragment `input`. A conducting device joins its
+/// wordline and bitline; a bridge joins its two wires.
+[[nodiscard]] std::vector<std::vector<bool>> reachable_rows(
+    std::span<const crossbar> fragments, std::span<const bridge> bridges,
+    int input, const std::vector<bool>& assignment);
 
 /// All outputs under one assignment, ordered as output_names(): BFS over
 /// the union conduction graph where bridged wires are merged into one net.

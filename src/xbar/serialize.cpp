@@ -75,10 +75,14 @@ crossbar read_body(line_reader& in, std::string_view terminator,
   const int cols = in.number(in[2]);
   if (rows < 1 || cols < 0) throw parse_error("xbar: bad dimensions");
 
+  // The ports go on `design` as they are read, the devices into one list
+  // for the bulk constructor; each line is range-checked when it is read.
   crossbar design(rows, cols);
+  std::vector<placed_device> devices;
   while (in.next()) {
     const std::string_view head = in[0];
-    if (head == terminator) return design;
+    if (head == terminator)
+      return crossbar(std::move(design), std::move(devices));
     if (head == "input" && in.size() == 2) {
       design.set_input_row(in.number(in[1]));
     } else if (head == "output" && in.size() == 3) {
@@ -88,16 +92,19 @@ crossbar read_body(line_reader& in, std::string_view terminator,
     } else if (head == "var" && in.size() == 3 && names != nullptr) {
       read_var(in, *names);
     } else if (head == "d" && in.size() == 4) {
-      const int r = in.number(in[1]);
-      const int c = in.number(in[2]);
+      placed_device p{in.number(in[1]), in.number(in[2]), {}};
       const std::string_view spec = in[3];
       if (spec == "on") {
-        design.set_on(r, c);
+        p.literal = {literal_kind::on, -1};
       } else if (spec.size() >= 2 && (spec[0] == '+' || spec[0] == '-')) {
-        design.set_literal(r, c, in.number(spec.substr(1)), spec[0] == '+');
+        p.literal = {spec[0] == '+' ? literal_kind::positive
+                                    : literal_kind::negative,
+                     in.number(spec.substr(1))};
       } else {
         throw parse_error("xbar: bad device spec " + std::string(spec));
       }
+      design.check_device(p);
+      devices.push_back(p);
     } else {
       throw parse_error("xbar: unrecognized line: " + in.line());
     }
@@ -130,23 +137,14 @@ void write_ports_and_devices(const crossbar& design, std::ostream& os) {
 }
 
 void write_devices(const crossbar& design, std::ostream& os) {
-  for (int r = 0; r < design.rows(); ++r) {
-    for (int c = 0; c < design.columns(); ++c) {
-      const device& d = design.at(r, c);
-      switch (d.kind) {
-        case literal_kind::off:
-          break;
-        case literal_kind::on:
-          os << "d " << r << ' ' << c << " on\n";
-          break;
-        case literal_kind::positive:
-          os << "d " << r << ' ' << c << " +" << d.variable << '\n';
-          break;
-        case literal_kind::negative:
-          os << "d " << r << ' ' << c << " -" << d.variable << '\n';
-          break;
-      }
-    }
+  for (const placed_device& p : design.devices()) {
+    const device& d = p.literal;  // never off: off junctions hold no device
+    os << "d " << p.row << ' ' << p.column;
+    if (d.kind == literal_kind::on)
+      os << " on\n";
+    else
+      os << (d.kind == literal_kind::positive ? " +" : " -") << d.variable
+         << '\n';
   }
 }
 
@@ -287,26 +285,6 @@ loaded_partitioned_design read_partitioned_design(std::istream& is) {
 
 void write_design_dot(const crossbar& design, std::ostream& os,
                       const std::vector<std::string>& variable_names) {
-  auto literal_label = [&](const device& d) -> std::string {
-    switch (d.kind) {
-      case literal_kind::on:
-        return "1";
-      case literal_kind::positive:
-      case literal_kind::negative: {
-        std::string name =
-            d.variable >= 0 &&
-                    static_cast<std::size_t>(d.variable) <
-                        variable_names.size()
-                ? variable_names[static_cast<std::size_t>(d.variable)]
-                : std::string("x").append(std::to_string(d.variable));
-        return d.kind == literal_kind::negative ? "!" + name : name;
-      }
-      case literal_kind::off:
-        return {};
-    }
-    return {};
-  };
-
   os << "graph crossbar {\n  rankdir=LR;\n";
   for (int r = 0; r < design.rows(); ++r) {
     std::string extra;
@@ -319,13 +297,9 @@ void write_design_dot(const crossbar& design, std::ostream& os,
   }
   for (int c = 0; c < design.columns(); ++c)
     os << "  b" << c << " [shape=ellipse,label=\"BL" << c << "\"];\n";
-  for (int r = 0; r < design.rows(); ++r) {
-    for (int c = 0; c < design.columns(); ++c) {
-      const std::string label = literal_label(design.at(r, c));
-      if (label.empty()) continue;
-      os << "  w" << r << " -- b" << c << " [label=\"" << label << "\"];\n";
-    }
-  }
+  for (const placed_device& p : design.devices())
+    os << "  w" << p.row << " -- b" << p.column << " [label=\""
+       << device_label(p.literal, variable_names) << "\"];\n";
   os << "}\n";
 }
 

@@ -3,6 +3,7 @@
 #include "bdd/manager.hpp"
 #include "xbar/equivalence.hpp"
 #include "xbar/evaluate.hpp"
+#include "xbar/serialize.hpp"
 
 namespace compact::xbar {
 namespace {
@@ -159,6 +160,17 @@ TEST(ValidateTest, ChecksEveryBindingOfAName) {
   crossbar constant = x;  // a constant of the same name disagrees too
   constant.add_constant_output(false, "f");
   EXPECT_FALSE(validate(constant, m, {f}, {"f"}, 2).equivalent);
+}
+
+// A later `d` line for a junction replaces its device, and the assignment
+// length is checked against the devices that remain: once the literal on
+// +7 is replaced by an always-on bridge, no device reads variable 7.
+TEST(EvaluateTest, ReplacedDeviceNoLongerBoundsTheAssignment) {
+  const loaded_design loaded = read_design(
+      "xbar 1\ndim 2 1\ninput 1\noutput 0 f\nd 1 0 on\nd 0 0 +7\n"
+      "d 0 0 on\nend\n");
+  EXPECT_EQ(loaded.design.max_variable(), -1);
+  EXPECT_EQ(evaluate(loaded.design, {true}), std::vector<bool>{true});
 }
 
 }  // namespace

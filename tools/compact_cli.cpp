@@ -791,13 +791,8 @@ int cmd_margins(const std::vector<std::string>& args) {
     else
       usage("unknown option " + args[i]);
   }
-  if (inputs < 0) {
-    // Infer from the largest variable index used by any device.
-    for (int r = 0; r < loaded.design.rows(); ++r)
-      for (int c = 0; c < loaded.design.columns(); ++c)
-        inputs = std::max(inputs, loaded.design.at(r, c).variable + 1);
-    inputs = std::max(inputs, 0);
-  }
+  // Infer from the largest variable index used by any device.
+  if (inputs < 0) inputs = loaded.design.max_variable() + 1;
 
   const analog::device_model model;
   const analog::margin_report report =

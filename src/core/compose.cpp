@@ -46,7 +46,7 @@ xbar::crossbar compose_diagonal(
     for (const auto& [name, value] : block->constant_outputs())
       composed.add_constant_output(value, name);
   }
-  return xbar::crossbar(std::move(composed), std::move(devices));
+  return xbar::crossbar(composed, std::move(devices));
 }
 
 }  // namespace compact::core

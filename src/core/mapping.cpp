@@ -1,6 +1,7 @@
 #include "core/mapping.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "util/error.hpp"
 
@@ -58,49 +59,37 @@ mapping_result map_to_crossbar(const bdd_graph& graph, const labeling& l) {
   for (const auto& [name, value] : graph.constant_outputs)
     shape.add_constant_output(value, name);
 
+  // ---- Node and edge assignment. -------------------------------------------
+  // VH bridges: the node's wordline and bitline are the same electrical
+  // node, realized with an always-on memristor at their junction.
+  std::vector<xbar::placed_device> devices;
+  for (graph::node_id v = 0; v < n; ++v)
+    if (l.label_of[static_cast<std::size_t>(v)] == vh_label::vh)
+      devices.push_back({row_of[static_cast<std::size_t>(v)],
+                         column_of[static_cast<std::size_t>(v)],
+                         {xbar::literal_kind::on, -1}});
+  // Edges: one memristor programmed with the edge's literal, at the
+  // junction of one endpoint's wordline and the other's bitline.
+  const std::vector<graph::edge>& edges = g.edges();
+  for (std::size_t e = 0; e < edges.size(); ++e) {
+    auto [u, v] = edges[e];
+    if (!l.has_row(u) || !l.has_column(v)) std::swap(u, v);
+    const edge_literal lit = graph.literal_of_edge[e];
+    devices.push_back({row_of[static_cast<std::size_t>(u)],
+                       column_of[static_cast<std::size_t>(v)],
+                       {lit.positive ? xbar::literal_kind::positive
+                                     : xbar::literal_kind::negative,
+                        lit.variable}});
+  }
+
   // The constructor keeps one device per junction, so a design shorter
   // than the list means a junction was assigned twice.
-  std::vector<xbar::placed_device> devices =
-      place_devices(graph, l, row_of, column_of);
   const std::size_t device_count = devices.size();
-  mapping_result result{xbar::crossbar(std::move(shape), std::move(devices)),
+  mapping_result result{xbar::crossbar(shape, std::move(devices)),
                         std::move(row_of), std::move(column_of)};
   check(result.design.devices().size() == device_count,
         "map_to_crossbar: junction assigned twice");
   return result;
-}
-
-std::vector<xbar::placed_device> place_devices(
-    const bdd_graph& graph, const labeling& l, const std::vector<int>& row_of,
-    const std::vector<int>& column_of) {
-  std::vector<xbar::placed_device> devices;
-  const auto place = [&](graph::node_id row_node, graph::node_id column_node,
-                         xbar::device d) {
-    const int r = row_of[static_cast<std::size_t>(row_node)];
-    const int c = column_of[static_cast<std::size_t>(column_node)];
-    if (r >= 0 && c >= 0) devices.push_back({r, c, d});
-  };
-  // VH bridges: the node's wordline and bitline are the same electrical
-  // node, realized with an always-on memristor at their junction.
-  const auto n = static_cast<graph::node_id>(graph.g.node_count());
-  for (graph::node_id v = 0; v < n; ++v)
-    if (l.label_of[static_cast<std::size_t>(v)] == vh_label::vh)
-      place(v, v, {xbar::literal_kind::on, -1});
-  // Edges: one memristor programmed with the edge's literal.
-  const std::vector<graph::edge>& edges = graph.g.edges();
-  for (std::size_t e = 0; e < edges.size(); ++e) {
-    const graph::node_id u = edges[e].u;
-    const graph::node_id v = edges[e].v;
-    const edge_literal lit = graph.literal_of_edge[e];
-    const xbar::device d{lit.positive ? xbar::literal_kind::positive
-                                      : xbar::literal_kind::negative,
-                         lit.variable};
-    if (l.has_row(u) && l.has_column(v))
-      place(u, v, d);
-    else if (l.has_row(v) && l.has_column(u))
-      place(v, u, d);
-  }
-  return devices;
 }
 
 }  // namespace compact::core

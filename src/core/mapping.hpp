@@ -29,12 +29,4 @@ struct mapping_result {
 [[nodiscard]] mapping_result map_to_crossbar(const bdd_graph& graph,
                                              const labeling& l);
 
-/// The devices `l` dictates on the nanowires `row_of` / `column_of`, in the
-/// order the mapper places them: an always-on bridge per VH node, then a
-/// literal per graph edge, at the junction of one endpoint's wordline and
-/// the other's bitline. A bridge or edge that lacks a wire is skipped.
-[[nodiscard]] std::vector<xbar::placed_device> place_devices(
-    const bdd_graph& graph, const labeling& l, const std::vector<int>& row_of,
-    const std::vector<int>& column_of);
-
 }  // namespace compact::core

@@ -15,6 +15,7 @@
 namespace compact::verify {
 namespace {
 
+using core::vh_label;
 using xbar::literal_kind;
 
 std::string literal_text(const xbar::device& d) {
@@ -176,13 +177,35 @@ void check_junctions(const artifacts& a, report& out) {
         map.column_of[static_cast<std::size_t>(v)] >= x.columns())
       return;
 
-  // As the mapper places them, a later device on a junction replacing an
-  // earlier one; the always-on devices are the planned VH bridges.
-  std::vector<xbar::placed_device> wanted =
-      core::place_devices(*a.graph, *a.labels, map.row_of, map.column_of);
+  // The devices the triple dictates, rebuilt here and not by the mapper's
+  // code, so that a placement bug there shows as a finding: a bridge per VH
+  // node, then a literal per edge, a later device on a junction replacing
+  // an earlier one. A device without both wires is MAP001's or LBL001's.
+  std::vector<xbar::placed_device> wanted;
   std::vector<std::pair<int, int>> bridges;
-  for (const xbar::placed_device& p : wanted)
-    if (p.literal.kind == literal_kind::on) bridges.push_back(p.junction());
+  const auto want = [&](graph::node_id on_row, graph::node_id on_column,
+                        xbar::device d) {
+    const int r = map.row_of[static_cast<std::size_t>(on_row)];
+    const int c = map.column_of[static_cast<std::size_t>(on_column)];
+    if (r < 0 || c < 0) return;
+    wanted.push_back({r, c, d});
+    if (d.kind == literal_kind::on) bridges.emplace_back(r, c);
+  };
+  for (graph::node_id v = 0; v < n; ++v)
+    if (a.labels->label_of[static_cast<std::size_t>(v)] == vh_label::vh)
+      want(v, v, {literal_kind::on, -1});
+  const std::vector<graph::edge>& edges = a.graph->g.edges();
+  for (std::size_t e = 0; e < edges.size(); ++e) {
+    const auto [u, v] = edges[e];
+    const core::edge_literal lit = a.graph->literal_of_edge[e];
+    const xbar::device d{
+        lit.positive ? literal_kind::positive : literal_kind::negative,
+        lit.variable};
+    if (a.labels->has_row(u) && a.labels->has_column(v))
+      want(u, v, d);
+    else if (a.labels->has_row(v) && a.labels->has_column(u))
+      want(v, u, d);
+  }
   std::sort(bridges.begin(), bridges.end());
   const xbar::crossbar expected(x, std::move(wanted));
 
@@ -190,18 +213,14 @@ void check_junctions(const artifacts& a, report& out) {
   static constexpr xbar::device off{};
   const std::vector<xbar::placed_device>& want_list = expected.devices();
   const std::vector<xbar::placed_device>& got_list = x.devices();
-  const auto key = [](const std::vector<xbar::placed_device>& list,
-                      std::size_t k) {
-    return k < list.size() ? list[k].junction()
-                           : std::pair(INT_MAX, INT_MAX);
-  };
   for (std::size_t i = 0, j = 0;
        i < want_list.size() || j < got_list.size();) {
-    const auto [r, c] = std::min(key(want_list, i), key(got_list, j));
-    const xbar::device& want =
-        key(want_list, i) == std::pair(r, c) ? want_list[i++].literal : off;
-    const xbar::device& got =
-        key(got_list, j) == std::pair(r, c) ? got_list[j++].literal : off;
+    const std::pair<int, int> past_end(INT_MAX, INT_MAX);
+    const auto w = i < want_list.size() ? want_list[i].junction() : past_end;
+    const auto g = j < got_list.size() ? got_list[j].junction() : past_end;
+    const auto [r, c] = std::min(w, g);
+    const xbar::device& want = w <= g ? want_list[i++].literal : off;
+    const xbar::device& got = g <= w ? got_list[j++].literal : off;
     if (want.kind == got.kind &&
         (!want.reads_variable() || want.variable == got.variable))
       continue;

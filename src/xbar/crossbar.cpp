@@ -1,29 +1,45 @@
 #include "xbar/crossbar.hpp"
 
+#include <algorithm>
 #include <numeric>
 
 namespace compact::xbar {
+
+/// A device's junction, as a projection the algorithms inline (a member
+/// pointer projection costs a call per comparison).
+constexpr auto junction = [](const placed_device& p) { return p.junction(); };
+
 crossbar::crossbar(int rows, int columns) : rows_(rows), columns_(columns) {
   check(rows >= 1 && columns >= 0, "crossbar: non-positive dimensions");
-  index();
 }
 
-crossbar::crossbar(crossbar shape, std::vector<placed_device> devices)
-    : crossbar(std::move(shape)) {
-  for (const placed_device& p : devices) check_device(p);
-  // Readers hand over the writer's row-major order; the mapper does not.
-  if (!std::ranges::is_sorted(devices, {}, &placed_device::junction))
-    std::ranges::stable_sort(devices, {}, &placed_device::junction);
-  // Of each junction's run keep the last device, unless it is off.
-  std::size_t kept = 0;
-  for (std::size_t i = 0; i < devices.size(); ++i) {
-    const placed_device& p = devices[i];
-    if (i + 1 < devices.size() && devices[i + 1].junction() == p.junction())
-      continue;
-    if (p.literal.kind != literal_kind::off) devices[kept++] = p;
+crossbar::crossbar(const crossbar& shape, std::vector<placed_device> devices)
+    : rows_(shape.rows_),
+      columns_(shape.columns_),
+      input_row_(shape.input_row_),
+      devices_(std::move(devices)),
+      outputs_(shape.outputs_),
+      constant_outputs_(shape.constant_outputs_) {
+  // The writer's order, strictly row-major without off devices, is what
+  // readers hand over: it needs neither sorting nor merging.
+  bool canonical = true;
+  for (std::size_t i = 0; i < devices_.size(); ++i) {
+    check_device(devices_[i]);
+    canonical = canonical && devices_[i].literal.kind != literal_kind::off &&
+                (i == 0 || devices_[i - 1].junction() < devices_[i].junction());
   }
-  devices.resize(kept);
-  devices_ = std::move(devices);
+  if (!canonical) {
+    if (!std::ranges::is_sorted(devices_, {}, junction))
+      std::ranges::stable_sort(devices_, {}, junction);
+    // Of each junction's run keep the last device, unless it is off.
+    std::size_t kept = 0;
+    for (std::size_t i = 0; i < devices_.size(); ++i)
+      if ((i + 1 == devices_.size() ||
+           devices_[i + 1].junction() != devices_[i].junction()) &&
+          devices_[i].literal.kind != literal_kind::off)
+        devices_[kept++] = devices_[i];
+    devices_.resize(kept);
+  }
   index();
 }
 
@@ -40,17 +56,20 @@ void crossbar::index() {
   std::partial_sum(row_start_.begin(), row_start_.end(), row_start_.begin());
   std::partial_sum(column_start_.begin(), column_start_.end(),
                    column_start_.begin());
-  // Dealt out column by column in row-major order, each column stays by row.
+  // Dealt out column by column in row-major order, each column stays by
+  // row. Column c's start serves as its cursor, ending at column c + 1's
+  // start, so one shift restores the starts.
   by_column_.resize(devices_.size());
-  std::vector<int> next(column_start_.begin(), column_start_.end() - 1);
-  for (const placed_device& p : devices_) {
-    int& slot = next[static_cast<std::size_t>(p.column)];
-    by_column_[static_cast<std::size_t>(slot++)] = p;
-  }
+  for (const placed_device& p : devices_)
+    by_column_[static_cast<std::size_t>(
+        column_start_[static_cast<std::size_t>(p.column)]++)] = p;
+  std::shift_right(column_start_.begin(), column_start_.end(), 1);
+  column_start_[0] = 0;
 }
 
 std::span<const placed_device> crossbar::row_devices(int row) const {
   check(row >= 0 && row < rows_, "crossbar: row out of range");
+  if (devices_.empty()) return {};
   const auto r = static_cast<std::size_t>(row);
   return {devices_.begin() + row_start_[r],
           devices_.begin() + row_start_[r + 1]};
@@ -58,6 +77,7 @@ std::span<const placed_device> crossbar::row_devices(int row) const {
 
 std::span<const placed_device> crossbar::column_devices(int column) const {
   check(column >= 0 && column < columns_, "crossbar: column out of range");
+  if (devices_.empty()) return {};
   const auto c = static_cast<std::size_t>(column);
   return {by_column_.begin() + column_start_[c],
           by_column_.begin() + column_start_[c + 1]};
@@ -67,43 +87,19 @@ const device& crossbar::at(int row, int column) const {
   static constexpr device off{};
   check_device({row, column, off});
   const auto it = std::ranges::lower_bound(
-      devices_, std::pair(row, column), {}, &placed_device::junction);
+      devices_, std::pair(row, column), {}, junction);
   return it != devices_.end() && it->junction() == std::pair(row, column)
              ? it->literal
              : off;
 }
 
-void crossbar::check_device(const placed_device& p) const {
-  check(p.row >= 0 && p.row < rows_ && p.column >= 0 && p.column < columns_,
-        "crossbar: junction out of range");
-  check(!p.literal.reads_variable() || p.literal.variable >= 0,
-        "crossbar: literal device needs a variable");
-}
-
 void crossbar::set(int row, int column, device d) {
-  check_device({row, column, d});
-  const auto it = std::ranges::lower_bound(
-      devices_, std::pair(row, column), {}, &placed_device::junction);
-  const bool present =
-      it != devices_.end() && it->junction() == std::pair(row, column);
-  if (d.kind == literal_kind::off) {
-    if (!present) return;
-    devices_.erase(it);
-  } else if (present) {
-    it->literal = d;
-  } else {
-    devices_.insert(it, {row, column, d});
-  }
-  index();
-}
-
-void crossbar::set_literal(int row, int column, int variable, bool positive) {
-  set(row, column,
-      {positive ? literal_kind::positive : literal_kind::negative, variable});
-}
-
-void crossbar::set_on(int row, int column) {
-  set(row, column, {literal_kind::on, -1});
+  // After any device already on the junction, so that `d` replaces it.
+  std::vector<placed_device> devices = devices_;
+  devices.insert(std::ranges::upper_bound(devices, std::pair(row, column), {},
+                                          junction),
+                 {row, column, d});
+  *this = crossbar(*this, std::move(devices));
 }
 
 void crossbar::set_input_row(int row) {
@@ -121,8 +117,8 @@ void crossbar::add_constant_output(bool value, std::string name) {
 }
 
 int crossbar::active_device_count() const {
-  return static_cast<int>(std::count_if(
-      devices_.begin(), devices_.end(),
+  return static_cast<int>(std::ranges::count_if(
+      devices_,
       [](const placed_device& p) { return p.literal.reads_variable(); }));
 }
 

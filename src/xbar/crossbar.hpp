@@ -1,15 +1,14 @@
 // Crossbar design representation for flow-based computing.
 //
-// A design programs some of its memristor junctions with a literal:
-// constant on ('1'), a variable, or a negated variable; every other junction
-// is constant off ('0') (Section II-C). COMPACT places one device per BDD
-// edge and one always-on bridge per VH node, so a design of S nanowires
-// holds O(S) devices on an O(S^2) grid. The crossbar therefore stores its
-// devices, sorted by (row, column), with an offset per row and an index by
-// (column, row); nothing is stored per junction. One wordline is the input
-// (driven with V_in during evaluation) and one or more wordlines are
-// outputs (sensed through resistors). By the paper's convention the input
-// is the bottom-most wordline and outputs are at the top.
+// A design programs some junctions with a literal: constant on ('1'), a
+// variable or a negated variable; every other junction is off ('0')
+// (Section II-C). With a device per BDD edge and a bridge per VH node, a
+// design of S nanowires holds O(S) devices on an O(S^2) grid, so the
+// crossbar stores its devices by (row, column), indexed by row and by
+// column, and nothing per junction. One wordline is the input (driven with
+// V_in during evaluation) and one or more are outputs (sensed through
+// resistors): by the paper's convention the input at the bottom, outputs
+// at the top.
 #pragma once
 
 #include <algorithm>
@@ -72,13 +71,14 @@ struct output_port {
 
 class crossbar {
  public:
-  /// A rows x columns design with every junction off.
+  /// A rows x columns design with every junction off; it stores nothing
+  /// per row or column until a device is placed.
   crossbar(int rows, int columns);
-  /// The dimensions and ports of `shape`, programmed with `devices` in place
-  /// of its own: the bulk path for whole designs. The devices come in any
+  /// The dimensions and ports of `shape` (not its devices), programmed with
+  /// `devices`: the bulk path for whole designs. The devices come in any
   /// order; as if set() took them in list order, a later device on a
   /// junction replaces an earlier one and an off device clears it.
-  crossbar(crossbar shape, std::vector<placed_device> devices);
+  crossbar(const crossbar& shape, std::vector<placed_device> devices);
 
   [[nodiscard]] int rows() const { return rows_; }
   [[nodiscard]] int columns() const { return columns_; }
@@ -112,13 +112,22 @@ class crossbar {
     }
   }
   /// Program one junction; an off device clears it. The edit path for
-  /// tests, mutants and probes: it costs O(devices + rows + columns).
+  /// tests, mutants and probes: the bulk path with one more device, it
+  /// costs O(devices + rows + columns).
   void set(int row, int column, device d);
-  void set_literal(int row, int column, int variable, bool positive);
-  void set_on(int row, int column);
+  void set_literal(int row, int column, int variable, bool positive) {
+    set(row, column,
+        {positive ? literal_kind::positive : literal_kind::negative, variable});
+  }
+  void set_on(int row, int column) { set(row, column, {literal_kind::on, -1}); }
   /// Throw compact::error, as set() would, unless `p` fits this design: its
   /// junction in range and, for a literal, a variable.
-  void check_device(const placed_device& p) const;
+  void check_device(const placed_device& p) const {
+    check(p.row >= 0 && p.row < rows_ && p.column >= 0 && p.column < columns_,
+          "crossbar: junction out of range");
+    check(!p.literal.reads_variable() || p.literal.variable >= 0,
+          "crossbar: literal device needs a variable");
+  }
 
   /// The highest variable a device reads (-1 when none), so evaluation
   /// checks an assignment's length once, not per device.
@@ -172,6 +181,7 @@ class crossbar {
   int input_row_ = -1;
   int max_variable_ = -1;
   std::vector<placed_device> devices_;    // by (row, column)
+  // The index, unused while there are no devices.
   std::vector<int> row_start_;            // rows + 1 offsets into devices_
   std::vector<placed_device> by_column_;  // by (column, row)
   std::vector<int> column_start_;         // columns + 1 offsets into it

@@ -17,10 +17,8 @@ std::vector<bool> evaluate(const crossbar& design,
   result.reserve(design.outputs().size() + design.constant_outputs().size());
   for (const output_port& o : design.outputs())
     result.push_back(rows[static_cast<std::size_t>(o.row)]);
-  for (const auto& [name, value] : design.constant_outputs()) {
-    (void)name;
-    result.push_back(value);
-  }
+  for (const auto& constant : design.constant_outputs())
+    result.push_back(constant.second);
   return result;
 }
 

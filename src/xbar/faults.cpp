@@ -40,15 +40,11 @@ bool matches_on(const crossbar& faulty, const crossbar& reference,
 crossbar inject_faults(const crossbar& design,
                        const std::vector<fault>& faults) {
   std::vector<placed_device> devices = design.devices();
-  for (const fault& f : faults) {
-    check(f.row >= 0 && f.row < design.rows() && f.column >= 0 &&
-              f.column < design.columns(),
-          "inject_faults: fault location out of range");
+  for (const fault& f : faults)  // range-checked by the bulk constructor
     devices.push_back({f.row, f.column,
                        {f.kind == fault_kind::stuck_on ? literal_kind::on
                                                        : literal_kind::off,
                         -1}});
-  }
   return crossbar(design, std::move(devices));
 }
 

@@ -27,6 +27,7 @@ struct fault {
 
 /// A copy of `design` with `faults` applied (stuck_off junctions become
 /// literal 'off', stuck_on become 'on', overriding their programming).
+/// Throws compact::error when a fault lies outside the design.
 [[nodiscard]] crossbar inject_faults(const crossbar& design,
                                      const std::vector<fault>& faults);
 

@@ -77,12 +77,15 @@ crossbar read_body(line_reader& in, std::string_view terminator,
 
   // The ports go on `design` as they are read, the devices into one list
   // for the bulk constructor; each line is range-checked when it is read.
+  // A COMPACT design of S nanowires holds at most 2S devices (two edges per
+  // BDD node, a bridge per VH node), so the list seldom grows.
   crossbar design(rows, cols);
   std::vector<placed_device> devices;
+  devices.reserve(2 * static_cast<std::size_t>(design.semiperimeter()));
   while (in.next()) {
     const std::string_view head = in[0];
     if (head == terminator)
-      return crossbar(std::move(design), std::move(devices));
+      return crossbar(design, std::move(devices));
     if (head == "input" && in.size() == 2) {
       design.set_input_row(in.number(in[1]));
     } else if (head == "output" && in.size() == 3) {

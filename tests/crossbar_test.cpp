@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -211,6 +212,17 @@ TEST(CrossbarTest, EditPathMatchesADenseModel) {
     EXPECT_EQ(written(bulk), written(x));
     EXPECT_EQ(bulk.max_variable(), x.max_variable());
     EXPECT_EQ(bulk.active_device_count(), x.active_device_count());
+    // The list a reader hands over, already row-major and without repeats,
+    // is taken as it stands.
+    const crossbar read(x, row_major);
+    EXPECT_EQ(written(read), written(x));
+    for (int c = 0; c < columns; ++c) {
+      const std::span<const placed_device> got = read.column_devices(c);
+      const std::span<const placed_device> want = x.column_devices(c);
+      ASSERT_EQ(got.size(), want.size());
+      for (std::size_t i = 0; i < got.size(); ++i)
+        EXPECT_EQ(got[i].junction(), want[i].junction());
+    }
   }
 }
 
